@@ -20,16 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
-from .linalg import (
-    adjoint,
-    as_complex_matrix,
-    fit_scalar,
-    frobenius_norm,
-    identity,
-    matmul,
-    trace,
-    zeros,
-)
+from .linalg import as_complex_matrix, fit_scalar, identity
 from .events import (
     Event,
     commutes,
@@ -122,7 +113,6 @@ __all__ = [
     "ValidationError",
     "ValuationProblem",
     "ValuationResult",
-    "adjoint",
     "as_complex_matrix",
     "build_resolutions",
     "chain_product",
@@ -140,14 +130,12 @@ __all__ = [
     "embed_event",
     "evaluate_chain",
     "fit_scalar",
-    "frobenius_norm",
     "identity",
     "identity_event",
     "implies",
     "incoherent_combine",
     "is_orthogonal",
     "lattice_meet",
-    "matmul",
     "objective_cond_prob",
     "objective_seq",
     "objective_split",
@@ -161,9 +149,7 @@ __all__ = [
     "split_cond_prob",
     "state_from_outcome",
     "state_value",
-    "trace",
     "transition_prob",
     "validate_event",
     "zero_event",
-    "zeros",
 ]

@@ -150,6 +150,11 @@ def embed_event(event: ClassicalEvent) -> Event:
     return Event(np.diag(diag), int(np.count_nonzero(event.membership)))
 
 
-def embed_diagonal(space: ClassicalSpace, tol: Tolerances = DEFAULT_TOL) -> State:
-    """Diagonal density matrix carrying the space's weights."""
-    return State(np.diag(space.weights.astype(np.complex128)), tol=tol)
+def embed_diagonal(space: ClassicalSpace) -> State:
+    """Diagonal density matrix carrying the space's weights.
+
+    The weights were checked when the space was built (finite,
+    nonnegative, summing to 1), so their diagonal matrix is a state and
+    is wrapped without re-running the checks of ``State(...)``.
+    """
+    return State._trusted(np.diag(space.weights.astype(np.complex128)))

@@ -105,33 +105,66 @@ def split_cond_prob(
     )
 
 
-def _branch_terms(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances) -> tuple[float, float, float, Event]:
+def _branch_weights(f: Event, e1: Event, e2: Event, tol: Tolerances) -> tuple[float, float, float]:
+    """Outcome-independent terms: both branch weights and the normalizer after ``f``."""
     e = _check_split(e1, e2, tol)
-    if not isinstance(d, Event):
-        raise ValidationError("outcome must be an Event")
     if not isinstance(f, Event):
         raise ValidationError("preparation must be an Event")
     if not f.is_minimal():
         raise ValidationError("preparation event must be minimal (rank 1)")
-    if f.dim != e1.dim or d.dim != e1.dim:
+    if f.dim != e1.dim:
         raise ValidationError("preparation, outcome and branch dimensions must agree")
-    parts = []
+    weights = []
     for branch in (e1, e2):
         weight = objective_cond_prob(branch, f, tol)
         if weight.value is None:
             raise InvariantError("branch weight after minimal preparation must be state-independent")
         if weight.value <= tol.prob_floor:
             raise UndefinedProbabilityError("branch probability vanishes; decomposition is undefined")
-        through = objective_seq(d, [f, branch], tol)
-        if through.value is None:
-            raise InvariantError("branch conditional after minimal preparation must be state-independent")
-        parts.append(through.value * weight.value)
+        weights.append(weight.value)
     normalizer = objective_cond_prob(e, f, tol)
     if normalizer.value is None:
         raise InvariantError("combined condition after minimal preparation must be state-independent")
     if normalizer.value <= tol.prob_floor:
         raise UndefinedProbabilityError("combined condition has vanishing probability")
-    return parts[0], parts[1], normalizer.value, e
+    return weights[0], weights[1], normalizer.value
+
+
+def _check_outcome(f: Event, d: Event) -> None:
+    if not isinstance(d, Event):
+        raise ValidationError("outcome must be an Event")
+    if d.dim != f.dim:
+        raise ValidationError("preparation, outcome and branch dimensions must agree")
+
+
+def _branch_parts(
+    f: Event, d: Event, e1: Event, e2: Event, w1: float, w2: float, tol: Tolerances
+) -> tuple[float, float]:
+    """Unnormalised classical contributions ``mu(d | f, branch) * weight`` of both branches."""
+    parts = []
+    for branch, weight in ((e1, w1), (e2, w2)):
+        through = objective_seq(d, [f, branch], tol)
+        if through.value is None:
+            raise InvariantError("branch conditional after minimal preparation must be state-independent")
+        parts.append(through.value * weight)
+    return parts[0], parts[1]
+
+
+def _cross_scalar(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances) -> complex:
+    """Scalar ``lam`` with ``f @ e1 @ d @ e2 @ f == lam * f``."""
+    lam, residual = fit_scalar(f.matrix @ e1.matrix @ d.matrix @ e2.matrix @ f.matrix, f.matrix, tol)
+    scale = 1.0 + float(np.linalg.norm(f.matrix, "fro"))
+    if residual > tol.objectivity_tol * scale:
+        raise InvariantError("cross term after minimal preparation must be a scalar multiple of the preparation")
+    return complex(lam)
+
+
+def _coherent_total(p1: float, p2: float, interference: float, normalizer: float, tol: Tolerances) -> float:
+    return clamp_probability((p1 + p2 + interference) / normalizer, tol, what="decomposed conditional probability")
+
+
+def _incoherent_total(p1: float, p2: float, normalizer: float, tol: Tolerances) -> float:
+    return clamp_probability((p1 + p2) / normalizer, tol, what="incoherent combination")
 
 
 def objective_split(
@@ -152,21 +185,19 @@ def objective_split(
     so it can be checked independently against the direct sequential
     conditional probability of ``d`` given ``f`` then ``e1 + e2``.
     """
-    p1, p2, normalizer, _ = _branch_terms(f, d, e1, e2, tol)
-    lam, residual = fit_scalar(f.matrix @ e1.matrix @ d.matrix @ e2.matrix @ f.matrix, f.matrix, tol)
-    scale = 1.0 + float(np.linalg.norm(f.matrix, "fro"))
-    if residual > tol.objectivity_tol * scale:
-        raise InvariantError("cross term after minimal preparation must be a scalar multiple of the preparation")
+    w1, w2, normalizer = _branch_weights(f, e1, e2, tol)
+    _check_outcome(f, d)
+    p1, p2 = _branch_parts(f, d, e1, e2, w1, w2, tol)
+    lam = _cross_scalar(f, d, e1, e2, tol)
     interference = 2.0 * lam.real
-    total = clamp_probability((p1 + p2 + interference) / normalizer, tol, what="decomposed conditional probability")
     return InterferenceReport(
-        total=total,
+        total=_coherent_total(p1, p2, interference, normalizer, tol),
         part1=p1,
         part2=p2,
         interference=interference,
         normalizer=normalizer,
         coherent=True,
-        lambda_complex=complex(lam),
+        lambda_complex=lam,
     )
 
 
@@ -183,10 +214,11 @@ def incoherent_combine(
     mixture renormalised by the same combined mass as the coherent case,
     so the two variants are directly comparable.
     """
-    p1, p2, normalizer, _ = _branch_terms(f, d, e1, e2, tol)
-    total = clamp_probability((p1 + p2) / normalizer, tol, what="incoherent combination")
+    w1, w2, normalizer = _branch_weights(f, e1, e2, tol)
+    _check_outcome(f, d)
+    p1, p2 = _branch_parts(f, d, e1, e2, w1, w2, tol)
     return InterferenceReport(
-        total=total,
+        total=_incoherent_total(p1, p2, normalizer, tol),
         part1=p1,
         part2=p2,
         interference=0.0,
@@ -222,14 +254,29 @@ def double_slit_scan(
     """
     if not detectors:
         raise ValidationError("detector bank must contain at least one event")
+    try:
+        w1, w2, normalizer = _branch_weights(f, e1, e2, tol)
+    except UndefinedProbabilityError:
+        normalizer = None
+    for det in detectors:
+        _check_outcome(f, det)
     points = []
     for i, det in enumerate(detectors):
-        try:
-            coh = objective_split(f, det, e1, e2, tol).total
-            inc = incoherent_combine(f, det, e1, e2, tol).total
-            points.append(ScanPoint(index=i, coherent=coh, incoherent=inc, defined=True))
-        except UndefinedProbabilityError:
-            points.append(ScanPoint(index=i, coherent=float("nan"), incoherent=float("nan"), defined=False))
+        point = ScanPoint(index=i, coherent=float("nan"), incoherent=float("nan"), defined=False)
+        if normalizer is not None:
+            try:
+                p1, p2 = _branch_parts(f, det, e1, e2, w1, w2, tol)
+                lam = _cross_scalar(f, det, e1, e2, tol)
+            except UndefinedProbabilityError:
+                pass
+            else:
+                point = ScanPoint(
+                    index=i,
+                    coherent=_coherent_total(p1, p2, 2.0 * lam.real, normalizer, tol),
+                    incoherent=_incoherent_total(p1, p2, normalizer, tol),
+                    defined=True,
+                )
+        points.append(point)
     return points
 
 

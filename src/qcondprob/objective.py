@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .conditioning import PureVector, State, chain_product
+from .conditioning import PureVector, State, _chain_events, chain_product
 from .errors import UndefinedProbabilityError, ValidationError
 from .events import Event
 from .linalg import fit_scalar
@@ -124,14 +124,7 @@ def objective_seq(d: Event, chain: Sequence[Event], tol: Tolerances = DEFAULT_TO
     """
     if not isinstance(d, Event):
         raise ValidationError("objective_seq expects an Event to evaluate")
-    events = list(chain)
-    if not events:
-        raise ValidationError("conditioning chain must contain at least one event")
-    for e in events:
-        if not isinstance(e, Event):
-            raise ValidationError("conditioning chain must consist of Events")
-        if e.dim != d.dim:
-            raise ValidationError(f"dimension mismatch in chain: expected {d.dim}, got {e.dim}")
+    events = _chain_events(chain, d.dim)
     product = chain_product(events)
     gram = product @ product.conj().T
     weight = float(np.real(np.trace(gram)))

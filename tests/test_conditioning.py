@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from qcondprob import (
+    ClassicalSpace,
+    InvariantError,
     PureVector,
     State,
     UndefinedProbabilityError,
     ValidationError,
     cond_prob,
     cond_state,
+    conditioning,
+    embed_diagonal,
     repeated_cond_prob,
     spin_projector,
     spin_vector,
@@ -17,6 +21,8 @@ from qcondprob import (
     validate_event,
 )
 from qcondprob.fixtures import lower_block_state_dim4, mixed_state_dim4, objective_pair
+
+from helpers import random_projection
 
 from helpers import random_full_rank_state, random_projection, random_rank1
 
@@ -225,3 +231,48 @@ def test_cross_check_runs_by_default():
     a = repeated_cond_prob(mu, xp, [xp, yp], cross_check=True)
     b = repeated_cond_prob(mu, xp, [xp, yp], cross_check=False)
     assert abs(a - b) < 1e-12
+
+
+def _state_of_rank(rng, dim, rank):
+    vectors = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    return State.from_ensemble(zip(rng.dirichlet(np.ones(rank)), vectors))
+
+
+def test_trusted_updates_match_validated_construction():
+    rng = np.random.default_rng(2024)
+    for dim in (2, 3, 4, 8, 16):
+        for state_rank in range(1, dim + 1):
+            mu = _state_of_rank(rng, dim, state_rank)
+            for event_rank in range(1, dim):
+                e = random_projection(rng, dim, event_rank)
+                updated = cond_state(mu, e)
+                assert not updated.rho.flags.writeable
+                assert np.array_equal(State(updated.rho).rho, updated.rho)
+                expected = e.matrix @ mu.rho @ e.matrix / np.real(np.trace(mu.rho @ e.matrix))
+                assert np.max(np.abs(updated.rho - expected)) < 1e-12
+                d = random_projection(rng, dim, int(rng.integers(1, dim + 1)))
+                chain = [e, random_projection(rng, dim, int(rng.integers(1, dim + 1)))]
+                try:
+                    checked = repeated_cond_prob(mu, d, chain)
+                except UndefinedProbabilityError:
+                    with pytest.raises(UndefinedProbabilityError):
+                        repeated_cond_prob(mu, d, chain, cross_check=False)
+                    continue
+                assert checked == repeated_cond_prob(mu, d, chain, cross_check=False)
+        weights = rng.dirichlet(np.ones(dim))
+        weights[rng.integers(dim)] = 0.0
+        weights = weights / weights.sum()
+        embedded = embed_diagonal(ClassicalSpace(weights))
+        assert not embedded.rho.flags.writeable
+        assert np.array_equal(embedded.rho, State(np.diag(weights)).rho)
+
+
+def test_cross_check_still_runs(monkeypatch):
+    # With a negative agreement threshold every cross-checked call must fail.
+    mu = mixed_state_dim4()
+    e = validate_event(np.diag([1.0, 1.0, 0.0, 0.0]))
+    d = validate_event(np.diag([1.0, 0.0, 0.0, 0.0]))
+    monkeypatch.setattr(conditioning, "_PATH_AGREEMENT_TOL", -1.0)
+    with pytest.raises(InvariantError):
+        repeated_cond_prob(mu, d, [e, e])
+    repeated_cond_prob(mu, d, [e, e], cross_check=False)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from qcondprob import (
     validate_event,
 )
 from qcondprob.fixtures import double_slit_model
+from qcondprob.io import load_slit_model
 
 from helpers import orthogonal_split, random_full_rank_state, random_projection, random_rank1
+
+FIXTURE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
 
 def test_split_identity_holds_for_random_states():
@@ -200,3 +204,40 @@ def test_scan_to_csv_layout():
     ]
     text = scan_to_csv(points)
     assert text == "index,coherent,incoherent,defined\n0,0.5,0.25,true\n1,nan,nan,false\n"
+
+
+def _assert_scan_matches_per_detector_routes(f, e1, e2, detectors):
+    points = double_slit_scan(f, e1, e2, detectors)
+    assert [p.index for p in points] == list(range(len(detectors)))
+    for p, det in zip(points, detectors):
+        assert p.defined
+        assert abs(p.coherent - objective_split(f, det, e1, e2).total) <= 1e-12
+        assert abs(p.incoherent - incoherent_combine(f, det, e1, e2).total) <= 1e-12
+
+
+def test_scan_rows_match_split_and_incoherent_routes():
+    model = load_slit_model(os.path.join(FIXTURE_DIR, "double_slit_dim8.json"))
+    _assert_scan_matches_per_detector_routes(model.preparation, model.slit1, model.slit2, model.detectors)
+    rng = np.random.default_rng(409)
+    for dim in (4, 16):
+        for _ in range(5):
+            e1, e2 = orthogonal_split(rng, dim)
+            detectors = [random_projection(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(6)]
+            _assert_scan_matches_per_detector_routes(random_rank1(rng, dim), e1, e2, detectors)
+
+
+def test_scan_with_one_vanishing_branch_is_undefined_everywhere():
+    # The source lies inside the first slit, so the second branch has no weight.
+    f = validate_event(np.diag([1.0, 0.0, 0.0, 0.0]))
+    e1 = validate_event(np.diag([1.0, 1.0, 0.0, 0.0]))
+    e2 = validate_event(np.diag([0.0, 0.0, 1.0, 0.0]))
+    detectors = [random_projection(np.random.default_rng(k), 4, 2) for k in range(5)]
+    points = double_slit_scan(f, e1, e2, detectors)
+    assert len(points) == len(detectors)
+    for p, det in zip(points, detectors):
+        assert not p.defined
+        assert math.isnan(p.coherent) and math.isnan(p.incoherent)
+        with pytest.raises(UndefinedProbabilityError):
+            objective_split(f, det, e1, e2)
+        with pytest.raises(UndefinedProbabilityError):
+            incoherent_combine(f, det, e1, e2)

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from qcondprob import (
-    ValidationError,
-    adjoint,
-    as_complex_matrix,
-    fit_scalar,
-    frobenius_norm,
-    identity,
-    matmul,
-    trace,
-    zeros,
-)
+from qcondprob import ValidationError, as_complex_matrix, fit_scalar, identity
 
 from helpers import random_unitary
 
@@ -38,42 +28,10 @@ def test_as_complex_matrix_rejects_bad_input():
         as_complex_matrix(np.zeros((0, 0)))
 
 
-def test_identity_and_zeros():
+def test_identity():
     assert np.array_equal(identity(3), np.eye(3))
-    assert np.array_equal(zeros(2), np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         identity(0)
-    with pytest.raises(ValidationError):
-        zeros(-1)
-
-
-def test_matmul_matches_numpy_and_checks_dims():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(matmul(a, b), a @ b)
-    with pytest.raises(ValidationError):
-        matmul(a, np.eye(3))
-
-
-def test_adjoint_is_conjugate_transpose():
-    a = np.array([[1 + 2j, 3], [4j, 5]])
-    assert np.array_equal(adjoint(a), a.conj().T)
-    assert np.allclose(adjoint(adjoint(a)), a)
-
-
-def test_trace_cyclic():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) < 1e-10
-
-
-def test_frobenius_norm_from_trace_inner_product():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert abs(frobenius_norm(a) ** 2 - trace(matmul(adjoint(a), a)).real) < 1e-9
-    assert frobenius_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_fit_scalar_recovers_exact_multiples():
