@@ -5,10 +5,11 @@ for a density matrix ``rho`` (self-adjoint, positive semi-definite,
 trace 1).  Conditioning on an event ``e`` with ``mu(e) > 0`` produces the
 updated state
 
-    rho_e = (e @ rho @ e) / trace(rho @ e)
+    rho_e = (e @ rho @ e) / trace(e @ rho @ e)
 
-and the conditional probability of ``d`` given ``e`` is the value of the
-updated state at ``d``, which works out to
+(for a projection the denominator is ``mu(e)``), and the conditional
+probability of ``d`` given ``e`` is the value of the updated state at
+``d``, which works out to
 
     mu(d | e) = trace(rho @ e @ d @ e) / trace(rho @ e).
 
@@ -22,8 +23,8 @@ Both the closed form and the step-by-step composition are implemented
 and cross-checked against each other on every call.
 
 Validation happens once, at the boundary: ``State(...)`` checks every
-matrix handed to it.  The update ``rho -> e @ rho @ e / mu(e)`` of an
-already validated state by an already validated event is a state by
+matrix handed to it.  The update ``rho -> rho_e`` of an already
+validated state by an already validated event is a state by
 construction, so :func:`cond_state` wraps its result without checking
 it again.  Traces of products with a self-adjoint factor are taken as
 elementwise sums in O(d^2) rather than by forming the product in O(d^3).
@@ -252,23 +253,30 @@ def state_value(mu: State, a, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
-    """State update on observing ``e``: ``(e @ rho @ e) / trace(rho @ e)``.
+    """State update on observing ``e``: ``(e @ rho @ e) / trace(e @ rho @ e)``.
+
+    For an exact projection the denominator is ``mu(e) = trace(rho @ e)``.
+    Dividing by the compression's own trace instead gives the result
+    unit trace even for events that are idempotent only within
+    tolerance, and normalises exactly like the closed form of
+    :func:`repeated_cond_prob`.
 
     ``mu`` and ``e`` were validated when they were built, and compressing
     a state by a projection and renormalising yields a state, so the
     symmetrised result is wrapped without re-running the checks of
     ``State(...)``.
 
-    Raises :class:`UndefinedProbabilityError` when ``mu(e)`` is at or
+    Raises :class:`UndefinedProbabilityError` when that trace is at or
     below the probability floor, since conditioning on a probability-zero
     event is undefined.
     """
     if e.dim != mu.dim:
         raise ValidationError(f"dimension mismatch: state {mu.dim} vs event {e.dim}")
-    p = _real_trace_product(mu.rho, e.matrix)
+    compressed = e.matrix @ mu.rho @ e.matrix
+    p = float(np.real(np.trace(compressed)))
     if p <= tol.prob_floor:
         raise UndefinedProbabilityError(f"cannot condition on an event of probability {p!r}")
-    updated = (e.matrix @ mu.rho @ e.matrix) / p
+    updated = compressed / p
     return State._trusted((updated + updated.conj().T) / 2.0)
 
 

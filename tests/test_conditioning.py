@@ -10,6 +10,7 @@ from qcondprob import (
     State,
     UndefinedProbabilityError,
     ValidationError,
+    complement,
     cond_prob,
     cond_state,
     conditioning,
@@ -276,3 +277,30 @@ def test_cross_check_still_runs(monkeypatch):
     with pytest.raises(InvariantError):
         repeated_cond_prob(mu, d, [e, e])
     repeated_cond_prob(mu, d, [e, e], cross_check=False)
+
+
+def test_cross_check_accepts_events_idempotent_only_within_tolerance():
+    # Projectors written to 10 decimals pass validate_event with an
+    # idempotence error near 1e-10, far above the 1e-12 agreement
+    # tolerance.  Each step normalises by the trace of its own
+    # compression, as the closed form does, so the two paths still agree.
+    rng = np.random.default_rng(0)
+    mu = State.maximally_mixed(4)
+    d = validate_event(np.diag([1.0, 0.0, 0.0, 0.0]))
+    defined = 0
+    worst_idempotence = 0.0
+    for _ in range(50):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+        e = validate_event(np.round(q @ q.conj().T, 10))
+        worst_idempotence = max(worst_idempotence, float(np.linalg.norm(e.matrix @ e.matrix - e.matrix)))
+        for chain in ([e], [e, e], [e, complement(e), e]):
+            try:
+                value = repeated_cond_prob(mu, d, chain)
+            except UndefinedProbabilityError:
+                # e @ not(e) vanishes up to round-off: only the third chain may be undefined.
+                assert len(chain) == 3
+                continue
+            assert abs(value - repeated_cond_prob(mu, d, chain, cross_check=False)) == 0.0
+            defined += 1
+    assert defined == 100
+    assert worst_idempotence > 1e-11

@@ -241,3 +241,101 @@ def test_scan_with_one_vanishing_branch_is_undefined_everywhere():
             objective_split(f, det, e1, e2)
         with pytest.raises(UndefinedProbabilityError):
             incoherent_combine(f, det, e1, e2)
+
+
+def _random_rank_deficient_state(rng, dim, rank):
+    b = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = b @ b.conj().T
+    return State(rho / np.real(np.trace(rho)))
+
+
+def _trace_oracle(rho, d, e1, e2):
+    """The decomposition from plain dense products, term by term."""
+    e = e1 + e2
+    normalizer = np.trace(rho @ e).real
+    part1 = np.trace(rho @ e1 @ d @ e1).real
+    part2 = np.trace(rho @ e2 @ d @ e2).real
+    cross = complex(np.trace(rho @ e1 @ d @ e2))
+    return {
+        "part1": part1,
+        "part2": part2,
+        "cross": cross,
+        "interference": 2.0 * cross.real,
+        "normalizer": normalizer,
+        "total": np.trace(rho @ e @ d @ e).real / normalizer,
+        "incoherent": (part1 + part2) / normalizer,
+    }
+
+
+def _assert_report_matches(report, want, total_key):
+    assert abs(report.part1 - want["part1"]) <= 1e-12
+    assert abs(report.part2 - want["part2"]) <= 1e-12
+    assert abs(report.normalizer - want["normalizer"]) <= 1e-12
+    assert abs(report.total - want[total_key]) <= 1e-12
+    if report.coherent:
+        assert abs(report.interference - want["interference"]) <= 1e-12
+        assert abs(report.lambda_complex - want["cross"]) <= 1e-12
+    else:
+        assert report.interference == 0.0 and report.lambda_complex is None
+
+
+def test_all_entry_points_match_dense_trace_oracle():
+    rng = np.random.default_rng(433)
+    for dim in (2, 3, 4, 8, 16):
+        for trial in range(4):
+            e1, e2 = orthogonal_split(rng, dim)
+            f = random_rank1(rng, dim)
+            detectors = [random_projection(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(3)]
+            states = [random_full_rank_state(rng, dim), _random_rank_deficient_state(rng, dim, 1 + trial % (dim - 1))]
+            for mu in states:
+                for d in detectors:
+                    want = _trace_oracle(mu.rho, d.matrix, e1.matrix, e2.matrix)
+                    report = split_cond_prob(mu, d, e1, e2)
+                    _assert_report_matches(report, want, "total")
+                    assert abs((report.part1 + report.part2) / report.normalizer - want["incoherent"]) <= 1e-12
+            for d in detectors:
+                want = _trace_oracle(f.matrix, d.matrix, e1.matrix, e2.matrix)
+                _assert_report_matches(objective_split(f, d, e1, e2), want, "total")
+                _assert_report_matches(incoherent_combine(f, d, e1, e2), want, "incoherent")
+            for p, d in zip(double_slit_scan(f, e1, e2, detectors), detectors):
+                want = _trace_oracle(f.matrix, d.matrix, e1.matrix, e2.matrix)
+                assert p.defined
+                assert abs(p.coherent - want["total"]) <= 1e-12
+                assert abs(p.incoherent - want["incoherent"]) <= 1e-12
+            # A source inside the first branch leaves the second with no weight:
+            # every entry point is undefined, and so is every row of a scan.
+            v = e1.matrix @ (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            inside = validate_event(np.outer(v, v.conj()) / np.vdot(v, v).real)
+            for d in detectors:
+                with pytest.raises(UndefinedProbabilityError):
+                    split_cond_prob(state_from_outcome(inside), d, e1, e2)
+                with pytest.raises(UndefinedProbabilityError):
+                    objective_split(inside, d, e1, e2)
+                with pytest.raises(UndefinedProbabilityError):
+                    incoherent_combine(inside, d, e1, e2)
+            points = double_slit_scan(inside, e1, e2, detectors)
+            assert [p.index for p in points] == list(range(len(detectors)))
+            assert all(not p.defined and math.isnan(p.coherent) and math.isnan(p.incoherent) for p in points)
+
+
+def test_invalid_outcome_is_reported_before_vanishing_weights():
+    # The source lies inside the first slit, so the second branch has no weight.
+    f = validate_event(np.diag([1.0, 0.0, 0.0, 0.0]))
+    e1 = validate_event(np.diag([1.0, 1.0, 0.0, 0.0]))
+    e2 = validate_event(np.diag([0.0, 0.0, 1.0, 0.0]))
+    good = validate_event(np.diag([0.0, 1.0, 1.0, 0.0]))
+    wrong_dim = validate_event(np.diag([1.0, 0.0, 0.0]))
+    mu = State(np.diag([1.0, 0.0, 0.0, 0.0]))
+    for bad in (wrong_dim, good.matrix):
+        with pytest.raises(ValidationError):
+            double_slit_scan(f, e1, e2, [good, bad])
+        with pytest.raises(ValidationError):
+            objective_split(f, bad, e1, e2)
+        with pytest.raises(ValidationError):
+            incoherent_combine(f, bad, e1, e2)
+        with pytest.raises(ValidationError):
+            split_cond_prob(mu, bad, e1, e2)
+    with pytest.raises(UndefinedProbabilityError):
+        split_cond_prob(mu, good, e1, e2)
+    with pytest.raises(ValidationError):
+        double_slit_scan(validate_event(np.diag([1.0, 1.0, 0.0, 0.0])), e1, e2, [good])
