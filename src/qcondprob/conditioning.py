@@ -256,10 +256,10 @@ def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     """State update on observing ``e``: ``(e @ rho @ e) / trace(e @ rho @ e)``.
 
     For an exact projection the denominator is ``mu(e) = trace(rho @ e)``.
-    Dividing by the compression's own trace instead gives the result
-    unit trace even for events that are idempotent only within
-    tolerance, and normalises exactly like the closed form of
-    :func:`repeated_cond_prob`.
+    The compression is taken as ``adjoint(e) @ rho @ e`` and divided by
+    its own trace, exactly like the closed form of
+    :func:`repeated_cond_prob`, so the two agree even for events that are
+    self-adjoint and idempotent only within tolerance.
 
     ``mu`` and ``e`` were validated when they were built, and compressing
     a state by a projection and renormalising yields a state, so the
@@ -272,7 +272,7 @@ def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     """
     if e.dim != mu.dim:
         raise ValidationError(f"dimension mismatch: state {mu.dim} vs event {e.dim}")
-    compressed = e.matrix @ mu.rho @ e.matrix
+    compressed = e.matrix.conj().T @ mu.rho @ e.matrix
     p = float(np.real(np.trace(compressed)))
     if p <= tol.prob_floor:
         raise UndefinedProbabilityError(f"cannot condition on an event of probability {p!r}")

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import PureVector, State, cond_state, state_value
+from .conditioning import PureVector, State, _chain_events, cond_state, state_value
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, complement, validate_event
+from .events import Event, complement
 from .objective import objective_seq
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
@@ -127,17 +127,10 @@ class Chain:
             raise ValidationError("preparation must be an Event")
         if not self.preparation.is_minimal():
             raise ValidationError("preparation must be a minimal (rank-1) event")
-        if not isinstance(self.final_outcome, Event):
-            raise ValidationError("final outcome must be an Event")
         object.__setattr__(self, "apparatuses", tuple(self.apparatuses))
-        dim = self.preparation.dim
-        for app in self.apparatuses:
-            if not isinstance(app, Apparatus):
-                raise ValidationError("chain apparatuses must be Apparatus instances")
-            if app.test_event.dim != dim:
-                raise ValidationError("all chain events must share one dimension")
-        if self.final_outcome.dim != dim:
-            raise ValidationError("all chain events must share one dimension")
+        if not all(isinstance(app, Apparatus) for app in self.apparatuses):
+            raise ValidationError("chain apparatuses must be Apparatus instances")
+        _chain_events([app.test_event for app in self.apparatuses] + [self.final_outcome], self.preparation.dim)
 
     @property
     def dim(self) -> int:
@@ -174,12 +167,13 @@ def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluati
     """Analytic probability of the final outcome, with a derivation trace.
 
     Recurses over the apparatuses, maintaining the conditioning prefix.
-    A rejoined apparatus contributes the sum of its outlet events (the
-    certain event), a blocking apparatus appends its tested event to the
-    prefix, and a detector apparatus splits into a probability-weighted
-    classical mixture over its outlets.  Outlet branches of probability
-    zero are noted and skipped.  Because the preparation is minimal, the
-    result is the same for every state that can be prepared this way.
+    A rejoined apparatus tests the sum of its outlet events, the certain
+    event, and leaves the prefix unchanged; a blocking apparatus appends
+    its tested event to the prefix, and a detector apparatus splits into
+    a probability-weighted classical mixture over its outlets.  Outlet
+    branches of probability zero are noted and skipped.  Because the
+    preparation is minimal, the result is the same for every state that
+    can be prepared this way.
     """
     steps: list[TraceStep] = []
 
@@ -195,13 +189,12 @@ def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluati
             ))
             return recurse(prefix + [app.test_event], idx + 1)
         if not app.has_detector:
-            rejoined = validate_event(app.test_event.matrix + complement(app.test_event).matrix, tol)
             steps.append(TraceStep(
                 apparatus_index=idx,
                 rule=RULE_COHERENT_JOIN,
                 note="no record exists of the outlet taken; the apparatus tests the certain sum event",
             ))
-            return recurse(prefix + [rejoined], idx + 1)
+            return recurse(prefix, idx + 1)
         total = 0.0
         for branch_name, branch_event in (("positive", app.test_event), ("negation", complement(app.test_event))):
             weight = _seq_value(branch_event, prefix, tol)
@@ -248,8 +241,6 @@ def conditioned_on_record(chain: Chain, record: str, tol: Tolerances = DEFAULT_T
             prefix.append(app.test_event)
         elif app.has_detector:
             prefix.append(app.test_event if record == "positive" else complement(app.test_event))
-        else:
-            prefix.append(validate_event(app.test_event.matrix + complement(app.test_event).matrix, tol))
     return _seq_value(chain.final_outcome, prefix, tol)
 
 

@@ -40,16 +40,18 @@ def random_state(rng, dim):
     return random_full_rank_state(rng, dim)
 
 
-def intersection_projector(e: Event, f: Event) -> np.ndarray:
+def intersection_projector(e: Event, f: Event, rcond=None) -> np.ndarray:
     """SVD-based oracle for the projection onto range(e) & range(f).
 
     A vector lies in both ranges exactly when both complements kill it,
     so the intersection is the null space of the stacked complements.
+    ``rcond`` is passed to ``null_space``; raise it above round-off for
+    events that are projections only within a tolerance.
     """
     dim = e.dim
     eye = np.eye(dim)
     stacked = np.vstack([eye - e.matrix, eye - f.matrix])
-    basis = null_space(stacked)
+    basis = null_space(stacked, rcond=rcond)
     if basis.size == 0:
         return np.zeros((dim, dim), dtype=complex)
     return basis @ basis.conj().T

@@ -304,3 +304,24 @@ def test_cross_check_accepts_events_idempotent_only_within_tolerance():
             defined += 1
     assert defined == 100
     assert worst_idempotence > 1e-11
+
+
+def test_cross_check_accepts_events_self_adjoint_only_within_tolerance():
+    # A real antisymmetric error of size 3e-11 keeps many projectors within
+    # validate_event's self-adjointness slack, and events are stored as
+    # given.  The step compresses by adjoint(e) @ rho @ e, as the closed
+    # form does, so the two paths still agree to 1e-12.
+    rng = np.random.default_rng(0)
+    mu = State.maximally_mixed(4)
+    d = validate_event(np.diag([1.0, 0.0, 0.0, 0.0]))
+    accepted = 0
+    for _ in range(50):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+        g = rng.normal(size=(4, 4))
+        try:
+            e = validate_event(q @ q.conj().T + 3e-11 * (g - g.T))
+        except ValidationError:
+            continue
+        accepted += 1
+        repeated_cond_prob(mu, d, [e])  # raises InvariantError when the paths disagree
+    assert accepted >= 25

@@ -14,6 +14,7 @@ from qcondprob import (
     validate_event,
     zero_event,
 )
+from qcondprob import events
 
 from helpers import intersection_projector, random_projection, random_unitary
 
@@ -169,11 +170,71 @@ def test_meet_result_is_lower_bound():
         assert implies(m, f)
 
 
-def test_meet_iteration_cap():
+def test_meet_iteration_cap(monkeypatch):
     e = random_projection(np.random.default_rng(47), 5, 3)
     f = random_projection(np.random.default_rng(48), 5, 3)
+    monkeypatch.setattr(events, "_MEET_MAX_SQUARINGS", 1)
     with pytest.raises(ConvergenceError):
-        lattice_meet(e, f, max_iter=1)
+        lattice_meet(e, f)
+
+
+def _planted_meet_pair(rng, dim, shared_rank, theta):
+    """Projections sharing ``shared_rank`` directions, one more each at angle theta."""
+    u = random_unitary(rng, dim)
+    shared = u[:, :shared_rank]
+    x, y = u[:, shared_rank], u[:, shared_rank + 1]
+    ce = np.column_stack([shared, x])
+    cf = np.column_stack([shared, np.cos(theta) * x + np.sin(theta) * y])
+    return ce @ ce.conj().T, cf @ cf.conj().T
+
+
+def test_meet_matches_svd_oracle_down_to_small_angles():
+    # Squaring e f e resolves the smallest principal angle theta to about
+    # eps / theta^2, hence the looser bound below 1e-2.  Inputs written to
+    # 10 decimals are projections only within validate_event's tolerance;
+    # they are compared with the oracle on the same rounded matrices.
+    assert events._MEET_MAX_SQUARINGS <= 40
+    thetas = sorted(set(np.logspace(-4, np.log10(np.pi / 2), 11)) | {1e-3, 0.05})
+    rng = np.random.default_rng(53)
+    rounded_checked = 0
+    for dim in (3, 4, 6, 16):
+        for shared_rank in (1, 2):
+            if shared_rank + 2 > dim:
+                continue
+            for theta in thetas:
+                for _ in range(3):
+                    pe, pf = _planted_meet_pair(rng, dim, shared_rank, theta)
+                    e, f = validate_event(pe), validate_event(pf)
+                    m = lattice_meet(e, f)
+                    assert m.rank == shared_rank
+                    gap = np.linalg.norm(m.matrix - intersection_projector(e, f))
+                    assert gap <= (1e-7 if theta < 1e-2 else 1e-10), (dim, shared_rank, theta, gap)
+                    try:
+                        e, f = validate_event(np.round(pe, 10)), validate_event(np.round(pf, 10))
+                    except ValidationError:
+                        continue
+                    m = lattice_meet(e, f)
+                    gap = np.linalg.norm(m.matrix - intersection_projector(e, f, rcond=1e-8))
+                    assert gap <= 1e-6, (dim, shared_rank, theta, gap)
+                    rounded_checked += 1
+    assert rounded_checked >= 100
+
+
+def test_meet_at_the_resolution_limit_is_not_an_input_error():
+    # Near the squaring bound (theta about 3e-5) the loop stops with its
+    # floor at its largest; below it the bound runs out, and below about
+    # 1e-7 the two directions count as shared.  Valid inputs never raise
+    # ValidationError.
+    rng = np.random.default_rng(59)
+    for dim, theta in [(4, 1e-7), (4, 3e-7), (4, 2.5e-5), (4, 3e-5), (16, 2.5e-5), (16, 3e-5)]:
+        for shared_rank in (1, 2):
+            for _ in range(5):
+                e, f = (validate_event(p) for p in _planted_meet_pair(rng, dim, shared_rank, theta))
+                try:
+                    m = lattice_meet(e, f)
+                except ConvergenceError:
+                    continue
+                assert validate_event(m.matrix).rank == m.rank >= shared_rank
 
 
 def test_event_repr():
