@@ -44,7 +44,6 @@ from .classical import (
 from .conditioning import (
     PureVector,
     State,
-    chain_product,
     cond_prob,
     cond_state,
     repeated_cond_prob,
@@ -115,7 +114,6 @@ __all__ = [
     "ValuationResult",
     "as_complex_matrix",
     "build_resolutions",
-    "chain_product",
     "clamp_probability",
     "classical_cond_prob",
     "classical_prob",

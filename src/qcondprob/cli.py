@@ -24,7 +24,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .conditioning import cond_prob, repeated_cond_prob
+from .conditioning import repeated_cond_prob
 from .errors import (
     ConvergenceError,
     InvariantError,
@@ -104,10 +104,7 @@ def cmd_condprob(args) -> int:
     state = load_state(args.state, cfg.tol)
     outcome = load_event(args.outcome, cfg.tol)
     events = [load_event(path, cfg.tol) for path in args.event]
-    if len(events) == 1:
-        value = cond_prob(state, outcome, events[0], cfg.tol)
-    else:
-        value = repeated_cond_prob(state, outcome, events, cfg.tol)
+    value = repeated_cond_prob(state, outcome, events, cfg.tol)
     _emit(cfg.fmt, [("value", _fmt(value))], {"value": value})
     return EXIT_OK
 

@@ -19,8 +19,11 @@ form: with the ordered product ``E = e1 @ e2 @ ... @ en``,
     mu(d | e1, ..., en) = trace(rho @ E @ d @ adjoint(E))
                           / trace(rho @ E @ adjoint(E)).
 
-Both the closed form and the step-by-step composition are implemented
-and cross-checked against each other on every call.
+One private kernel evaluates this closed form.  A single condition is
+the chain of length one, so :func:`cond_prob` is the kernel on ``[e]``
+and equals :func:`repeated_cond_prob` on ``[e]`` bit for bit.
+:func:`repeated_cond_prob` always recomputes its value by composing the
+state updates step by step and raises if the two paths disagree.
 
 Validation happens once, at the boundary: ``State(...)`` checks every
 matrix handed to it.  The update ``rho -> rho_e`` of an already
@@ -102,42 +105,14 @@ class PureVector:
         return f"PureVector(dim={self.dim})"
 
 
-def _is_psd_pivoted_cholesky(matrix: np.ndarray, pivot_tol: float) -> bool:
-    """Positive semi-definiteness test by pivoted Cholesky elimination.
-
-    Runs diagonal-pivoted elimination on a Hermitian matrix.  Pivots may
-    dip to ``-pivot_tol`` (round-off slack).  When every remaining pivot
-    candidate is below the slack the untouched block must itself be
-    negligible, because a true PSD block with a vanishing diagonal has
-    vanishing off-diagonal entries as well.
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    slack = pivot_tol * max(1.0, float(np.abs(np.real(np.trace(a)))))
-    for k in range(n):
-        tail = np.real(np.diag(a))[k:]
-        j = k + int(np.argmax(tail))
-        pivot = float(np.real(a[j, j]))
-        if pivot <= slack:
-            block = a[k:, k:]
-            if float(np.min(np.real(np.diag(block)))) < -slack:
-                return False
-            return bool(np.max(np.abs(block)) <= 10.0 * slack)
-        if j != k:
-            a[[k, j], :] = a[[j, k], :]
-            a[:, [k, j]] = a[:, [j, k]]
-        if k + 1 < n:
-            col = a[k + 1:, k]
-            a[k + 1:, k + 1:] -= np.outer(col, col.conj()) / pivot
-    return True
-
-
 class State:
     """A density matrix: the probability assignment over events.
 
     Construct from an explicit matrix (validated for self-adjointness,
     positive semi-definiteness and unit trace) or from an ensemble of
-    weighted vectors via :meth:`from_ensemble`.
+    weighted vectors via :meth:`from_ensemble`.  Positive
+    semi-definiteness lets the smallest eigenvalue dip to
+    ``-tol.atol * max(1, |trace|)``, as round-off slack.
     """
 
     __slots__ = ("_rho",)
@@ -152,7 +127,7 @@ class State:
         tr = float(np.real(np.trace(m)))
         if not tol.close(tr, 1.0):
             raise ValidationError(f"state trace {tr!r} differs from 1 beyond tolerance")
-        if not _is_psd_pivoted_cholesky(m, pivot_tol=tol.atol):
+        if float(np.linalg.eigvalsh(m)[0]) < -tol.atol * max(1.0, abs(tr)):
             raise ValidationError("state matrix is not positive semi-definite within tolerance")
         m.setflags(write=False)
         self._rho = m
@@ -280,29 +255,6 @@ def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     return State._trusted((updated + updated.conj().T) / 2.0)
 
 
-def cond_prob(mu: State, d, e: Event, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Conditional probability ``trace(rho @ e @ d @ e) / trace(rho @ e)``.
-
-    ``d`` may be an event or any self-adjoint matrix (in which case the
-    result is a conditional expectation rather than a probability and is
-    not clamped).  Raises :class:`UndefinedProbabilityError` when
-    ``mu(e)`` is at or below the probability floor.
-    """
-    if not isinstance(e, Event):
-        raise ValidationError("conditioning requires an Event")
-    dm = _operand_matrix(d, "conditioned operand", tol)
-    if e.dim != mu.dim or dm.shape[0] != mu.dim:
-        raise ValidationError("state, operand and event dimensions must agree")
-    den = _real_trace_product(mu.rho, e.matrix)
-    if den <= tol.prob_floor:
-        raise UndefinedProbabilityError(f"cannot condition on an event of probability {den!r}")
-    num = _real_trace_product(mu.rho, e.matrix @ dm @ e.matrix)
-    value = num / den
-    if isinstance(d, Event):
-        return clamp_probability(value, tol, what="conditional probability")
-    return value
-
-
 def _chain_events(chain: Sequence[Event], dim: int) -> list[Event]:
     events = list(chain)
     if not events:
@@ -315,59 +267,70 @@ def _chain_events(chain: Sequence[Event], dim: int) -> list[Event]:
     return events
 
 
-def chain_product(chain: Sequence[Event]) -> np.ndarray:
-    """Ordered product ``e1 @ e2 @ ... @ en`` of the chain's matrices."""
-    if not chain:
-        raise ValidationError("conditioning chain must contain at least one event")
-    product = chain[0].matrix
-    for e in chain[1:]:
+def _chain_product(events: list[Event]) -> np.ndarray:
+    """Ordered product ``e1 @ e2 @ ... @ en`` of a chain checked by :func:`_chain_events`."""
+    product = events[0].matrix
+    for e in events[1:]:
         product = product @ e.matrix
     return product
 
 
-def repeated_cond_prob(
-    mu: State,
-    d,
-    chain: Sequence[Event],
-    tol: Tolerances = DEFAULT_TOL,
-    cross_check: bool = True,
-) -> float:
+def _closed_form(mu: State, d, chain: Sequence[Event], tol: Tolerances) -> float:
+    """``trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))`` for the ordered product ``E``.
+
+    The one conditioning kernel: :func:`cond_prob` is it on a one-element
+    chain, and :func:`repeated_cond_prob` cross-checks it.
+    """
+    product = _chain_product(_chain_events(chain, mu.dim))
+    dm = _operand_matrix(d, "conditioned operand", tol)
+    if dm.shape[0] != mu.dim:
+        raise ValidationError("state and operand dimensions must agree")
+    # trace(adjoint(E) @ rho @ E @ X) == vdot(E, rho @ E @ X) for both X = 1 and X = d.
+    weighted = mu.rho @ product
+    den = float(np.vdot(product, weighted).real)
+    if den <= tol.prob_floor:
+        raise UndefinedProbabilityError(f"cannot condition on a chain of probability {den!r}")
+    value = float(np.vdot(product, weighted @ dm).real) / den
+    if isinstance(d, Event):
+        return clamp_probability(value, tol, what="conditional probability")
+    return value
+
+
+def cond_prob(mu: State, d, e: Event, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Conditional probability ``trace(rho @ e @ d @ e) / trace(rho @ e)``.
+
+    The closed form of :func:`repeated_cond_prob` on the one-element
+    chain ``[e]``, with which it agrees bit for bit; the compression is
+    taken as ``adjoint(e) @ rho @ e`` and divided by its own trace.
+    ``d`` may be an event or any self-adjoint matrix (in which case the
+    result is a conditional expectation rather than a probability and is
+    not clamped).  Raises :class:`UndefinedProbabilityError` when
+    ``mu(e)`` is at or below the probability floor.
+    """
+    return _closed_form(mu, d, [e], tol)
+
+
+def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = DEFAULT_TOL) -> float:
     """Probability of ``d`` after conditioning on ``chain`` in order.
 
     Uses the closed form over the ordered product ``E``:
 
         trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))
 
-    and, unless ``cross_check`` is disabled, recomputes the value by
-    folding :func:`cond_state` over the chain and evaluating ``d`` in the
-    final state.  The two paths must agree to 1e-12; disagreement raises
-    :class:`InvariantError`.  A vanishing denominator raises
-    :class:`UndefinedProbabilityError`.
+    and recomputes the value by folding :func:`cond_state` over the chain
+    and evaluating ``d`` in the final state.  The two paths must agree to
+    1e-12; disagreement raises :class:`InvariantError`.  A vanishing
+    denominator raises :class:`UndefinedProbabilityError`.
 
     The order of the chain matters: distinct orderings of the same events
     are genuinely different observations and give different values.
     """
-    events = _chain_events(chain, mu.dim)
-    dm = _operand_matrix(d, "conditioned operand", tol)
-    if dm.shape[0] != mu.dim:
-        raise ValidationError("state and operand dimensions must agree")
-    product = chain_product(events)
-    # trace(rho @ E @ X @ adjoint(E)) == trace(compressed @ X) for both X = 1 and X = d.
-    compressed = product.conj().T @ mu.rho @ product
-    den = float(np.real(np.trace(compressed)))
-    if den <= tol.prob_floor:
-        raise UndefinedProbabilityError("chain product has vanishing probability; conditioning is undefined")
-    num = _real_trace_product(compressed, dm)
-    value = num / den
-    if isinstance(d, Event):
-        value = clamp_probability(value, tol, what="repeated conditional probability")
-    if cross_check:
-        current = mu
-        for e in events:
-            current = cond_state(current, e, tol)
-        stepwise = state_value(current, d, tol)
-        if abs(value - stepwise) > _PATH_AGREEMENT_TOL:
-            raise InvariantError(
-                f"closed-form and step-by-step conditioning disagree: {value!r} vs {stepwise!r}"
-            )
+    events = list(chain)
+    value = _closed_form(mu, d, events, tol)
+    current = mu
+    for e in events:
+        current = cond_state(current, e, tol)
+    stepwise = state_value(current, d, tol)
+    if abs(value - stepwise) > _PATH_AGREEMENT_TOL:
+        raise InvariantError(f"closed-form and step-by-step conditioning disagree: {value!r} vs {stepwise!r}")
     return value

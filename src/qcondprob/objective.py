@@ -9,7 +9,10 @@ when the compression ``e @ d @ e`` is a scalar multiple of ``e``:
 This module detects that situation by a least-squares scalar fit and
 reports the fitted scalar, the fit residual, and the resulting value when
 the fit certifies state-independence.  The same test applies to a whole
-conditioning sequence through its ordered product.
+conditioning sequence through its ordered product ``E``, fitting
+``E @ d @ adjoint(E)`` against ``E @ adjoint(E)``; a single condition is
+the sequence of length one, so :func:`objective_cond_prob` is
+:func:`objective_seq` on ``[e]``.
 
 Consequences worth knowing:
 
@@ -29,7 +32,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .conditioning import PureVector, State, _chain_events, chain_product
+from .conditioning import PureVector, State, _chain_events, _chain_product
 from .errors import UndefinedProbabilityError, ValidationError
 from .events import Event
 from .linalg import fit_scalar
@@ -93,21 +96,16 @@ def _result_from_fit(
 def objective_cond_prob(d: Event, e: Event, tol: Tolerances = DEFAULT_TOL) -> CondProbResult:
     """Test whether ``mu(d | e)`` is the same for every state.
 
-    Compresses ``d`` by ``e`` and fits ``e @ d @ e ~= lam * e``.  When the
-    residual is below ``tol.objectivity_tol`` the conditional probability
-    equals ``lam`` for every state assigning ``e`` positive probability.
+    The one-element sequence ``objective_seq(d, [e], tol)``: fits
+    ``e @ d @ adjoint(e) ~= lam * (e @ adjoint(e))``, which for a
+    projection reads ``e @ d @ e ~= lam * e``.  When the residual is below
+    ``tol.objectivity_tol`` the conditional probability equals ``lam``
+    for every state assigning ``e`` positive probability.
 
     Always state-independent: ``d`` orthogonal to ``e`` (value 0), ``e``
     contained in ``d`` (value 1), and any ``d`` when ``e`` is minimal.
     """
-    if not isinstance(d, Event) or not isinstance(e, Event):
-        raise ValidationError("objective_cond_prob expects Events")
-    if d.dim != e.dim:
-        raise ValidationError(f"events live in different dimensions: {d.dim} vs {e.dim}")
-    if e.is_zero():
-        raise UndefinedProbabilityError("conditioning on the zero event is undefined")
-    compressed = e.matrix @ d.matrix @ e.matrix
-    return _result_from_fit(compressed, e.matrix, 1, tol)
+    return objective_seq(d, [e], tol)
 
 
 def objective_seq(d: Event, chain: Sequence[Event], tol: Tolerances = DEFAULT_TOL) -> CondProbResult:
@@ -125,7 +123,7 @@ def objective_seq(d: Event, chain: Sequence[Event], tol: Tolerances = DEFAULT_TO
     if not isinstance(d, Event):
         raise ValidationError("objective_seq expects an Event to evaluate")
     events = _chain_events(chain, d.dim)
-    product = chain_product(events)
+    product = _chain_product(events)
     gram = product @ product.conj().T
     weight = float(np.real(np.trace(gram)))
     if weight <= tol.prob_floor:

@@ -6,7 +6,7 @@ evidence, not circularity.
 """
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import svd
 
 from qcondprob import Event, State, validate_event
 
@@ -40,20 +40,23 @@ def random_state(rng, dim):
     return random_full_rank_state(rng, dim)
 
 
-def intersection_projector(e: Event, f: Event, rcond=None) -> np.ndarray:
+# Singular values of the stacked complements at or below this count as
+# zero.  The cutoff is absolute: when both events are numerically the
+# identity the stack is pure round-off, and a cutoff relative to its
+# largest singular value would count every direction as nonzero.  It sits
+# well above the 1e-10 slack of events written to 10 decimals.
+NULL_SPACE_CUTOFF = 1e-8
+
+
+def intersection_projector(e: Event, f: Event) -> np.ndarray:
     """SVD-based oracle for the projection onto range(e) & range(f).
 
     A vector lies in both ranges exactly when both complements kill it,
     so the intersection is the null space of the stacked complements.
-    ``rcond`` is passed to ``null_space``; raise it above round-off for
-    events that are projections only within a tolerance.
     """
-    dim = e.dim
-    eye = np.eye(dim)
-    stacked = np.vstack([eye - e.matrix, eye - f.matrix])
-    basis = null_space(stacked, rcond=rcond)
-    if basis.size == 0:
-        return np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(e.dim)
+    _, s, vh = svd(np.vstack([eye - e.matrix, eye - f.matrix]), full_matrices=False)
+    basis = vh[s <= NULL_SPACE_CUTOFF].conj().T
     return basis @ basis.conj().T
 
 

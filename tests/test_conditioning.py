@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcondprob import (
+    DEFAULT_TOL,
     ClassicalSpace,
     InvariantError,
     PureVector,
@@ -23,9 +24,7 @@ from qcondprob import (
 )
 from qcondprob.fixtures import lower_block_state_dim4, mixed_state_dim4, objective_pair
 
-from helpers import random_projection
-
-from helpers import random_full_rank_state, random_projection, random_rank1
+from helpers import random_full_rank_state, random_projection, random_rank1, random_unitary
 
 
 def test_pure_vector_validation():
@@ -77,6 +76,31 @@ def test_state_accepts_boundary_rank_deficiency():
     s = State.maximally_mixed(3)
     assert s.dim == 3
     assert abs(np.trace(s.rho).real - 1) < 1e-15
+
+
+def test_state_psd_check_matches_planted_smallest_eigenvalue():
+    # The construction is the oracle: rho = U diag(w) U^+ with trace 1 and
+    # a planted smallest eigenvalue w[0].  State must accept exactly when
+    # w[0] >= -atol; planted values within 1 % of that slack are not called.
+    rng = np.random.default_rng(601)
+    slack = DEFAULT_TOL.atol
+    accepted = rejected = 0
+    for dim in (2, 3, 4, 8, 16):
+        for _ in range(80):
+            smallest = -(10.0 ** rng.uniform(-13, -8))
+            if abs(-smallest - slack) <= 0.01 * slack:
+                continue
+            w = np.concatenate([[smallest], rng.dirichlet(np.ones(dim - 1)) * (1.0 - smallest)])
+            u = random_unitary(rng, dim)
+            rho = (u * w) @ u.conj().T
+            if -smallest <= slack:
+                State(rho)
+                accepted += 1
+            else:
+                with pytest.raises(ValidationError, match="positive semi-definite"):
+                    State(rho)
+                rejected += 1
+    assert accepted >= 100 and rejected >= 100
 
 
 def test_from_ensemble_normalises_weights_and_vectors():
@@ -150,13 +174,23 @@ def test_cond_prob_requires_event_condition():
 
 
 def test_repeated_single_event_reduces_to_cond_prob():
+    # A single condition is the chain of length one, bit for bit, also on
+    # events written to 10 decimals (idempotent only within tolerance).
     rng = np.random.default_rng(227)
-    for _ in range(20):
-        dim = int(rng.integers(2, 5))
-        mu = random_full_rank_state(rng, dim)
-        e = random_projection(rng, dim, int(rng.integers(1, dim)))
-        d = random_projection(rng, dim, int(rng.integers(1, dim + 1)))
-        assert abs(repeated_cond_prob(mu, d, [e]) - cond_prob(mu, d, e)) < 1e-12
+    rounded = 0
+    for dim in (2, 3, 4, 8):
+        for _ in range(20):
+            mu = random_full_rank_state(rng, dim)
+            e = random_projection(rng, dim, int(rng.integers(1, dim)))
+            d = random_projection(rng, dim, int(rng.integers(1, dim + 1)))
+            assert repeated_cond_prob(mu, d, [e]) == cond_prob(mu, d, e)
+            try:
+                e = validate_event(np.round(e.matrix, 10))
+            except ValidationError:
+                continue
+            assert repeated_cond_prob(mu, d, [e]) == cond_prob(mu, d, e)
+            rounded += 1
+    assert rounded >= 60
 
 
 def test_last_event_of_a_chain_is_certain():
@@ -224,14 +258,14 @@ def test_repeated_cond_prob_validation():
 
 
 def test_cross_check_runs_by_default():
-    # The step-by-step recomputation can be disabled but is on by default;
-    # on healthy inputs both paths agree and no error surfaces.
+    # The step-by-step recomputation always runs; on healthy inputs both
+    # paths agree, no error surfaces, and the closed form is returned.
     mu = State.maximally_mixed(2)
     xp = spin_projector("x", "+")
     yp = spin_projector("y", "+")
-    a = repeated_cond_prob(mu, xp, [xp, yp], cross_check=True)
-    b = repeated_cond_prob(mu, xp, [xp, yp], cross_check=False)
-    assert abs(a - b) < 1e-12
+    a = repeated_cond_prob(mu, xp, [xp, yp])
+    assert a == conditioning._closed_form(mu, xp, [xp, yp], DEFAULT_TOL)
+    assert abs(a - 0.5) < 1e-12
 
 
 def _state_of_rank(rng, dim, rank):
@@ -257,9 +291,9 @@ def test_trusted_updates_match_validated_construction():
                     checked = repeated_cond_prob(mu, d, chain)
                 except UndefinedProbabilityError:
                     with pytest.raises(UndefinedProbabilityError):
-                        repeated_cond_prob(mu, d, chain, cross_check=False)
+                        conditioning._closed_form(mu, d, chain, DEFAULT_TOL)
                     continue
-                assert checked == repeated_cond_prob(mu, d, chain, cross_check=False)
+                assert checked == conditioning._closed_form(mu, d, chain, DEFAULT_TOL)
         weights = rng.dirichlet(np.ones(dim))
         weights[rng.integers(dim)] = 0.0
         weights = weights / weights.sum()
@@ -276,7 +310,10 @@ def test_cross_check_still_runs(monkeypatch):
     monkeypatch.setattr(conditioning, "_PATH_AGREEMENT_TOL", -1.0)
     with pytest.raises(InvariantError):
         repeated_cond_prob(mu, d, [e, e])
-    repeated_cond_prob(mu, d, [e, e], cross_check=False)
+    with pytest.raises(InvariantError):
+        repeated_cond_prob(mu, d, [e])
+    # The closed form alone, and cond_prob with it, is not cross-checked.
+    assert conditioning._closed_form(mu, d, [e, e], DEFAULT_TOL) == cond_prob(mu, d, e)
 
 
 def test_cross_check_accepts_events_idempotent_only_within_tolerance():
@@ -300,7 +337,7 @@ def test_cross_check_accepts_events_idempotent_only_within_tolerance():
                 # e @ not(e) vanishes up to round-off: only the third chain may be undefined.
                 assert len(chain) == 3
                 continue
-            assert abs(value - repeated_cond_prob(mu, d, chain, cross_check=False)) == 0.0
+            assert value == conditioning._closed_form(mu, d, chain, DEFAULT_TOL)
             defined += 1
     assert defined == 100
     assert worst_idempotence > 1e-11

@@ -158,6 +158,15 @@ def test_meet_matches_svd_oracle():
         oracle = intersection_projector(e, f)
         assert m.rank == shared_rank
         assert np.allclose(m.matrix, oracle, atol=1e-8)
+    # Full-rank pairs: u @ adjoint(u) is the identity up to round-off.
+    for dim in (2, 4, 7):
+        for _ in range(3):
+            u, v = random_unitary(rng, dim), random_unitary(rng, dim)
+            e = validate_event(u @ u.conj().T)
+            for f in (e, validate_event(v @ v.conj().T)):
+                m = lattice_meet(e, f)
+                assert m.rank == dim
+                assert np.allclose(m.matrix, intersection_projector(e, f), atol=1e-8)
 
 
 def test_meet_result_is_lower_bound():
@@ -214,7 +223,7 @@ def test_meet_matches_svd_oracle_down_to_small_angles():
                     except ValidationError:
                         continue
                     m = lattice_meet(e, f)
-                    gap = np.linalg.norm(m.matrix - intersection_projector(e, f, rcond=1e-8))
+                    gap = np.linalg.norm(m.matrix - intersection_projector(e, f))
                     assert gap <= 1e-6, (dim, shared_rank, theta, gap)
                     rounded_checked += 1
     assert rounded_checked >= 100

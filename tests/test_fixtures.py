@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -34,8 +35,8 @@ def test_checked_in_fixtures_match_regeneration(tmp_path):
     assert sorted(written) == EXPECTED_FILES
     assert sorted(os.listdir(FIXTURE_DIR)) == EXPECTED_FILES
     for name in EXPECTED_FILES:
-        fresh = open(tmp_path / name, "rb").read()
-        committed = open(os.path.join(FIXTURE_DIR, name), "rb").read()
+        fresh = (tmp_path / name).read_bytes()
+        committed = Path(FIXTURE_DIR, name).read_bytes()
         assert fresh == committed, f"{name} has drifted from its generator"
 
 
@@ -71,6 +72,6 @@ def test_fixture_files_load_into_working_objects():
 
 
 def test_readme_documents_every_fixture():
-    readme = open(os.path.join(REPO_ROOT, "README.md"), "r", encoding="utf-8").read()
+    readme = Path(REPO_ROOT, "README.md").read_text(encoding="utf-8")
     for name in EXPECTED_FILES:
         assert name in readme, f"README.md does not mention fixtures/{name}"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -179,11 +181,11 @@ def test_file_round_trip(tmp_path):
     write_json(path, event_to_obj(e))
     loaded = load_event(path)
     assert np.allclose(loaded.matrix, e.matrix)
-    text = open(path, "r", encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text.endswith("\n")
     # Serialisation is stable: keys are sorted, so rewriting is a no-op.
     write_json(path, event_to_obj(loaded))
-    assert open(path, "r", encoding="utf-8").read() == text
+    assert Path(path).read_text(encoding="utf-8") == text
 
 
 def test_load_json_errors(tmp_path):
