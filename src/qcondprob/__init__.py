@@ -20,7 +20,6 @@ from .errors import (
     ValidationError,
 )
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
-from .linalg import as_complex_matrix, fit_scalar, identity
 from .events import (
     Event,
     commutes,
@@ -112,7 +111,6 @@ __all__ = [
     "ValidationError",
     "ValuationProblem",
     "ValuationResult",
-    "as_complex_matrix",
     "build_resolutions",
     "clamp_probability",
     "classical_cond_prob",
@@ -127,8 +125,6 @@ __all__ = [
     "embed_diagonal",
     "embed_event",
     "evaluate_chain",
-    "fit_scalar",
-    "identity",
     "identity_event",
     "implies",
     "incoherent_combine",

@@ -221,7 +221,7 @@ def cmd_slit(args) -> int:
 def cmd_valuation(args) -> int:
     cfg = _config_from_args(args)
     problem = load_valuation(args.problem, cfg.tol)
-    result = search_valuation(problem, cfg.tol)
+    result = search_valuation(problem)
     verdict = "SAT" if result.satisfiable else "UNSAT"
     pairs = [("result", verdict), ("nodes_explored", str(result.nodes_explored))]
     if result.satisfiable:

@@ -40,8 +40,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event
-from .linalg import as_complex_matrix, is_self_adjoint
+from .events import Event, _self_adjoint_matrix
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 # Agreement threshold between the closed-form and step-by-step values of
@@ -96,7 +95,7 @@ class PureVector:
     def normalized(self) -> "PureVector":
         return PureVector(self._amplitudes / self.norm())
 
-    def projector(self, tol: Tolerances = DEFAULT_TOL) -> Event:
+    def projector(self) -> Event:
         """The minimal event whose range is the line spanned by this vector."""
         v = self._amplitudes / self.norm()
         return Event(np.outer(v, v.conj()), 1)
@@ -118,11 +117,7 @@ class State:
     __slots__ = ("_rho",)
 
     def __init__(self, rho, tol: Tolerances = DEFAULT_TOL):
-        m = as_complex_matrix(rho)
-        scale = 1.0 + float(np.linalg.norm(m, "fro"))
-        budget = tol.atol + tol.rtol * scale
-        if float(np.linalg.norm(m - m.conj().T, "fro")) > budget:
-            raise ValidationError("state matrix is not self-adjoint within tolerance")
+        m, _ = _self_adjoint_matrix(rho, "state matrix", tol)
         m = (m + m.conj().T) / 2.0
         tr = float(np.real(np.trace(m)))
         if not tol.close(tr, 1.0):
@@ -205,10 +200,7 @@ class State:
 def _operand_matrix(a, what: str, tol: Tolerances) -> np.ndarray:
     if isinstance(a, Event):
         return a.matrix
-    m = as_complex_matrix(a)
-    if not is_self_adjoint(m, tol):
-        raise ValidationError(f"{what} must be self-adjoint")
-    return m
+    return _self_adjoint_matrix(a, what, tol)[0]
 
 
 def state_value(mu: State, a, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -13,6 +13,9 @@ events.  The logical structure lives in the matrix algebra:
 
 No eigendecomposition is used anywhere; ranks come from traces and the
 meet comes from repeated squaring of the product ``e @ f @ e``.
+
+This module also holds the package's one input check for matrices,
+which events, states and operands all pass, and the one exclusion rule.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .linalg import as_complex_matrix, identity
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -73,6 +75,30 @@ class Event:
         return f"Event(dim={self.dim}, rank={self._rank})"
 
 
+def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """The one input check for matrices: events, states and operands.
+
+    Coerces ``entries`` to a fresh finite square complex128 matrix ``m``
+    and requires ``|m - adjoint(m)|_F <= atol + rtol * (1 + |m|_F)``.
+    Returns ``m`` with that budget, which callers reuse for their further
+    checks.  Raises :class:`ValidationError` naming ``what``.
+    """
+    try:
+        m = np.array(entries, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot interpret input as a complex matrix: {exc}") from exc
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise ValidationError("matrix must have positive dimension")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix contains non-finite entries")
+    budget = tol.atol + tol.rtol * (1.0 + float(np.linalg.norm(m, "fro")))
+    if float(np.linalg.norm(m - m.conj().T, "fro")) > budget:
+        raise ValidationError(f"{what} is not self-adjoint within tolerance")
+    return m, budget
+
+
 def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     """Check that a matrix is an orthogonal projection and wrap it.
 
@@ -81,11 +107,7 @@ def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     that integer.  Raises :class:`ValidationError` with the failed
     property named.
     """
-    m = as_complex_matrix(matrix)
-    scale = 1.0 + float(np.linalg.norm(m, "fro"))
-    budget = tol.atol + tol.rtol * scale
-    if float(np.linalg.norm(m - m.conj().T, "fro")) > budget:
-        raise ValidationError("event matrix is not self-adjoint within tolerance")
+    m, budget = _self_adjoint_matrix(matrix, "event matrix", tol)
     if float(np.linalg.norm(m @ m - m, "fro")) > budget:
         raise ValidationError("event matrix is not idempotent within tolerance")
     tr = complex(np.trace(m))
@@ -102,7 +124,9 @@ def zero_event(dim: int) -> Event:
 
 def identity_event(dim: int) -> Event:
     """The certain event."""
-    return Event(identity(dim), dim)
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise ValidationError(f"dimension must be a positive integer, got {dim!r}")
+    return Event(np.eye(dim, dtype=np.complex128), dim)
 
 
 def _check_same_space(e: Event, f: Event) -> None:
@@ -112,7 +136,17 @@ def _check_same_space(e: Event, f: Event) -> None:
 
 def complement(e: Event) -> Event:
     """Negation: the projection onto the orthogonal complement of e."""
-    return Event(identity(e.dim) - e.matrix, e.dim - e.rank)
+    return Event(np.eye(e.dim, dtype=np.complex128) - e.matrix, e.dim - e.rank)
+
+
+def _excludes(e: np.ndarray, f: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The exclusion rule ``|e @ f|_F <= atol + rtol``, over stacks of matrices.
+
+    ``e`` and ``f`` broadcast as matrix stacks; returns one boolean per
+    product.  :func:`is_orthogonal` and the valuation problems' exclusion
+    relation both decide by this function.
+    """
+    return np.linalg.norm(e @ f, axis=(-2, -1)) <= tol.atol + tol.rtol
 
 
 def is_orthogonal(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -121,7 +155,7 @@ def is_orthogonal(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     Symmetric for events, since ``f @ e`` is the adjoint of ``e @ f``.
     """
     _check_same_space(e, f)
-    return float(np.linalg.norm(e.matrix @ f.matrix, "fro")) <= tol.atol + tol.rtol
+    return bool(_excludes(e.matrix, f.matrix, tol))
 
 
 def implies(f: Event, e: Event, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -50,10 +50,15 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _is_number(x, kinds=(int, float)) -> bool:
+    """The loaders' one number test; JSON booleans load as ``bool``, an ``int`` subclass, and are refused."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _entry_to_complex(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
+    if _is_number(entry):
         return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(isinstance(x, (int, float)) for x in entry):
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(_is_number(x) for x in entry):
         return complex(entry[0], entry[1])
     raise ValidationError(f"{where}: each entry must be a number or an [re, im] pair, got {entry!r}")
 
@@ -65,7 +70,7 @@ def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{where}: 'entries' must be a non-empty list of rows")
     dim = obj.get("dim", len(entries))
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_number(dim, int) or dim < 1:
         raise ValidationError(f"{where}: 'dim' must be a positive integer")
     if len(entries) != dim:
         raise ValidationError(f"{where}: declared dim {dim} but found {len(entries)} rows")
@@ -103,7 +108,7 @@ def state_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "state") -> 
             if not isinstance(comp, dict) or "weight" not in comp or "vector" not in comp:
                 raise ValidationError(f"{where}: ensemble component {k} needs 'weight' and 'vector'")
             weight = comp["weight"]
-            if not isinstance(weight, (int, float)):
+            if not _is_number(weight):
                 raise ValidationError(f"{where}: ensemble weight must be a number, got {weight!r}")
             pairs.append((float(weight), vector_from_obj(comp["vector"], f"{where}.ensemble[{k}].vector")))
         return State.from_ensemble(pairs, tol=tol)
@@ -168,7 +173,9 @@ def valuation_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ValuationProblem:
     events = [event_from_obj(e, tol, f"valuation.events[{k}]") for k, e in enumerate(obj["events"])]
     resolutions = obj.get("resolutions")
     if resolutions is not None:
-        if not isinstance(resolutions, list) or not all(isinstance(f, list) for f in resolutions):
+        if not isinstance(resolutions, list) or not all(
+            isinstance(f, list) and all(_is_number(i) for i in f) for f in resolutions
+        ):
             raise ValidationError("valuation problem: 'resolutions' must be a list of index lists")
     return ValuationProblem(events, resolutions=resolutions, tol=tol)
 
@@ -176,12 +183,16 @@ def valuation_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ValuationProblem:
 def classical_space_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ClassicalSpace:
     if not isinstance(obj, dict) or "weights" not in obj or not isinstance(obj["weights"], list):
         raise ValidationError("classical space: expected an object with a 'weights' list")
+    if not all(_is_number(w) for w in obj["weights"]):
+        raise ValidationError(f"classical space: weights must be numbers, got {obj['weights']!r}")
     return ClassicalSpace(obj["weights"], tol=tol)
 
 
 def classical_event_from_obj(obj, n_outcomes: int) -> ClassicalEvent:
     if not isinstance(obj, dict) or "indices" not in obj or not isinstance(obj["indices"], list):
         raise ValidationError("classical event: expected an object with an 'indices' list")
+    if not all(_is_number(i) for i in obj["indices"]):
+        raise ValidationError(f"classical event: indices must be numbers, got {obj['indices']!r}")
     return ClassicalEvent.from_indices(n_outcomes, obj["indices"])
 
 

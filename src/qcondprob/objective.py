@@ -35,7 +35,6 @@ import numpy as np
 from .conditioning import PureVector, State, _chain_events, _chain_product
 from .errors import UndefinedProbabilityError, ValidationError
 from .events import Event
-from .linalg import fit_scalar
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 
@@ -66,13 +65,30 @@ class CondProbResult:
     chain_length: int
 
 
+def _fit(compressed: np.ndarray, reference: np.ndarray, tol: Tolerances) -> tuple[complex, float]:
+    """Least-squares ``(lam, residual)`` of ``compressed ~= lam * reference`` in Frobenius norm.
+
+    ``lam = vdot(reference, compressed) / vdot(reference, reference)``,
+    the trace inner products taken as O(d^2) elementwise sums.  Both
+    arrays were built by :func:`objective_seq` from validated events and
+    are not checked again.  A numerically zero ``reference`` admits no
+    fit and raises :class:`ValidationError`.
+    """
+    denom = float(np.real(np.vdot(reference, reference)))
+    if denom <= (tol.atol + tol.rtol) ** 2:
+        raise ValidationError("cannot fit a scalar against a numerically zero matrix")
+    lam = complex(np.vdot(reference, compressed)) / denom
+    residual = float(np.linalg.norm(compressed - lam * reference, "fro"))
+    return lam, residual
+
+
 def _result_from_fit(
     compressed: np.ndarray,
     reference: np.ndarray,
     chain_length: int,
     tol: Tolerances,
 ) -> CondProbResult:
-    lam, residual = fit_scalar(compressed, reference, tol)
+    lam, residual = _fit(compressed, reference, tol)
     scale = 1.0 + float(np.linalg.norm(reference, "fro"))
     objective = residual <= tol.objectivity_tol * scale
     value = None
@@ -124,12 +140,12 @@ def objective_seq(d: Event, chain: Sequence[Event], tol: Tolerances = DEFAULT_TO
         raise ValidationError("objective_seq expects an Event to evaluate")
     events = _chain_events(chain, d.dim)
     product = _chain_product(events)
-    gram = product @ product.conj().T
-    weight = float(np.real(np.trace(gram)))
+    # trace(E @ adjoint(E)) is the elementwise sum vdot(E, E).
+    weight = float(np.vdot(product, product).real)
     if weight <= tol.prob_floor:
         raise UndefinedProbabilityError("chain product vanishes; conditioning is undefined")
-    compressed = product @ d.matrix @ product.conj().T
-    return _result_from_fit(compressed, gram, len(events), tol)
+    adjoint = product.conj().T
+    return _result_from_fit(product @ d.matrix @ adjoint, product @ adjoint, len(events), tol)
 
 
 def pure_event_prob(psi: PureVector, d: Event, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -48,10 +48,6 @@ class Tolerances:
         """True when x and y agree within atol + rtol * max(|x|, |y|)."""
         return abs(x - y) <= self.atol + self.rtol * max(abs(x), abs(y))
 
-    def is_negligible(self, x: float, scale: float = 1.0) -> bool:
-        """True when |x| is indistinguishable from zero at the given scale."""
-        return abs(x) <= self.atol + self.rtol * abs(scale)
-
 
 DEFAULT_TOL = Tolerances()
 

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InvariantError, ValidationError
-from .events import Event, is_orthogonal
+from .events import Event, _excludes
 from .tolerances import DEFAULT_TOL, Tolerances
 
 # The search is exhaustive, so cap the instance size well below where
@@ -51,6 +51,41 @@ class ValuationResult:
         return tuple(i for i, v in enumerate(self.assignment) if v)
 
 
+def _exclusion_relation(events: Sequence[Event], tol: Tolerances) -> np.ndarray:
+    """Symmetric boolean matrix of mutual exclusion, False on the diagonal.
+
+    Decided by the same rule as :func:`is_orthogonal`, one batched
+    product per row against the events after it, so memory stays at the
+    size of the event stack.
+    """
+    stack = np.stack([e.matrix for e in events])
+    n = len(events)
+    relation = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        relation[i, i + 1:] = _excludes(stack[i], stack[i + 1:], tol)
+    return relation | relation.T
+
+
+def _enumerate_resolutions(events: Sequence[Event], relation: np.ndarray) -> list[tuple[int, ...]]:
+    n, dim = len(events), events[0].dim
+    ranks = [e.rank for e in events]
+    exclusive = relation.tolist()
+    found: list[tuple[int, ...]] = []
+
+    def extend(start: int, chosen: list[int], rank_sum: int) -> None:
+        if rank_sum == dim:
+            found.append(tuple(chosen))
+            return
+        for k in range(start, n):
+            if rank_sum + ranks[k] <= dim and all(exclusive[k][c] for c in chosen):
+                chosen.append(k)
+                extend(k + 1, chosen, rank_sum + ranks[k])
+                chosen.pop()
+
+    extend(0, [], 0)
+    return found
+
+
 def build_resolutions(events: Sequence[Event], tol: Tolerances = DEFAULT_TOL) -> list[tuple[int, ...]]:
     """All families of pairwise exclusive events summing to the identity.
 
@@ -62,36 +97,24 @@ def build_resolutions(events: Sequence[Event], tol: Tolerances = DEFAULT_TOL) ->
     events = list(events)
     if not events:
         return []
-    n = len(events)
-    dim = events[0].dim
-    orthogonal = [[i != j and is_orthogonal(events[i], events[j], tol) for j in range(n)] for i in range(n)]
-    found: list[tuple[int, ...]] = []
-
-    def extend(start: int, chosen: list[int], rank_sum: int) -> None:
-        if rank_sum == dim:
-            found.append(tuple(chosen))
-            return
-        for k in range(start, n):
-            if rank_sum + events[k].rank <= dim and all(orthogonal[k][c] for c in chosen):
-                chosen.append(k)
-                extend(k + 1, chosen, rank_sum + events[k].rank)
-                chosen.pop()
-
-    extend(0, [], 0)
-    return found
+    if any(e.dim != events[0].dim for e in events):
+        raise ValidationError("all events must share one dimension")
+    return _enumerate_resolutions(events, _exclusion_relation(events, tol))
 
 
 class ValuationProblem:
     """A finite event collection together with its resolutions.
 
-    Duplicate events (equal matrices within tolerance) are merged.  When
+    Duplicate events (equal matrices within tolerance) are merged.  The
+    exclusion relation between the distinct events is computed once,
+    and the resolutions and the search both read it.  When
     ``resolutions`` is omitted they are enumerated from scratch; when
     given explicitly, each family is validated for pairwise exclusion
     and completeness.  At most ``MAX_EVENTS`` distinct events are
     accepted since the search is exhaustive.
     """
 
-    __slots__ = ("_events", "_resolutions")
+    __slots__ = ("_events", "_resolutions", "_exclusive_pairs")
 
     def __init__(
         self,
@@ -129,8 +152,9 @@ class ValuationProblem:
         if len(deduped) > MAX_EVENTS:
             raise ValidationError(f"at most {MAX_EVENTS} distinct events are supported, got {len(deduped)}")
 
+        relation = _exclusion_relation(deduped, tol)
         if resolutions is None:
-            families = build_resolutions(deduped, tol)
+            families = _enumerate_resolutions(deduped, relation)
         else:
             families = []
             identity = np.eye(dim, dtype=np.complex128)
@@ -139,16 +163,15 @@ class ValuationProblem:
                     if not 0 <= int(i) < len(raw):
                         raise ValidationError(f"resolution index {i} out of range")
                 mapped = sorted({remap[int(i)] for i in fam})
-                for a in range(len(mapped)):
-                    for b in range(a + 1, len(mapped)):
-                        if not is_orthogonal(deduped[mapped[a]], deduped[mapped[b]], tol):
-                            raise ValidationError("resolution members must be pairwise exclusive")
+                if not all(relation[a, b] for k, a in enumerate(mapped) for b in mapped[k + 1:]):
+                    raise ValidationError("resolution members must be pairwise exclusive")
                 total = sum((deduped[i].matrix for i in mapped), np.zeros((dim, dim), dtype=np.complex128))
                 if float(np.linalg.norm(total - identity, "fro")) > tol.atol + tol.rtol * dim:
                     raise ValidationError("resolution members must sum to the identity")
                 families.append(tuple(mapped))
         self._events = tuple(deduped)
         self._resolutions = tuple(families)
+        self._exclusive_pairs = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(relation))))
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -157,6 +180,11 @@ class ValuationProblem:
     @property
     def resolutions(self) -> tuple[tuple[int, ...], ...]:
         return self._resolutions
+
+    @property
+    def exclusive_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs ``(i, j)``, ``i < j`` in lexicographic order, of mutually exclusive events."""
+        return self._exclusive_pairs
 
     def __repr__(self) -> str:
         return f"ValuationProblem(n_events={len(self._events)}, n_resolutions={len(self._resolutions)})"
@@ -205,22 +233,17 @@ def _verify(values: Sequence[bool], resolutions, orth_pairs) -> bool:
     return all(not (values[i] and values[j]) for i, j in orth_pairs)
 
 
-def search_valuation(problem: ValuationProblem, tol: Tolerances = DEFAULT_TOL) -> ValuationResult:
+def search_valuation(problem: ValuationProblem) -> ValuationResult:
     """Backtracking search for a truth assignment.
 
     Depth-first over the events in order, trying true before false, with
     fixpoint propagation of the exactly-one and exclusion constraints at
-    every node.  A found assignment is re-verified against the full
-    constraint set before being returned.
+    every node.  The exclusion constraints are the problem's own
+    :attr:`~ValuationProblem.exclusive_pairs`.  A found assignment is
+    re-verified against the full constraint set before being returned.
     """
-    events = problem.events
-    n = len(events)
-    orth_pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if is_orthogonal(events[i], events[j], tol)
-    ]
+    n = len(problem.events)
+    orth_pairs = problem.exclusive_pairs
     resolutions = problem.resolutions
     nodes = 0
 

@@ -234,6 +234,16 @@ def test_input_problems_exit_2(tmp_path):
     assert rejected.returncode == 2
 
 
+def test_json_booleans_exit_2(tmp_path):
+    as_bools = tmp_path / "bools.json"
+    as_bools.write_text('{"dim": true, "entries": [[true]]}')
+    rejected = run_cli("objective", "--outcome", str(as_bools), "--event", str(as_bools))
+    assert rejected.returncode == 2
+    assert rejected.stdout == ""
+    assert rejected.stderr.startswith("error:")
+    assert "Traceback" not in rejected.stderr
+
+
 def test_argparse_failures_exit_2():
     none = run_cli("condprob")
     assert none.returncode == 2

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qcondprob import (
+    DEFAULT_TOL,
     ConvergenceError,
+    State,
     ValidationError,
     commutes,
     complement,
@@ -11,6 +13,7 @@ from qcondprob import (
     is_orthogonal,
     lattice_meet,
     spin_projector,
+    state_value,
     validate_event,
     zero_event,
 )
@@ -35,6 +38,47 @@ def test_validate_event_rejects_non_projections():
         validate_event(np.diag([0.5, 0.5]))
     with pytest.raises(ValidationError, match="idempotent"):
         validate_event(2.0 * np.eye(2))
+
+
+def _off_block_anti_hermitian(rng, p):
+    """A unit-norm anti-Hermitian matrix mapping range(p) and its complement into each other.
+
+    Adding t times it to p changes only self-adjointness to first order:
+    idempotence moves by t**2 and the trace not at all.
+    """
+    d = p.shape[0]
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = p @ a @ (np.eye(d) - p)
+    k = x - x.conj().T
+    return k / np.linalg.norm(k)
+
+
+def test_self_adjointness_budget_is_shared_by_events_states_and_operands():
+    # Plant an anti-Hermitian part t * k with |m - adjoint(m)|_F = 2 t at
+    # 0.5x and 2x the budget atol + rtol * (1 + |m|_F); all three inputs
+    # must then be accepted, or all rejected as not self-adjoint.
+    rng = np.random.default_rng(707)
+    for _ in range(60):
+        dim = int(rng.integers(2, 7))
+        rank = int(rng.integers(1, dim))
+        p = random_projection(rng, dim, rank).matrix
+        k = _off_block_anti_hermitian(rng, p)
+        checks = (
+            (validate_event, p),
+            (State, p / rank),
+            (lambda m: state_value(State.maximally_mixed(dim), m), p),
+        )
+        for factor in (0.5, 2.0):
+            verdicts = []
+            for check, base in checks:
+                t = factor * (DEFAULT_TOL.atol + DEFAULT_TOL.rtol * (1.0 + np.linalg.norm(base))) / 2.0
+                try:
+                    check(base + t * k)
+                    verdicts.append(True)
+                except ValidationError as exc:
+                    assert "self-adjoint" in str(exc)
+                    verdicts.append(False)
+            assert verdicts == [factor < 1.0] * 3, (dim, rank, factor, verdicts)
 
 
 def test_event_matrix_is_read_only():

@@ -195,3 +195,30 @@ def test_load_json_errors(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(ValidationError):
         load_json(str(broken))
+
+
+def test_json_booleans_are_not_numbers(tmp_path):
+    # JSON true/false load as Python bools, which subclass int.
+    with pytest.raises(ValidationError, match="dim"):
+        matrix_from_obj({"dim": True, "entries": [[True]]})
+    with pytest.raises(ValidationError, match="number"):
+        matrix_from_obj({"entries": [[True, False], [False, False]]})
+    with pytest.raises(ValidationError, match="number"):
+        matrix_from_obj({"entries": [[1, [0, True]], [0, 1]]})
+    with pytest.raises(ValidationError, match="number"):
+        vector_from_obj([True, 0])
+    ensemble = {"ensemble": [{"weight": True, "vector": [1, 0]}, {"weight": 1.0, "vector": [0, 1]}]}
+    with pytest.raises(ValidationError, match="weight"):
+        state_from_obj(ensemble)
+    with pytest.raises(ValidationError, match="indices"):
+        classical_event_from_obj({"indices": [True]}, 3)
+    with pytest.raises(ValidationError, match="weights"):
+        classical_space_from_obj({"weights": [True, False]})
+    up = matrix_to_obj(np.diag([1.0, 0.0]))
+    down = matrix_to_obj(np.diag([0.0, 1.0]))
+    with pytest.raises(ValidationError, match="resolutions"):
+        valuation_from_obj({"events": [up, down], "resolutions": [[False, True]]})
+    path = tmp_path / "bool_event.json"
+    path.write_text('{"dim": true, "entries": [[true]]}', encoding="utf-8")
+    with pytest.raises(ValidationError):
+        load_event(str(path))

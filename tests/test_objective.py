@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcondprob import (
+    DEFAULT_TOL,
     State,
     UndefinedProbabilityError,
     ValidationError,
@@ -188,6 +189,29 @@ def test_objective_seq_value_is_state_independent():
 def test_objective_seq_vanishing_product_is_undefined():
     with pytest.raises(UndefinedProbabilityError):
         objective_seq(spin_projector("z", "+"), [spin_projector("x", "+"), spin_projector("x", "-")])
+
+
+def test_objective_seq_refuses_a_fit_below_the_zero_reference_threshold():
+    # e1 = diag(1, 0), e2 the ray (s, sqrt(1 - s^2)): the product has weight
+    # s^2, well above prob_floor, but |E adjoint(E)|_F^2 = s^4.  The fit is
+    # refused as numerically zero exactly when s^4 <= (atol + rtol)^2, while
+    # repeated_cond_prob still answers 1 - s^2.
+    threshold = (DEFAULT_TOL.atol + DEFAULT_TOL.rtol) ** 2
+    e1 = validate_event(np.diag([1.0, 0.0]))
+    outcome = validate_event(np.diag([0.0, 1.0]))
+    for factor in (0.5, 2.0):
+        s = (factor * threshold) ** 0.25
+        ray = np.array([s, np.sqrt(1.0 - s * s)])
+        e2 = validate_event(np.outer(ray, ray))
+        answer = repeated_cond_prob(State.maximally_mixed(2), outcome, [e1, e2])
+        assert abs(answer - (1.0 - s * s)) < 1e-15
+        if factor < 1.0:
+            with pytest.raises(ValidationError, match="numerically zero"):
+                objective_seq(outcome, [e1, e2])
+        else:
+            result = objective_seq(outcome, [e1, e2])
+            assert result.objective
+            assert abs(result.value - answer) < 1e-15
 
 
 def test_objective_seq_validation():
