@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditioning import State
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event
+from .events import Event, _index
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -73,10 +73,7 @@ class ClassicalEvent:
     def from_indices(cls, n_outcomes: int, indices: Iterable[int]) -> "ClassicalEvent":
         mask = np.zeros(int(n_outcomes), dtype=bool)
         for i in indices:
-            i = int(i)
-            if not 0 <= i < n_outcomes:
-                raise ValidationError(f"outcome index {i} outside range 0..{n_outcomes - 1}")
-            mask[i] = True
+            mask[_index(i, n_outcomes, "outcome index")] = True
         return cls(mask)
 
     @property

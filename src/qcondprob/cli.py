@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .conditioning import repeated_cond_prob
 from .errors import (
@@ -45,44 +44,16 @@ EXIT_UNDEFINED = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide settings shared by the subcommands."""
-
-    tol: Tolerances
-    fmt: str
-    seed: int
-    trials: int
-    workers: int
-
-    def __post_init__(self):
-        if self.fmt not in ("table", "json"):
-            raise ValidationError(f"unknown output format {self.fmt!r}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be at least 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be at least 1, got {self.workers}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _config_from_args(args) -> RunConfig:
-    tol = Tolerances(
+def _tol(args) -> Tolerances:
+    return Tolerances(
         atol=args.atol,
         rtol=args.rtol,
         objectivity_tol=args.objectivity_tol,
         prob_floor=args.prob_floor,
-    )
-    return RunConfig(
-        tol=tol,
-        fmt=args.format,
-        seed=args.seed,
-        trials=args.trials,
-        workers=args.workers,
     )
 
 
@@ -100,20 +71,20 @@ def _emit(fmt: str, pairs: list[tuple[str, str]], obj: dict) -> None:
 
 
 def cmd_condprob(args) -> int:
-    cfg = _config_from_args(args)
-    state = load_state(args.state, cfg.tol)
-    outcome = load_event(args.outcome, cfg.tol)
-    events = [load_event(path, cfg.tol) for path in args.event]
-    value = repeated_cond_prob(state, outcome, events, cfg.tol)
-    _emit(cfg.fmt, [("value", _fmt(value))], {"value": value})
+    tol = _tol(args)
+    state = load_state(args.state, tol)
+    outcome = load_event(args.outcome, tol)
+    events = [load_event(path, tol) for path in args.event]
+    value = repeated_cond_prob(state, outcome, events, tol)
+    _emit(args.format, [("value", _fmt(value))], {"value": value})
     return EXIT_OK
 
 
 def cmd_objective(args) -> int:
-    cfg = _config_from_args(args)
-    outcome = load_event(args.outcome, cfg.tol)
-    events = [load_event(path, cfg.tol) for path in args.event]
-    result = objective_seq(outcome, events, cfg.tol)
+    tol = _tol(args)
+    outcome = load_event(args.outcome, tol)
+    events = [load_event(path, tol) for path in args.event]
+    result = objective_seq(outcome, events, tol)
     pairs = [
         ("value", _fmt(result.value) if result.value is not None else "undefined"),
         ("lambda_re", _fmt(result.lam.real)),
@@ -130,7 +101,7 @@ def cmd_objective(args) -> int:
         "objective": result.objective,
         "chain_length": result.chain_length,
     }
-    _emit(cfg.fmt, pairs, obj)
+    _emit(args.format, pairs, obj)
     return EXIT_OK
 
 
@@ -145,9 +116,11 @@ def _step_line(step) -> str:
 
 
 def cmd_chain(args) -> int:
-    cfg = _config_from_args(args)
-    chain = load_chain(args.scenario, cfg.tol)
-    evaluation = evaluate_chain(chain, cfg.tol)
+    tol = _tol(args)
+    chain = load_chain(args.scenario, tol)
+    evaluation = evaluate_chain(chain, tol)
+    record_value = conditioned_on_record(chain, args.record, tol) if args.record is not None else None
+    report = sample_chain(chain, args.trials, args.seed, workers=args.workers, tol=tol) if args.sample else None
     pairs = [("value", _fmt(evaluation.value))]
     obj: dict = {
         "value": evaluation.value,
@@ -162,16 +135,14 @@ def cmd_chain(args) -> int:
             for s in evaluation.steps
         ],
     }
-    if args.record is not None:
-        record_value = conditioned_on_record(chain, args.record, cfg.tol)
+    if record_value is not None:
         pairs.append((f"value_given_{args.record}", _fmt(record_value)))
         obj[f"value_given_{args.record}"] = record_value
-    if cfg.fmt == "table":
+    if args.format == "table":
         _print_pairs(pairs)
         for step in evaluation.steps:
             print(f"  {_step_line(step)}")
-    if args.sample:
-        report = sample_chain(chain, cfg.trials, cfg.seed, workers=cfg.workers, tol=cfg.tol)
+    if report is not None:
         sample_pairs = [
             ("trials", str(report.trials)),
             ("seed", str(report.seed)),
@@ -196,18 +167,18 @@ def cmd_chain(args) -> int:
             "detector_counts": report.detector_counts,
             "max_abs_deviation": report.max_abs_deviation,
         }
-        if cfg.fmt == "table":
+        if args.format == "table":
             _print_pairs(sample_pairs)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(obj, sort_keys=True, indent=2))
     return EXIT_OK
 
 
 def cmd_slit(args) -> int:
-    cfg = _config_from_args(args)
-    model = load_slit_model(args.model, cfg.tol)
-    points = double_slit_scan(model.preparation, model.slit1, model.slit2, model.detectors, cfg.tol)
-    if cfg.fmt == "json":
+    tol = _tol(args)
+    model = load_slit_model(args.model, tol)
+    points = double_slit_scan(model.preparation, model.slit1, model.slit2, model.detectors, tol)
+    if args.format == "json":
         rows = [
             {"index": p.index, "coherent": p.coherent, "incoherent": p.incoherent, "defined": p.defined}
             for p in points
@@ -219,8 +190,7 @@ def cmd_slit(args) -> int:
 
 
 def cmd_valuation(args) -> int:
-    cfg = _config_from_args(args)
-    problem = load_valuation(args.problem, cfg.tol)
+    problem = load_valuation(args.problem, _tol(args))
     result = search_valuation(problem)
     verdict = "SAT" if result.satisfiable else "UNSAT"
     pairs = [("result", verdict), ("nodes_explored", str(result.nodes_explored))]
@@ -232,7 +202,7 @@ def cmd_valuation(args) -> int:
         "assignment": list(result.assignment) if result.assignment is not None else None,
         "true_indices": list(result.true_indices()),
     }
-    _emit(cfg.fmt, pairs, obj)
+    _emit(args.format, pairs, obj)
     return EXIT_OK
 
 
@@ -245,9 +215,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="smallest usable conditioning probability")
     parser.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (the slit scan prints CSV in table mode)")
-    parser.add_argument("--seed", type=int, default=42, help="pseudorandom seed for sampling")
-    parser.add_argument("--trials", type=int, default=100000, help="number of sampling trials")
-    parser.add_argument("--workers", type=int, default=1, help="independent sampling substreams")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,6 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", choices=("positive", "negation"),
                    help="condition on the detector record showing this outlet")
     p.add_argument("--sample", action="store_true", help="also run a sampling comparison")
+    p.add_argument("--seed", type=int, default=42, help="pseudorandom seed for sampling")
+    p.add_argument("--trials", type=int, default=100000, help="number of sampling trials")
+    p.add_argument("--workers", type=int, default=1, help="independent sampling substreams")
     _add_common(p)
     p.set_defaults(func=cmd_chain)
 

@@ -15,7 +15,8 @@ No eigendecomposition is used anywhere; ranks come from traces and the
 meet comes from repeated squaring of the product ``e @ f @ e``.
 
 This module also holds the package's one input check for matrices,
-which events, states and operands all pass, and the one exclusion rule.
+which events, states and operands all pass, its one index rule, and the
+one sameness and one exclusion rule.
 """
 
 from __future__ import annotations
@@ -99,6 +100,15 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
     return m, budget
 
 
+def _index(i, stop: int, what: str) -> int:
+    """The one index rule: a Python or numpy integer, not a bool, in ``range(stop)``."""
+    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        raise ValidationError(f"{what} {i!r} is not an integer")
+    if not 0 <= i < stop:
+        raise ValidationError(f"{what} {i} outside range 0..{stop - 1}")
+    return int(i)
+
+
 def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     """Check that a matrix is an orthogonal projection and wrap it.
 
@@ -139,13 +149,15 @@ def complement(e: Event) -> Event:
     return Event(np.eye(e.dim, dtype=np.complex128) - e.matrix, e.dim - e.rank)
 
 
-def _excludes(e: np.ndarray, f: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The exclusion rule ``|e @ f|_F <= atol + rtol``, over stacks of matrices.
+# The sameness and exclusion rules.  ``e`` and ``f`` broadcast as matrix
+# stacks, one boolean per pair.  lattice_meet on two minimal events and the
+# valuation problems' deduplication decide by _same; is_orthogonal and their
+# exclusion relation decide by _excludes.
+def _same(e: np.ndarray, f: np.ndarray, tol: Tolerances) -> np.ndarray:
+    return np.linalg.norm(e - f, axis=(-2, -1)) <= tol.atol + tol.rtol
 
-    ``e`` and ``f`` broadcast as matrix stacks; returns one boolean per
-    product.  :func:`is_orthogonal` and the valuation problems' exclusion
-    relation both decide by this function.
-    """
+
+def _excludes(e: np.ndarray, f: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.linalg.norm(e @ f, axis=(-2, -1)) <= tol.atol + tol.rtol
 
 
@@ -200,9 +212,7 @@ def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
     """
     _check_same_space(e, f)
     if e.is_minimal() and f.is_minimal():
-        if float(np.linalg.norm(e.matrix - f.matrix, "fro")) <= tol.atol + tol.rtol:
-            return e
-        return zero_event(e.dim)
+        return e if _same(e.matrix, f.matrix, tol) else zero_event(e.dim)
     a = _polish(e.matrix)
     t = a @ _polish(f.matrix) @ a
     t = (t + t.conj().T) / 2.0

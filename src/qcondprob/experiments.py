@@ -362,6 +362,8 @@ def sample_chain(
         raise ValidationError(f"trials must be a positive integer, got {trials!r}")
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     root = _build_draw_tree(chain, tol)
     evaluation = evaluate_chain(chain, tol)
 

@@ -174,7 +174,7 @@ def valuation_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ValuationProblem:
     resolutions = obj.get("resolutions")
     if resolutions is not None:
         if not isinstance(resolutions, list) or not all(
-            isinstance(f, list) and all(_is_number(i) for i in f) for f in resolutions
+            isinstance(f, list) and all(_is_number(i, int) for i in f) for f in resolutions
         ):
             raise ValidationError("valuation problem: 'resolutions' must be a list of index lists")
     return ValuationProblem(events, resolutions=resolutions, tol=tol)
@@ -191,8 +191,8 @@ def classical_space_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ClassicalSpa
 def classical_event_from_obj(obj, n_outcomes: int) -> ClassicalEvent:
     if not isinstance(obj, dict) or "indices" not in obj or not isinstance(obj["indices"], list):
         raise ValidationError("classical event: expected an object with an 'indices' list")
-    if not all(_is_number(i) for i in obj["indices"]):
-        raise ValidationError(f"classical event: indices must be numbers, got {obj['indices']!r}")
+    if not all(_is_number(i, int) for i in obj["indices"]):
+        raise ValidationError(f"classical event: indices must be integers, got {obj['indices']!r}")
     return ClassicalEvent.from_indices(n_outcomes, obj["indices"])
 
 

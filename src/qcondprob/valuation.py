@@ -23,7 +23,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InvariantError, ValidationError
-from .events import Event, _excludes
+from .events import Event, _excludes, _index, _same
 from .tolerances import DEFAULT_TOL, Tolerances
 
 # The search is exhaustive, so cap the instance size well below where
@@ -51,24 +51,24 @@ class ValuationResult:
         return tuple(i for i, v in enumerate(self.assignment) if v)
 
 
-def _exclusion_relation(events: Sequence[Event], tol: Tolerances) -> np.ndarray:
-    """Symmetric boolean matrix of mutual exclusion, False on the diagonal.
+def _stack(events: Sequence[Event]) -> np.ndarray:
+    """The events' matrices as one stack, after the shared-dimension check."""
+    if any(e.dim != events[0].dim for e in events):
+        raise ValidationError("all events must share one dimension")
+    return np.stack([e.matrix for e in events])
 
-    Decided by the same rule as :func:`is_orthogonal`, one batched
-    product per row against the events after it, so memory stays at the
-    size of the event stack.
-    """
-    stack = np.stack([e.matrix for e in events])
-    n = len(events)
+
+def _exclusion_relation(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Symmetric mutual exclusion by :func:`is_orthogonal`'s rule, one batched row pass per event."""
+    n = len(stack)
     relation = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
         relation[i, i + 1:] = _excludes(stack[i], stack[i + 1:], tol)
     return relation | relation.T
 
 
-def _enumerate_resolutions(events: Sequence[Event], relation: np.ndarray) -> list[tuple[int, ...]]:
-    n, dim = len(events), events[0].dim
-    ranks = [e.rank for e in events]
+def _enumerate_resolutions(ranks: list[int], dim: int, relation: np.ndarray) -> list[tuple[int, ...]]:
+    n = len(ranks)
     exclusive = relation.tolist()
     found: list[tuple[int, ...]] = []
 
@@ -97,21 +97,22 @@ def build_resolutions(events: Sequence[Event], tol: Tolerances = DEFAULT_TOL) ->
     events = list(events)
     if not events:
         return []
-    if any(e.dim != events[0].dim for e in events):
-        raise ValidationError("all events must share one dimension")
-    return _enumerate_resolutions(events, _exclusion_relation(events, tol))
+    relation = _exclusion_relation(_stack(events), tol)
+    return _enumerate_resolutions([e.rank for e in events], events[0].dim, relation)
 
 
 class ValuationProblem:
     """A finite event collection together with its resolutions.
 
-    Duplicate events (equal matrices within tolerance) are merged.  The
-    exclusion relation between the distinct events is computed once,
-    and the resolutions and the search both read it.  When
-    ``resolutions`` is omitted they are enumerated from scratch; when
-    given explicitly, each family is validated for pairwise exclusion
-    and completeness.  At most ``MAX_EVENTS`` distinct events are
-    accepted since the search is exhaustive.
+    The events are stacked once.  Row passes over that stack merge
+    duplicates (each event maps to the first kept event the sameness
+    rule of :func:`lattice_meet` matches) and then build the exclusion
+    relation between the kept events, which the resolutions and the
+    search both read.  When ``resolutions`` is omitted they are
+    enumerated; explicit families pass the enumerator's rule: integer
+    indices, members pairwise exclusive, ranks summing to the
+    dimension.  At most ``MAX_EVENTS`` distinct events are accepted
+    since the search is exhaustive.
     """
 
     __slots__ = ("_events", "_resolutions", "_exclusive_pairs")
@@ -125,51 +126,38 @@ class ValuationProblem:
         raw = list(events)
         if not raw:
             raise ValidationError("valuation problem needs at least one event")
-        dim = None
-        for e in raw:
-            if not isinstance(e, Event):
-                raise ValidationError("valuation problem events must be Events")
-            if dim is None:
-                dim = e.dim
-            elif e.dim != dim:
-                raise ValidationError("all events must share one dimension")
-            if e.is_zero():
-                raise ValidationError("the zero event cannot carry a truth value")
+        if not all(isinstance(e, Event) for e in raw):
+            raise ValidationError("valuation problem events must be Events")
+        stack = _stack(raw)
+        if any(e.is_zero() for e in raw):
+            raise ValidationError("the zero event cannot carry a truth value")
 
-        deduped: list[Event] = []
+        kept: list[int] = []
         remap: list[int] = []
-        for e in raw:
-            match = None
-            for j, seen in enumerate(deduped):
-                if float(np.linalg.norm(e.matrix - seen.matrix, "fro")) <= tol.atol + tol.rtol:
-                    match = j
-                    break
-            if match is None:
-                deduped.append(e)
-                remap.append(len(deduped) - 1)
+        for i in range(len(raw)):
+            hits = np.flatnonzero(_same(stack[i], stack[kept], tol))
+            if hits.size:
+                remap.append(int(hits[0]))
             else:
-                remap.append(match)
-        if len(deduped) > MAX_EVENTS:
-            raise ValidationError(f"at most {MAX_EVENTS} distinct events are supported, got {len(deduped)}")
+                remap.append(len(kept))
+                kept.append(i)
+        if len(kept) > MAX_EVENTS:
+            raise ValidationError(f"at most {MAX_EVENTS} distinct events are supported, got {len(kept)}")
 
-        relation = _exclusion_relation(deduped, tol)
+        relation = _exclusion_relation(stack[kept], tol)
+        ranks, dim = [raw[i].rank for i in kept], raw[0].dim
         if resolutions is None:
-            families = _enumerate_resolutions(deduped, relation)
+            families = _enumerate_resolutions(ranks, dim, relation)
         else:
             families = []
-            identity = np.eye(dim, dtype=np.complex128)
             for fam in resolutions:
-                for i in fam:
-                    if not 0 <= int(i) < len(raw):
-                        raise ValidationError(f"resolution index {i} out of range")
-                mapped = sorted({remap[int(i)] for i in fam})
+                mapped = sorted({remap[_index(i, len(raw), "resolution index")] for i in fam})
                 if not all(relation[a, b] for k, a in enumerate(mapped) for b in mapped[k + 1:]):
                     raise ValidationError("resolution members must be pairwise exclusive")
-                total = sum((deduped[i].matrix for i in mapped), np.zeros((dim, dim), dtype=np.complex128))
-                if float(np.linalg.norm(total - identity, "fro")) > tol.atol + tol.rtol * dim:
+                if sum(ranks[i] for i in mapped) != dim:
                     raise ValidationError("resolution members must sum to the identity")
                 families.append(tuple(mapped))
-        self._events = tuple(deduped)
+        self._events = tuple(raw[i] for i in kept)
         self._resolutions = tuple(families)
         self._exclusive_pairs = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(relation))))
 

@@ -37,6 +37,10 @@ def test_event_construction():
     assert e.complement().indices() == (1, 3, 5)
     with pytest.raises(ValidationError):
         ClassicalEvent.from_indices(6, [6])
+    assert ClassicalEvent.from_indices(3, [np.int64(2), 0]).indices() == (0, 2)
+    for indices in ([True, 2], [2.9], [1.0], ["1"]):
+        with pytest.raises(ValidationError, match="not an integer"):
+            ClassicalEvent.from_indices(3, indices)
 
 
 def test_prob_and_cond_prob_on_die():

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
-from qcondprob import repeated_cond_prob
+import numpy as np
+
+from qcondprob import cli, repeated_cond_prob
 from qcondprob.fixtures import double_slit_model
 from qcondprob.interference import double_slit_scan, scan_to_csv
-from qcondprob.io import load_event, load_state
+from qcondprob.io import load_event, load_state, matrix_to_obj
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE_DIR = os.path.join(REPO_ROOT, "fixtures")
@@ -22,6 +26,14 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def run_main(*args):
+    """Run ``cli.main`` in-process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_condprob_single_event():
@@ -249,3 +261,49 @@ def test_argparse_failures_exit_2():
     assert none.returncode == 2
     unknown = run_cli("frobnicate")
     assert unknown.returncode == 2
+
+
+def test_valuation_explicit_resolution_matches_enumeration(tmp_path):
+    # Rays along e_i + 0.95e-10 * (the other axes): pairwise exclusive within
+    # the default tolerance, summing to the identity only to about 6.6e-10.
+    events = []
+    for i in range(4):
+        v = np.full(4, 0.95e-10)
+        v[i] = 1.0
+        v /= np.linalg.norm(v)
+        events.append(matrix_to_obj(np.outer(v, v)))
+    enumerated = tmp_path / "enumerated.json"
+    enumerated.write_text(json.dumps({"events": events}))
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps({"events": events, "resolutions": [[0, 1, 2, 3]]}))
+    want = (0, "result          SAT\nnodes_explored  2\ntrue_indices    0\n", "")
+    assert run_main("valuation", "--problem", str(enumerated)) == want
+    assert run_main("valuation", "--problem", str(explicit)) == want
+
+
+def test_valuation_fractional_resolution_index_exits_2(tmp_path):
+    up, down = matrix_to_obj(np.diag([1.0, 0.0])), matrix_to_obj(np.diag([0.0, 1.0]))
+    problem = tmp_path / "fractional.json"
+    problem.write_text(json.dumps({"events": [up, down], "resolutions": [[0.7, 1.2]]}))
+    code, out, err = run_main("valuation", "--problem", str(problem))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "resolutions" in err
+
+
+def test_sampler_options_belong_to_chain():
+    seeded = run_cli(
+        "condprob",
+        "--state", fixture("state_mixed_dim4.json"),
+        "--outcome", fixture("objective_pair_d.json"),
+        "--event", fixture("objective_pair_e.json"),
+        "--seed", "1",
+    )
+    assert seeded.returncode == 2
+    assert seeded.stdout == ""
+    # Unsampled chains ignore the sampler settings; sample_chain checks them.
+    code, out, _ = run_main("chain", "--scenario", fixture("chain_detector.json"), "--trials", "0")
+    assert code == 0 and out.startswith("value  0.5\n")
+    for option, value, word in (("--trials", "0", "trials"), ("--seed", "-1", "seed"), ("--workers", "0", "workers")):
+        code, out, err = run_main("chain", "--scenario", fixture("chain_detector.json"), "--sample", option, value)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {word} must be")

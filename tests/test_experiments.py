@@ -256,6 +256,10 @@ def test_sample_chain_validation():
         sample_chain(chain, trials=2.5, seed=1)
     with pytest.raises(ValidationError):
         sample_chain(chain, trials=10, seed=1, workers=0)
+    for seed in (-1, 1.5, "1"):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_chain(chain, trials=10, seed=seed)
+    assert sample_chain(chain, trials=10, seed=np.uint64(1)).seed == 1
 
 
 def test_sample_chain_with_nothing_surviving():

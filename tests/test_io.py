@@ -197,6 +197,18 @@ def test_load_json_errors(tmp_path):
         load_json(str(broken))
 
 
+def test_fractional_indices_are_refused():
+    with pytest.raises(ValidationError, match="indices"):
+        classical_event_from_obj({"indices": [1.5]}, 3)
+    with pytest.raises(ValidationError, match="indices"):
+        classical_event_from_obj({"indices": [1.0]}, 3)
+    up = matrix_to_obj(np.diag([1.0, 0.0]))
+    down = matrix_to_obj(np.diag([0.0, 1.0]))
+    with pytest.raises(ValidationError, match="resolutions"):
+        valuation_from_obj({"events": [up, down], "resolutions": [[0.7, 1.2]]})
+    assert valuation_from_obj({"events": [up, down], "resolutions": [[0, 1]]}).resolutions == ((0, 1),)
+
+
 def test_json_booleans_are_not_numbers(tmp_path):
     # JSON true/false load as Python bools, which subclass int.
     with pytest.raises(ValidationError, match="dim"):

@@ -12,6 +12,7 @@ from qcondprob import (
     build_resolutions,
     complement,
     is_orthogonal,
+    lattice_meet,
     search_valuation,
     spin_projector,
     validate_event,
@@ -184,6 +185,13 @@ def test_exclusion_relation_matches_pairwise_is_orthogonal():
         ]
         assert sorted(problem.resolutions) == sorted(expected)
         assert build_resolutions(problem.events, tol) == list(problem.resolutions)
+        # The enumerated families, given back as explicit resolutions, pass
+        # the same completeness rule and leave the search unchanged.
+        explicit = ValuationProblem(problem.events, resolutions=problem.resolutions, tol=tol)
+        assert explicit.resolutions == problem.resolutions
+        assert explicit.exclusive_pairs == problem.exclusive_pairs
+        found, again = search_valuation(problem), search_valuation(explicit)
+        assert (again.assignment, again.nodes_explored) == (found.assignment, found.nodes_explored)
 
 
 def test_search_reads_the_problems_exclusion_relation():
@@ -202,3 +210,116 @@ def test_search_reads_the_problems_exclusion_relation():
     loose_result = search_valuation(loose_problem)
     assert strict_result.assignment == (True, True, False)
     assert loose_result.assignment == (True, False, False)
+
+
+def tilted_basis(dim=4, tilt=0.95e-10):
+    """Rays along e_i + tilt * (sum of the other axes).
+
+    Pairwise |e_i e_j|_F is 2 tilt, inside the default exclusion threshold
+    2e-10, while the four projectors sum to the identity only to about 6.6e-10.
+    """
+    rays = []
+    for i in range(dim):
+        v = np.full(dim, tilt)
+        v[i] = 1.0
+        v /= np.linalg.norm(v)
+        rays.append(validate_event(np.outer(v, v)))
+    return rays
+
+
+def test_explicit_and_enumerated_resolutions_follow_one_completeness_rule():
+    events = tilted_basis()
+    enumerated = ValuationProblem(events)
+    explicit = ValuationProblem(events, resolutions=[[0, 1, 2, 3]])
+    assert enumerated.resolutions == explicit.resolutions == ((0, 1, 2, 3),)
+    assert explicit.exclusive_pairs == enumerated.exclusive_pairs
+    found, again = search_valuation(enumerated), search_valuation(explicit)
+    assert found == again
+    assert found.assignment == (True, False, False, False)
+    assert found.nodes_explored == 2
+
+
+def test_resolution_indices_must_be_integers():
+    up, down = diag_event([1, 0]), diag_event([0, 1])
+    assert ValuationProblem([up, down], resolutions=[(np.int64(0), np.int32(1))]).resolutions == ((0, 1),)
+    for family in ([0.7, 1.2], [0, 1.0], [True, 1], ["0", 1]):
+        with pytest.raises(ValidationError, match="not an integer"):
+            ValuationProblem([up, down], resolutions=[family])
+    with pytest.raises(ValidationError, match="outside range"):
+        ValuationProblem([up, down], resolutions=[(0, -1)])
+
+
+def _rotated(q, rank, t):
+    """Projection onto q's first ``rank`` columns, the first turned by angle t toward column ``rank``.
+
+    Two such projections at angles s and t are sqrt(2) |sin(s - t)| apart in Frobenius norm.
+    """
+    cols = q[:, :rank].copy()
+    cols[:, 0] = np.cos(t) * q[:, 0] + np.sin(t) * q[:, rank]
+    return validate_event(cols @ cols.conj().T)
+
+
+def _first_match(events, tol):
+    """Brute-force deduplication: each event maps to the first kept event within atol + rtol."""
+    kept, remap = [], []
+    for e in events:
+        match = next(
+            (k for k, f in enumerate(kept) if np.linalg.norm(e.matrix - f.matrix, "fro") <= tol.atol + tol.rtol),
+            None,
+        )
+        if match is None:
+            kept.append(e)
+            match = len(kept) - 1
+        remap.append(match)
+    return kept, remap
+
+
+def test_deduplication_matches_a_first_match_oracle():
+    # Copies of each base projection turned by u * threshold / sqrt(2), so
+    # copies sit 0.5x, 1.5x, 2x, 2.5x ... the sameness threshold apart, never
+    # at it.  Complements ride along, so that pairs of raw indices form
+    # resolutions whose mapped families reveal the first-match mapping.
+    rng = np.random.default_rng(2209)
+    loose = Tolerances(atol=1e-6, rtol=1e-6)
+    merged = distinct = 0
+    for k in range(120):
+        tol = loose if k % 4 == 3 else DEFAULT_TOL
+        step = (tol.atol + tol.rtol) / np.sqrt(2.0)
+        dim = int(rng.integers(2, 7))
+        raw = []
+        for _ in range(int(rng.integers(1, 3))):
+            q = random_unitary(rng, dim)
+            rank = int(rng.integers(1, dim))
+            for u in rng.choice([0.0, 0.5, 2.0, 2.5, -2.0], size=int(rng.integers(2, 5)), replace=False):
+                copy = _rotated(q, rank, u * step)
+                raw += [copy, complement(copy)]
+        raw = [raw[i] for i in rng.permutation(len(raw))]
+        kept, remap = _first_match(raw, tol)
+        merged += len(raw) - len(kept)
+        distinct += len(kept)
+        pairs = [
+            (i, j)
+            for i, j in combinations(range(len(raw)), 2)
+            if remap[i] != remap[j]
+            and kept[remap[i]].rank + kept[remap[j]].rank == dim
+            and is_orthogonal(kept[remap[i]], kept[remap[j]], tol)
+        ]
+        problem = ValuationProblem(raw, resolutions=pairs, tol=tol)
+        assert len(problem.events) == len(kept)
+        assert all(a is b for a, b in zip(problem.events, kept))
+        assert problem.resolutions == tuple(tuple(sorted((remap[i], remap[j]))) for i, j in pairs)
+    assert merged > 0 and distinct > merged
+
+
+def test_meet_of_rays_and_deduplication_share_the_sameness_rule():
+    rng = np.random.default_rng(2210)
+    loose = Tolerances(atol=1e-6, rtol=1e-6)
+    for k in range(40):
+        tol = loose if k % 4 == 3 else DEFAULT_TOL
+        q = random_unitary(rng, int(rng.integers(2, 7)))
+        for factor in (0.5, 2.0):
+            e = _rotated(q, 1, 0.0)
+            f = _rotated(q, 1, np.arcsin(factor * (tol.atol + tol.rtol) / np.sqrt(2.0)))
+            same = len(ValuationProblem([e, f], tol=tol).events) == 1
+            assert same == (factor < 1.0)
+            assert lattice_meet(e, f, tol).rank == (1 if same else 0)
