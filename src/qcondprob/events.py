@@ -100,9 +100,14 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
     return m, budget
 
 
+def _is_integer(i) -> bool:
+    """The one integer rule: a Python or numpy integer, not a bool."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def _index(i, stop: int, what: str) -> int:
-    """The one index rule: a Python or numpy integer, not a bool, in ``range(stop)``."""
-    if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+    """The one index rule: an integer by ``_is_integer``, in ``range(stop)``."""
+    if not _is_integer(i):
         raise ValidationError(f"{what} {i!r} is not an integer")
     if not 0 <= i < stop:
         raise ValidationError(f"{what} {i} outside range 0..{stop - 1}")

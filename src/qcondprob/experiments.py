@@ -21,8 +21,9 @@ two outlets:
 The distinction is physical, not bookkeeping: adding a detector to a
 rejoined apparatus changes downstream probabilities.  The analytic
 evaluation returns a derivation trace recording which rule fired at
-each apparatus; the sampler reproduces the same statistics by
-simulating trials with a counter-based pseudorandom generator.
+each apparatus; the sampler reproduces the same statistics by splitting
+trial counts down a tree of branch points, one binomial draw per point
+that any trial reaches.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .conditioning import PureVector, State, _chain_events, cond_state, state_value
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, complement
+from .events import Event, _is_integer, complement
 from .objective import objective_seq
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
@@ -292,9 +293,9 @@ def _snap_unit(p: float, tol: Tolerances) -> float:
 def _build_draw_tree(chain: Chain, tol: Tolerances) -> _DrawNode:
     """Turn the chain into a tree of scalar decision points.
 
-    All matrix work happens here, once; sampling then only draws
-    uniforms and walks the tree.  States are propagated by conditioning
-    on the branch events, mirroring the analytic rules.
+    All matrix work happens here, once; sampling then only splits trial
+    counts down the tree.  States are propagated by conditioning on the
+    branch events, mirroring the analytic rules.
     """
     def build(state: State, idx: int) -> _DrawNode:
         if idx == len(chain.apparatuses):
@@ -317,29 +318,30 @@ def _build_draw_tree(chain: Chain, tol: Tolerances) -> _DrawNode:
     return build(State(chain.preparation.matrix, tol=tol), 0)
 
 
-def _run_worker(root: _DrawNode, trials: int, rng: np.random.Generator) -> tuple[dict[str, int], dict[str, int]]:
-    counts = {"positive": 0, "negation": 0, "blocked": 0}
-    detector_counts: dict[str, int] = {}
-    for _ in range(trials):
-        node = root
-        outcome = None
-        while outcome is None:
-            if node.kind == "final":
-                took_positive = node.p > 0.0 and (node.p >= 1.0 or rng.random() < node.p)
-                outcome = "positive" if took_positive else "negation"
-            elif node.kind == "block":
-                passed = node.p > 0.0 and (node.p >= 1.0 or rng.random() < node.p)
-                if not passed:
-                    outcome = "blocked"
-                else:
-                    node = node.on_positive
-            else:
-                took_positive = node.p > 0.0 and (node.p >= 1.0 or rng.random() < node.p)
-                key = f"apparatus{node.apparatus_index}:{'positive' if took_positive else 'negation'}"
-                detector_counts[key] = detector_counts.get(key, 0) + 1
-                node = node.on_positive if took_positive else node.on_negation
-        counts[outcome] += 1
-    return counts, detector_counts
+def _run_worker(root: _DrawNode, trials: int, rng: np.random.Generator,
+                counts: dict[str, int], detector_counts: dict[str, int]) -> None:
+    """Split ``trials`` down the tree, adding to ``counts`` and ``detector_counts``.
+
+    k ~ Binomial(n, p) of the n trials reaching a node take its positive
+    branch; nodes are visited depth first, positive before negation.
+    """
+    def split(node: _DrawNode, n: int) -> None:
+        k = int(rng.binomial(n, node.p))
+        if node.kind == "final":
+            counts["positive"] += k
+            counts["negation"] += n - k
+        elif node.kind == "block":
+            counts["blocked"] += n - k
+            if k:
+                split(node.on_positive, k)
+        else:
+            for branch, child, m in (("positive", node.on_positive, k), ("negation", node.on_negation, n - k)):
+                if m:
+                    key = f"apparatus{node.apparatus_index}:{branch}"
+                    detector_counts[key] = detector_counts.get(key, 0) + m
+                    split(child, m)
+
+    split(root, trials)
 
 
 def sample_chain(
@@ -351,35 +353,33 @@ def sample_chain(
 ) -> SampleReport:
     """Simulate a chain and compare frequencies to the analytic values.
 
-    The pseudorandom source is numpy's PCG64 generator; worker substreams
-    are derived from ``SeedSequence((seed, worker_index))``, so results
-    are bit-for-bit reproducible for a given (seed, workers, trials)
-    regardless of how the work is scheduled.  Trials absorbed at a
-    blocking apparatus count as "blocked" and are excluded from the
+    The trials are dealt out as evenly as possible over ``workers``
+    substreams of numpy's PCG64 generator, each seeded by
+    ``SeedSequence((seed, worker_index))``.  A worker starts with its n
+    trials at the root of the chain's branch tree; at each branch point
+    any of them reach, k ~ Binomial(n, p) take the positive branch and
+    n - k the negation branch (or are "blocked").  The counts have the
+    joint law of walking each trial alone, the cost does not grow with
+    ``trials``, and results are bit-for-bit reproducible for a given
+    (seed, trials, workers).  Blocked trials are excluded from the
     frequency denominator.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    for name, value, low in (("trials", trials, 1), ("workers", workers, 1), ("seed", seed, 0)):
+        if not _is_integer(value) or value < low:
+            kind = "positive" if low else "nonnegative"
+            raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
+    if -(-int(trials) // int(workers)) > np.iinfo(np.int64).max:  # Generator.binomial takes an int64 n
+        raise ValidationError(f"trials per worker must fit in int64, got {trials!r} over {workers!r} workers")
     root = _build_draw_tree(chain, tol)
     evaluation = evaluate_chain(chain, tol)
 
     counts = {"positive": 0, "negation": 0, "blocked": 0}
     detector_counts: dict[str, int] = {}
     base, extra = divmod(int(trials), int(workers))
-    for w in range(int(workers)):
-        n = base + (1 if w < extra else 0)
-        if n == 0:
-            continue
+    # Workers past the trial count would receive no trials.
+    for w in range(min(int(workers), int(trials))):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), w))))
-        wc, wd = _run_worker(root, n, rng)
-        for k, v in wc.items():
-            counts[k] += v
-        for k, v in wd.items():
-            detector_counts[k] = detector_counts.get(k, 0) + v
+        _run_worker(root, base + (1 if w < extra else 0), rng, counts, detector_counts)
 
     survivors = counts["positive"] + counts["negation"]
     if survivors == 0:

@@ -1,14 +1,18 @@
 """Shared random generators and independent oracles for the tests.
 
 Oracles here deliberately use different algorithms than the package
-(SVD-based subspace math, brute-force enumeration) so agreement is
-evidence, not circularity.
+(SVD-based subspace math, brute-force enumeration, a forward pass over
+unnormalised density matrices) so agreement is evidence, not
+circularity.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import svd
 
-from qcondprob import Event, State, validate_event
+from qcondprob import Apparatus, Chain, Event, State, validate_event
+from qcondprob.experiments import MODE_BLOCK
 
 
 def random_unitary(rng, dim):
@@ -75,3 +79,48 @@ def orthogonal_split(rng, dim):
     b1 = u[:, :r1]
     b2 = u[:, r1:r1 + r2]
     return validate_event(b1 @ b1.conj().T), validate_event(b2 @ b2.conj().T)
+
+
+def random_chain(rng, dim, n_apparatuses):
+    """A chain of rejoined, blocking and detector apparatuses on random events of mixed rank."""
+    apparatuses = []
+    for _ in range(n_apparatuses):
+        event = random_projection(rng, dim, int(rng.integers(1, dim)))
+        kind = rng.choice(["block", "detector", "rejoin"])
+        if kind == "block":
+            apparatuses.append(Apparatus(event, mode=MODE_BLOCK))
+        elif kind == "detector":
+            apparatuses.append(Apparatus(event, detector=str(rng.choice(["positive", "negation"]))))
+        else:
+            apparatuses.append(Apparatus(event))
+    final = random_projection(rng, dim, int(rng.integers(1, dim)))
+    return Chain(random_rank1(rng, dim), apparatuses, final)
+
+
+def chain_forward_pass(chain: Chain):
+    """Forward Lueders pass over unnormalised density matrices.
+
+    A block maps rho to B rho B, a detector to P rho P + P' rho P' and a
+    rejoined apparatus leaves rho alone.  Returns the survival tr(rho),
+    the final-outcome value tr(rho D) / tr(rho) and, per detector
+    apparatus index, the probability tr(rho) that a trial reaches it.
+    """
+    rho = chain.preparation.matrix
+    eye = np.eye(chain.dim)
+    reach = {}
+    for idx, app in enumerate(chain.apparatuses):
+        p = app.test_event.matrix
+        if app.mode == MODE_BLOCK:
+            rho = p @ rho @ p
+        elif app.has_detector:
+            reach[idx] = np.trace(rho).real
+            q = eye - p
+            rho = p @ rho @ p + q @ rho @ q
+    survival = np.trace(rho).real
+    return survival, np.trace(rho @ chain.final_outcome.matrix).real / survival, reach
+
+
+def within_sigmas(count, n, p, sigmas=5.0):
+    """Whether ``count`` successes of ``n`` fit probability ``p``; one count of slack for tiny n p."""
+    p = min(max(p, 0.0), 1.0)
+    return abs(count - n * p) <= sigmas * math.sqrt(n * p * (1.0 - p)) + 1.0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from qcondprob.experiments import (
 )
 from qcondprob.fixtures import blocked_chain, detector_chain, rejoined_chain
 
-from helpers import random_projection, random_rank1
+from helpers import chain_forward_pass, random_chain, random_projection, random_rank1, within_sigmas
 
 
 def test_spin_projector_conventions():
@@ -260,6 +262,10 @@ def test_sample_chain_validation():
         with pytest.raises(ValidationError, match="seed"):
             sample_chain(chain, trials=10, seed=seed)
     assert sample_chain(chain, trials=10, seed=np.uint64(1)).seed == 1
+    # Generator.binomial takes an int64 count, so a worker's share must fit in one.
+    with pytest.raises(ValidationError, match="int64"):
+        sample_chain(chain, trials=2**63, seed=1)
+    assert sum(sample_chain(chain, trials=2**63, seed=1, workers=2).outcome_counts.values()) == 2**63
 
 
 def test_sample_chain_with_nothing_surviving():
@@ -268,3 +274,78 @@ def test_sample_chain_with_nothing_surviving():
     chain = Chain(zp, [Apparatus(zm, mode=MODE_BLOCK)], zm)
     with pytest.raises(UndefinedProbabilityError):
         sample_chain(chain, trials=50, seed=3)
+
+
+def test_sample_chain_refuses_bools():
+    chain = detector_chain()
+    for kwargs in (
+        {"trials": True, "seed": 1},
+        {"trials": 10, "seed": True},
+        {"trials": 10, "seed": False},
+        {"trials": 10, "seed": 1, "workers": True},
+        {"trials": np.True_, "seed": 1},
+    ):
+        with pytest.raises(ValidationError, match="integer"):
+            sample_chain(chain, **kwargs)
+    with pytest.raises(ValidationError, match="trials"):
+        sample_chain(chain, True, True, workers=True)
+
+
+def test_sample_chain_extra_workers_cost_nothing():
+    chain = detector_chain()
+    start = time.perf_counter()
+    report = sample_chain(chain, trials=3, seed=11, workers=10**9)
+    assert time.perf_counter() - start < 1.0
+    assert report.workers == 10**9
+    assert sum(report.outcome_counts.values()) == 3
+    # Workers past the trial count receive no trials, so they change nothing.
+    lean = sample_chain(chain, trials=3, seed=11, workers=3)
+    assert (report.outcome_counts, report.detector_counts) == (lean.outcome_counts, lean.detector_counts)
+
+
+def test_sample_chain_cost_does_not_grow_with_trials():
+    for chain, recorded in ((detector_chain(), 10**9), (blocked_chain(), 0)):
+        start = time.perf_counter()
+        report = sample_chain(chain, trials=10**9, seed=5, workers=4)
+        assert time.perf_counter() - start < 1.0
+        assert sum(report.outcome_counts.values()) == 10**9
+        assert sum(report.detector_counts.values()) == recorded
+        assert report.max_abs_deviation < 1e-3
+
+
+def test_sample_chain_matches_forward_pass_oracle():
+    rng = np.random.default_rng(9090)
+    trials = 200_000
+    blocks_after_detectors = 0
+    for _ in range(40):
+        chain = random_chain(rng, int(rng.integers(2, 7)), int(rng.integers(1, 9)))
+        survival, value, reach = chain_forward_pass(chain)
+        blocks = [app.mode == MODE_BLOCK for app in chain.apparatuses]
+        if reach and any(blocks[min(reach):]):
+            blocks_after_detectors += 1
+        try:
+            report = sample_chain(chain, trials, seed=int(rng.integers(2**32)), workers=int(rng.integers(1, 5)))
+        except UndefinedProbabilityError:
+            assert (1.0 - survival) ** trials > 1e-9
+            continue
+        counts = report.outcome_counts
+        survivors = counts["positive"] + counts["negation"]
+        assert survivors + counts.get("blocked", 0) == trials
+        assert within_sigmas(survivors, trials, survival)
+        assert within_sigmas(counts["positive"], survivors, value)
+        # Trials reaching each checkpoint (start, each detector, end): a
+        # detector's two counts are the trials that reach it, and only a
+        # blocking apparatus between two checkpoints can lose trials.
+        positions = [-1, *sorted(reach), len(chain.apparatuses)]
+        reached = [trials]
+        for idx in sorted(reach):
+            n = sum(report.detector_counts.get(f"apparatus{idx}:{b}", 0) for b in ("positive", "negation"))
+            assert within_sigmas(n, trials, reach[idx])
+            reached.append(n)
+        reached.append(survivors)
+        for k in range(len(positions) - 1):
+            if any(blocks[positions[k] + 1:positions[k + 1]]):
+                assert reached[k + 1] <= reached[k]
+            else:
+                assert reached[k + 1] == reached[k]
+    assert blocks_after_detectors >= 10
