@@ -40,7 +40,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, _self_adjoint_matrix
+from .events import Event, _dimension, _self_adjoint_matrix
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 # Agreement threshold between the closed-form and step-by-step values of
@@ -183,6 +183,7 @@ class State:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "State":
         """The uniform state, identity divided by dimension."""
+        dim = _dimension(dim)
         return cls(np.eye(dim, dtype=np.complex128) / dim)
 
     @property

@@ -15,8 +15,9 @@ No eigendecomposition is used anywhere; ranks come from traces and the
 meet comes from repeated squaring of the product ``e @ f @ e``.
 
 This module also holds the package's one input check for matrices,
-which events, states and operands all pass, its one index rule, and the
-one sameness and one exclusion rule.
+which events, states and operands all pass, its one index and one
+dimension rule, the one sameness and one exclusion rule, and the ray of
+a minimal event.
 """
 
 from __future__ import annotations
@@ -114,6 +115,13 @@ def _index(i, stop: int, what: str) -> int:
     return int(i)
 
 
+def _dimension(dim) -> int:
+    """The one dimension rule: a positive integer by ``_is_integer``."""
+    if not (_is_integer(dim) and dim >= 1):
+        raise ValidationError(f"dimension must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
 def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     """Check that a matrix is an orthogonal projection and wrap it.
 
@@ -134,13 +142,13 @@ def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
 
 def zero_event(dim: int) -> Event:
     """The impossible event."""
+    dim = _dimension(dim)
     return Event(np.zeros((dim, dim), dtype=np.complex128), 0)
 
 
 def identity_event(dim: int) -> Event:
     """The certain event."""
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValidationError(f"dimension must be a positive integer, got {dim!r}")
+    dim = _dimension(dim)
     return Event(np.eye(dim, dtype=np.complex128), dim)
 
 
@@ -154,16 +162,30 @@ def complement(e: Event) -> Event:
     return Event(np.eye(e.dim, dtype=np.complex128) - e.matrix, e.dim - e.rank)
 
 
-# The sameness and exclusion rules.  ``e`` and ``f`` broadcast as matrix
-# stacks, one boolean per pair.  lattice_meet on two minimal events and the
-# valuation problems' deduplication decide by _same; is_orthogonal and their
-# exclusion relation decide by _excludes.
-def _same(e: np.ndarray, f: np.ndarray, tol: Tolerances) -> np.ndarray:
-    return np.linalg.norm(e - f, axis=(-2, -1)) <= tol.atol + tol.rtol
+# The sameness and exclusion rules, on Frobenius norms given as scalars or
+# arrays: e and f are the same event when |e - f|_F is within atol + rtol,
+# and exclude each other when |e @ f|_F is.  lattice_meet on two minimal
+# events and the valuation problems' deduplication decide by _same;
+# is_orthogonal and their exclusion relation decide by _excludes.
+def _same(distance, tol: Tolerances):
+    return distance <= tol.atol + tol.rtol
 
 
-def _excludes(e: np.ndarray, f: np.ndarray, tol: Tolerances) -> np.ndarray:
-    return np.linalg.norm(e @ f, axis=(-2, -1)) <= tol.atol + tol.rtol
+def _excludes(overlap, tol: Tolerances):
+    return overlap <= tol.atol + tol.rtol
+
+
+def _ray(e: Event) -> np.ndarray:
+    """Unit vector spanning the range of a minimal event, up to phase.
+
+    For ``e = v @ adjoint(v)`` column k is ``v * conj(v[k])`` and the
+    diagonal entry ``|v[k]|^2``, so the column with the largest diagonal
+    entry (at least 1/d) divided by its norm is ``v`` times a phase: O(d)
+    work, no eigendecomposition.  ``e`` must be minimal.
+    """
+    k = int(np.argmax(e.matrix.diagonal().real))
+    column = e.matrix[:, k]
+    return column / np.linalg.norm(column)
 
 
 def is_orthogonal(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -172,7 +194,7 @@ def is_orthogonal(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     Symmetric for events, since ``f @ e`` is the adjoint of ``e @ f``.
     """
     _check_same_space(e, f)
-    return bool(_excludes(e.matrix, f.matrix, tol))
+    return bool(_excludes(np.linalg.norm(e.matrix @ f.matrix, "fro"), tol))
 
 
 def implies(f: Event, e: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -217,7 +239,7 @@ def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
     """
     _check_same_space(e, f)
     if e.is_minimal() and f.is_minimal():
-        return e if _same(e.matrix, f.matrix, tol) else zero_event(e.dim)
+        return e if _same(np.linalg.norm(e.matrix - f.matrix, "fro"), tol) else zero_event(e.dim)
     a = _polish(e.matrix)
     t = a @ _polish(f.matrix) @ a
     t = (t + t.conj().T) / 2.0

@@ -23,9 +23,12 @@ The incoherent variant models the presence of a which-part record: the
 classical mixture terms survive, the interference term is dropped.
 
 All four entry points read their terms from one kernel.  It checks the
-split once and forms ``e1 @ rho @ e1``, ``e2 @ rho @ e2`` and
-``e2 @ rho @ e1`` once; each outcome then costs three traces against
-``d``, in O(d^2) rather than O(d^3).
+split once.  For a general state it forms ``e1 @ rho @ e1``,
+``e2 @ rho @ e2`` and ``e2 @ rho @ e1`` once; each outcome then costs
+three traces against ``d``, in O(d^2) rather than O(d^3).  A minimal
+preparation runs on its ray ``v``: the kernel forms ``e1 @ v`` and
+``e2 @ v`` once, and each outcome costs two matrix-vector products
+with ``d``, so no d x d product is formed at all.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .conditioning import State, cond_prob
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, is_orthogonal, validate_event
+from .events import Event, _ray, is_orthogonal, validate_event
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 
@@ -72,10 +75,17 @@ def _decompose(
 ) -> tuple[Event, float, list[tuple[float, float, complex]]]:
     """Terms of ``trace(rho @ e @ d @ e)`` over the split ``e = e1 + e2``.
 
-    Returns the combined event ``e``, the normalizer ``trace(rho @ e)``
-    and, for each outcome ``d``, the triple ``(part1, part2, cross)``:
+    ``rho`` is a density matrix, or the unit ray ``v`` of a minimal
+    preparation, which stands for ``rho = v @ adjoint(v)``.  Returns the
+    combined event ``e``, the normalizer ``trace(rho @ e)`` and, for each
+    outcome ``d``, the triple ``(part1, part2, cross)``:
 
         trace(rho @ e1 @ d @ e1),  trace(rho @ e2 @ d @ e2),  trace(rho @ e1 @ d @ e2).
+
+    On a ray, with ``b_i = e_i @ v``, these are ``adjoint(b_1) d b_1``,
+    ``adjoint(b_2) d b_2`` and ``adjoint(b_1) d b_2``, the normalizer is
+    ``adjoint(v) e v`` and the branch weights are ``|b_i|^2``, so each
+    outcome costs O(d^2).
 
     Outcomes are checked before the weights, so an invalid outcome raises
     :class:`ValidationError` even where the decomposition is undefined.
@@ -94,31 +104,45 @@ def _decompose(
             raise ValidationError("outcome must be an Event")
     if any(x.dim != rho.shape[0] for x in (e, *outcomes)):
         raise ValidationError("state, outcome and branch dimensions must agree")
-    left = rho @ e1.matrix
-    a1 = e1.matrix @ left
-    a2 = e2.matrix @ rho @ e2.matrix
-    c = e2.matrix @ left
-    normalizer = clamp_probability(float(np.real(np.vdot(e.matrix, rho))), tol, what="probability of the condition")
-    if min(np.trace(a1).real, np.trace(a2).real) <= tol.prob_floor:
+    if rho.ndim == 1:
+        b1, b2 = e1.matrix @ rho, e2.matrix @ rho
+        weights = (np.vdot(b1, b1).real, np.vdot(b2, b2).real)
+        raw_normalizer = np.vdot(rho, e.matrix @ rho).real
+
+        def parts(d: np.ndarray):
+            d2 = d @ b2
+            return np.vdot(b1, d @ b1), np.vdot(b2, d2), np.vdot(b1, d2)
+    else:
+        left = rho @ e1.matrix
+        a1 = e1.matrix @ left
+        a2 = e2.matrix @ rho @ e2.matrix
+        c = e2.matrix @ left
+        weights = (np.trace(a1).real, np.trace(a2).real)
+        raw_normalizer = np.real(np.vdot(e.matrix, rho))
+
+        def parts(d: np.ndarray):
+            # trace(x @ d) == dot(x.ravel(), d.T.ravel()), in O(d^2).
+            flat = d.T.ravel()
+            return (np.dot(x.ravel(), flat) for x in (a1, a2, c))
+    normalizer = clamp_probability(float(raw_normalizer), tol, what="probability of the condition")
+    if min(weights) <= tol.prob_floor:
         raise UndefinedProbabilityError("branch probability vanishes; decomposition is undefined")
     if normalizer <= tol.prob_floor:
         raise UndefinedProbabilityError("combined condition has vanishing probability")
     terms = []
     for d in outcomes:
-        # trace(x @ d) == dot(x.ravel(), d.T.ravel()), in O(d^2).
-        flat = d.matrix.T.ravel()
-        p1, p2, cross = (np.dot(x.ravel(), flat) for x in (a1, a2, c))
+        p1, p2, cross = parts(d.matrix)
         terms.append((float(p1.real), float(p2.real), complex(cross)))
     return e, normalizer, terms
 
 
 def _prepared(f: Event) -> np.ndarray:
-    """The state after minimal preparation ``f``: the projector itself."""
+    """The unit ray of a minimal preparation ``f``, which stands for the state ``f`` itself."""
     if not isinstance(f, Event):
         raise ValidationError("preparation must be an Event")
     if not f.is_minimal():
         raise ValidationError("preparation event must be minimal (rank 1)")
-    return f.matrix
+    return _ray(f)
 
 
 def split_cond_prob(

@@ -58,18 +58,70 @@ def _stack(events: Sequence[Event]) -> np.ndarray:
     return np.stack([e.matrix for e in events])
 
 
-def _exclusion_relation(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Symmetric mutual exclusion by :func:`is_orthogonal`'s rule, one batched row pass per event."""
-    n = len(stack)
-    relation = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        relation[i, i + 1:] = _excludes(stack[i], stack[i + 1:], tol)
-    return relation | relation.T
+# Entries of complex128 (4 MiB) that one block of rows of a batched pass may
+# hold, so that the passes stay bounded in memory at d = 128.
+_PASS_ENTRIES = 1 << 18
 
 
-def _enumerate_resolutions(ranks: list[int], dim: int, relation: np.ndarray) -> list[tuple[int, ...]]:
+def _rows_per_block(stack: np.ndarray) -> int:
+    """Rows of a block of a batched pass over ``stack``: each row meets at most the whole stack."""
+    n, d, _ = stack.shape
+    return max(1, _PASS_ENTRIES // (n * d * d))
+
+
+def _deduplicate(stack: np.ndarray, tol: Tolerances) -> tuple[list[int], list[int]]:
+    """``(kept, remap)``: the stack indices of the distinct events, and each event's position in ``kept``.
+
+    Each event maps to the first kept event that the sameness rule of
+    :func:`lattice_meet`, ``|e - f|_F``, matches, or is kept itself.  One
+    batched pass per block of rows compares the block with the events
+    kept before it and with itself.
+    """
+    step = _rows_per_block(stack)
+    kept: list[int] = []
+    remap: list[int] = []
+    for start in range(0, len(stack), step):
+        block = stack[start:start + step]
+        before = len(kept)
+        candidates = np.concatenate([stack[kept], block])
+        same = _same(np.linalg.norm(block[:, None] - candidates[None], axis=(-2, -1)), tol).tolist()
+        # Column of each kept event in ``same``: kept before the block, then block rows.
+        columns = list(range(before))
+        for r, row in enumerate(same):
+            match = next((k for k, c in enumerate(columns) if row[c]), None)
+            if match is None:
+                match = len(kept)
+                kept.append(start + r)
+                columns.append(before + r)
+            remap.append(match)
+    return kept, remap
+
+
+def _exclusion_relation(stack: np.ndarray, tol: Tolerances) -> list[list[bool]]:
+    """Symmetric mutual exclusion by :func:`is_orthogonal`'s rule, ``|e_i @ e_j|_F``, as lists.
+
+    One matrix product per block of rows: the block's events stacked as
+    rows times the events from the block's first on, side by side, has
+    block (i, j) equal to ``e_i @ e_j``, read by its Frobenius norm.
+    Pairs ``i < j`` are decided and mirrored; no event excludes itself.
+    """
+    n, d, _ = stack.shape
+    side_by_side = stack.transpose(1, 0, 2).reshape(d, n * d)
+    step = _rows_per_block(stack)
+    norms = np.full((n, n), np.inf)
+    for start in range(0, n, step):
+        products = stack[start:start + step].reshape(-1, d) @ side_by_side[:, start * d:]
+        # Squared norm of each row of each block e_i @ e_j, over the real and
+        # imaginary parts, then summed over the block's rows.
+        parts = products.view(np.float64).reshape(len(products), n - start, 2 * d)
+        rows = np.einsum("ijk,ijk->ij", parts, parts).reshape(-1, d, n - start)
+        norms[start:start + step, start:] = np.sqrt(rows.sum(axis=1))
+    relation = np.triu(_excludes(norms, tol), 1)
+    return (relation | relation.T).tolist()
+
+
+def _enumerate_resolutions(ranks: list[int], dim: int, exclusive: list[list[bool]]) -> list[tuple[int, ...]]:
     n = len(ranks)
-    exclusive = relation.tolist()
     found: list[tuple[int, ...]] = []
 
     def extend(start: int, chosen: list[int], rank_sum: int) -> None:
@@ -104,8 +156,8 @@ def build_resolutions(events: Sequence[Event], tol: Tolerances = DEFAULT_TOL) ->
 class ValuationProblem:
     """A finite event collection together with its resolutions.
 
-    The events are stacked once.  Row passes over that stack merge
-    duplicates (each event maps to the first kept event the sameness
+    The events are stacked once.  Batched passes over that stack find
+    the duplicates (each event maps to the first kept event the sameness
     rule of :func:`lattice_meet` matches) and then build the exclusion
     relation between the kept events, which the resolutions and the
     search both read.  When ``resolutions`` is omitted they are
@@ -132,34 +184,28 @@ class ValuationProblem:
         if any(e.is_zero() for e in raw):
             raise ValidationError("the zero event cannot carry a truth value")
 
-        kept: list[int] = []
-        remap: list[int] = []
-        for i in range(len(raw)):
-            hits = np.flatnonzero(_same(stack[i], stack[kept], tol))
-            if hits.size:
-                remap.append(int(hits[0]))
-            else:
-                remap.append(len(kept))
-                kept.append(i)
+        kept, remap = _deduplicate(stack, tol)
         if len(kept) > MAX_EVENTS:
             raise ValidationError(f"at most {MAX_EVENTS} distinct events are supported, got {len(kept)}")
 
-        relation = _exclusion_relation(stack[kept], tol)
+        exclusive = _exclusion_relation(stack[kept], tol)
         ranks, dim = [raw[i].rank for i in kept], raw[0].dim
         if resolutions is None:
-            families = _enumerate_resolutions(ranks, dim, relation)
+            families = _enumerate_resolutions(ranks, dim, exclusive)
         else:
             families = []
             for fam in resolutions:
                 mapped = sorted({remap[_index(i, len(raw), "resolution index")] for i in fam})
-                if not all(relation[a, b] for k, a in enumerate(mapped) for b in mapped[k + 1:]):
+                if not all(exclusive[a][b] for k, a in enumerate(mapped) for b in mapped[k + 1:]):
                     raise ValidationError("resolution members must be pairwise exclusive")
                 if sum(ranks[i] for i in mapped) != dim:
                     raise ValidationError("resolution members must sum to the identity")
                 families.append(tuple(mapped))
         self._events = tuple(raw[i] for i in kept)
         self._resolutions = tuple(families)
-        self._exclusive_pairs = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(relation))))
+        self._exclusive_pairs = tuple(
+            (i, j) for i, row in enumerate(exclusive) for j in range(i + 1, len(row)) if row[j]
+        )
 
     @property
     def events(self) -> tuple[Event, ...]:

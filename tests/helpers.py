@@ -2,8 +2,8 @@
 
 Oracles here deliberately use different algorithms than the package
 (SVD-based subspace math, brute-force enumeration, a forward pass over
-unnormalised density matrices) so agreement is evidence, not
-circularity.
+unnormalised density matrices, the state-independence fit from dense
+products) so agreement is evidence, not circularity.
 """
 
 import math
@@ -11,7 +11,17 @@ import math
 import numpy as np
 from scipy.linalg import svd
 
-from qcondprob import Apparatus, Chain, Event, State, validate_event
+from qcondprob import (
+    DEFAULT_TOL,
+    Apparatus,
+    Chain,
+    Event,
+    State,
+    UndefinedProbabilityError,
+    ValidationError,
+    clamp_probability,
+    validate_event,
+)
 from qcondprob.experiments import MODE_BLOCK
 
 
@@ -124,3 +134,32 @@ def within_sigmas(count, n, p, sigmas=5.0):
     """Whether ``count`` successes of ``n`` fit probability ``p``; one count of slack for tiny n p."""
     p = min(max(p, 0.0), 1.0)
     return abs(count - n * p) <= sigmas * math.sqrt(n * p * (1.0 - p)) + 1.0
+
+
+def dense_objective_seq(d: Event, chain, tol=DEFAULT_TOL):
+    """The state-independence fit of ``objective_seq`` from dense d x d products.
+
+    With the ordered product E: refuse a chain weight tr(E E^H) at or below
+    prob_floor, then a reference G = E E^H with |G|_F^2 <= (atol + rtol)^2;
+    fit lam = <G, C> / <G, G> for C = E d E^H; accept when |C - lam G|_F <=
+    objectivity_tol (1 + |G|_F) and Im lam is within atol + rtol |lam|.
+    Returns ``(lam, residual, objective, value)``.
+    """
+    product = chain[0].matrix
+    for e in chain[1:]:
+        product = product @ e.matrix
+    if np.vdot(product, product).real <= tol.prob_floor:
+        raise UndefinedProbabilityError("chain product vanishes")
+    adjoint = product.conj().T
+    reference = product @ adjoint
+    compressed = product @ d.matrix @ adjoint
+    denom = np.vdot(reference, reference).real
+    if denom <= (tol.atol + tol.rtol) ** 2:
+        raise ValidationError("numerically zero reference")
+    lam = complex(np.vdot(reference, compressed)) / denom
+    residual = float(np.linalg.norm(compressed - lam * reference))
+    objective = residual <= tol.objectivity_tol * (1.0 + np.linalg.norm(reference))
+    if objective and abs(lam.imag) > tol.atol + tol.rtol * abs(lam):
+        objective = False
+    value = clamp_probability(lam.real, tol) if objective else None
+    return lam, residual, objective, value

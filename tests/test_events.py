@@ -142,6 +142,33 @@ def test_dimension_mismatch_raises():
             fn(e2, e3)
 
 
+def test_dimension_arguments_follow_one_rule():
+    # Only a positive integer (a bool is not one) is a dimension; anything
+    # else is an input error, for every constructor that takes one.
+    constructors = (zero_event, identity_event, State.maximally_mixed)
+    for build in constructors:
+        for bad in (0, -1, 2.5, True, False, "3", None):
+            with pytest.raises(ValidationError, match="dimension must be a positive integer"):
+                build(bad)
+        assert build(np.int64(3)).dim == 3
+    assert zero_event(2).is_zero() and identity_event(2).is_identity()
+
+
+def test_ray_spans_a_minimal_event():
+    # Exact rays and rays written to 10 decimals (dims up to 6, where
+    # rounding stays within the idempotence budget).
+    rng = np.random.default_rng(181)
+    for dim in (1, 2, 5, 6, 16):
+        for _ in range(10):
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            v /= np.linalg.norm(v)
+            p = np.outer(v, v.conj())
+            for e in (validate_event(p), *([validate_event(np.round(p, 10))] if dim <= 6 else [])):
+                ray = events._ray(e)
+                assert abs(np.linalg.norm(ray) - 1.0) < 1e-15
+                assert np.linalg.norm(np.outer(ray, ray.conj()) - e.matrix) < 1e-9
+
+
 def test_meet_commuting_is_product():
     a = validate_event(np.diag([1.0, 1.0, 0.0, 0.0]))
     b = validate_event(np.diag([0.0, 1.0, 1.0, 0.0]))

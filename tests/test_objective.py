@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from qcondprob import (
 )
 from qcondprob.fixtures import first_axis_projector_dim4, objective_pair
 
-from helpers import random_full_rank_state, random_projection, random_rank1, random_unitary
+from helpers import dense_objective_seq, random_full_rank_state, random_projection, random_rank1, random_unitary
 
 
 def test_reference_pair_is_objective_at_one_half():
@@ -212,6 +214,92 @@ def test_objective_seq_refuses_a_fit_below_the_zero_reference_threshold():
             result = objective_seq(outcome, [e1, e2])
             assert result.objective
             assert abs(result.value - answer) < 1e-15
+
+
+def _written_to_10_decimals(rng, e):
+    """``(event, rounded)``: with probability 1/3, ``e`` rounded to 10 decimals, when that still validates."""
+    if rng.random() < 1.0 / 3.0:
+        try:
+            return validate_event(np.round(e.matrix, 10)), True
+        except ValidationError:
+            pass
+    return e, False
+
+
+def _ray_at_overlap(rng, v, s):
+    """A minimal event on a unit vector whose overlap with the unit vector ``v`` is ``s``."""
+    w = rng.normal(size=v.size) + 1j * rng.normal(size=v.size)
+    w -= np.vdot(v, w) * v
+    w = np.sqrt(1.0 - s * s) * w / np.linalg.norm(w) + s * v
+    return validate_event(np.outer(w, w.conj()))
+
+
+def test_rank_one_path_matches_the_dense_fit():
+    # A sequence with a minimal event factors through its ray; against the
+    # fit from dense products: d 2-16, 1-4 events, the minimal event at the
+    # head, middle or tail, a third of the events written to 10 decimals.
+    # Some sequences are planted to hit each refusal: the complement of the
+    # minimal event beside it (a vanishing product), or a ray at overlap s
+    # from it, s log-uniform in [1e-6, 1e-4], across both thresholds.
+    rng = np.random.default_rng(1009)
+    seen = {"rounded": 0, "objective": 0, "not objective": 0,
+            UndefinedProbabilityError: 0, ValidationError: 0}
+    for case in range(480):
+        dim = int(rng.integers(2, 17))
+        k = int(rng.integers(1, 5))
+        j = (0, k // 2, k - 1)[case % 3]
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v /= np.linalg.norm(v)
+        chain = [validate_event(np.outer(v, v.conj())) if i == j else random_projection(rng, dim, int(rng.integers(1, dim)))
+                 for i in range(k)]
+        if k > 1 and case % 8 in (0, 1):
+            beside = j + 1 if j + 1 < k else j - 1
+            chain[beside] = complement(chain[j]) if case % 8 == 0 else _ray_at_overlap(rng, v, 10.0 ** rng.uniform(-6, -4))
+        d = random_projection(rng, dim, int(rng.integers(1, dim + 1)))
+        written = [_written_to_10_decimals(rng, x) for x in (d, *chain)]
+        d, chain = written[0][0], [x for x, _ in written[1:]]
+        rounded = any(r for _, r in written)
+        bound = 1e-9 if rounded else 1e-12
+        try:
+            want = dense_objective_seq(d, chain)
+        except (UndefinedProbabilityError, ValidationError) as exc:
+            with pytest.raises(type(exc)):
+                objective_seq(d, chain)
+            seen[type(exc)] += 1
+            continue
+        got = objective_seq(d, chain)
+        lam, _, objective, value = want
+        assert abs(got.lam - lam) <= bound
+        assert got.objective == objective and (got.value is None) == (value is None)
+        if value is not None:
+            assert abs(got.value - value) <= bound
+        seen["rounded"] += rounded
+        seen["objective" if objective else "not objective"] += 1
+    # A minimal condition certifies every value it can fit.
+    assert seen["not objective"] == 0
+    assert seen["objective"] >= 300 and seen["rounded"] >= 100
+    assert seen[UndefinedProbabilityError] >= 20 and seen[ValidationError] >= 5
+
+
+def test_rank_one_path_cost_is_quadratic_in_the_dimension():
+    # At d = 512 the dense fit forms d x d products in O(d^3); a sequence
+    # with a minimal event needs only matrix-vector products.
+    rng = np.random.default_rng(1013)
+    dim = 512
+    chain = [random_projection(rng, dim, dim // 2), random_rank1(rng, dim), random_projection(rng, dim, dim // 2)]
+    d = random_projection(rng, dim, dim // 4)
+
+    def best_of_three(fn):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    dense = best_of_three(lambda: dense_objective_seq(d, chain))
+    fast = best_of_three(lambda: objective_seq(d, chain))
+    assert 5.0 * fast <= dense
 
 
 def test_objective_seq_validation():

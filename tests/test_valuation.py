@@ -17,6 +17,7 @@ from qcondprob import (
     spin_projector,
     validate_event,
 )
+from qcondprob import valuation
 from qcondprob.fixtures import classical_valuation, kochen_specker_18, qubit_valuation
 
 from helpers import random_projection, random_unitary
@@ -194,6 +195,24 @@ def test_exclusion_relation_matches_pairwise_is_orthogonal():
         assert (again.assignment, again.nodes_explored) == (found.assignment, found.nodes_explored)
 
 
+def test_batched_passes_do_not_depend_on_the_block_size(monkeypatch):
+    # The passes split their rows into blocks under an entry budget; one row
+    # per block, a few rows, and the whole stack at once give one problem.
+    rng = np.random.default_rng(1117)
+    raws = []
+    for _ in range(40):
+        events, _ = _planted_problem(rng, DEFAULT_TOL)
+        raws.append(events + [events[i] for i in rng.integers(len(events), size=3)])
+
+    def built():
+        return [(p.events, p.exclusive_pairs, p.resolutions) for p in map(ValuationProblem, raws)]
+
+    whole = built()
+    for entries in (1, 64, 512):
+        monkeypatch.setattr(valuation, "_PASS_ENTRIES", entries)
+        assert built() == whole
+
+
 def test_search_reads_the_problems_exclusion_relation():
     # Two rays 1e-6 apart from orthogonal in a qutrit, plus the third axis.
     # Under a loose tolerance they exclude each other, so at most one is
@@ -309,6 +328,18 @@ def test_deduplication_matches_a_first_match_oracle():
         assert all(a is b for a, b in zip(problem.events, kept))
         assert problem.resolutions == tuple(tuple(sorted((remap[i], remap[j]))) for i, j in pairs)
     assert merged > 0 and distinct > merged
+
+
+def test_deduplication_maps_to_the_first_of_several_matches():
+    # Copies at 0 and 1.5 thresholds are both kept; one at 0.75 matches
+    # both and maps to the first kept, wherever the copies sit in the stack.
+    q = random_unitary(np.random.default_rng(2211), 4)
+    step = (DEFAULT_TOL.atol + DEFAULT_TOL.rtol) / np.sqrt(2.0)
+    low, high, middle = (_rotated(q, 2, u * step) for u in (0.0, 1.5, 0.75))
+    for raw, want in (([low, high, middle], (low, high)), ([high, low, middle], (high, low))):
+        problem = ValuationProblem(raw + [complement(middle)], resolutions=[(2, 3)])
+        assert problem.events[:2] == want
+        assert problem.resolutions == ((0, 2),)
 
 
 def test_meet_of_rays_and_deduplication_share_the_sameness_rule():
