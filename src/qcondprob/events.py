@@ -22,6 +22,8 @@ a minimal event.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
@@ -81,9 +83,11 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
     """The one input check for matrices: events, states and operands.
 
     Coerces ``entries`` to a fresh finite square complex128 matrix ``m``
-    and requires ``|m - adjoint(m)|_F <= atol + rtol * (1 + |m|_F)``.
-    Returns ``m`` with that budget, which callers reuse for their further
-    checks.  Raises :class:`ValidationError` naming ``what``.
+    with a finite ``|m|_F`` and requires
+    ``|m - adjoint(m)|_F <= atol + rtol * (1 + |m|_F)``.  Returns ``m``
+    with that budget, which callers reuse for their further checks, taking
+    norms with :func:`_frobenius`, so that one that overflows exceeds the
+    budget.  Raises :class:`ValidationError` naming ``what``.
     """
     try:
         m = np.array(entries, dtype=np.complex128)
@@ -95,10 +99,25 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
         raise ValidationError("matrix must have positive dimension")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains non-finite entries")
-    budget = tol.atol + tol.rtol * (1.0 + float(np.linalg.norm(m, "fro")))
-    if float(np.linalg.norm(m - m.conj().T, "fro")) > budget:
+    norm = _frobenius(m)
+    # An infinite norm would make the budget infinite and pass every check.
+    if not math.isfinite(norm):
+        raise ValidationError(f"{what} is too large: its Frobenius norm overflows")
+    budget = tol.atol + tol.rtol * (1.0 + norm)
+    if _frobenius(m - m.conj().T) > budget:
         raise ValidationError(f"{what} is not self-adjoint within tolerance")
     return m, budget
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """``np.linalg.norm(x, "fro")`` bit for bit, but inf without a warning where it overflows.
+
+    ``np.vdot`` runs the same BLAS dot on the real and imaginary parts as
+    the norm does, without the floating-point check that reports an
+    overflow as a ``RuntimeWarning``.
+    """
+    x = x.ravel(order="K")
+    return math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
 
 
 def _is_integer(i) -> bool:
@@ -131,7 +150,7 @@ def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     property named.
     """
     m, budget = _self_adjoint_matrix(matrix, "event matrix", tol)
-    if float(np.linalg.norm(m @ m - m, "fro")) > budget:
+    if _frobenius(m @ m - m) > budget:
         raise ValidationError("event matrix is not idempotent within tolerance")
     tr = complex(np.trace(m))
     rank = int(round(tr.real))

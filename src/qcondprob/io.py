@@ -14,14 +14,25 @@ Events in scenario files may be written as a matrix or by name::
 
     {"spin": {"axis": "x", "sign": "+"}}
 
+Each matrix and each vector is converted in one bulk pass: one type
+scan over all entries and, for ``[re, im]`` entries, over all their
+parts, which admits only ``int`` and ``float`` (never ``bool``); one
+float64 conversion with ``np.fromiter``; and, for pairs, a view as
+complex128, which holds the same bits as ``complex(re, im)`` per entry.
+The per-entry rule runs only where the bulk pass declines: on a matrix
+that mixes bare numbers and pairs, and on malformed input, where it
+finds the first bad entry and names it.
+
 All loaders raise :class:`ValidationError` on malformed input, so the
 command line maps every file problem to its input-error exit code.
+Integers beyond float range are refused as well.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,7 +51,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise ValidationError(f"{path!r} is not valid JSON: {exc}") from exc
 
 
@@ -55,12 +66,49 @@ def _is_number(x, kinds=(int, float)) -> bool:
     return isinstance(x, kinds) and not isinstance(x, bool)
 
 
+def _float(x, where: str) -> float:
+    """``float(x)`` for a number by ``_is_number``; an integer beyond float range is refused."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValidationError(f"{where}: integer beyond float range") from exc
+
+
 def _entry_to_complex(entry, where: str) -> complex:
+    """The per-entry rule: a number, or an ``[re, im]`` pair of numbers."""
     if _is_number(entry):
-        return complex(entry)
+        return complex(_float(entry, where))
     if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(_is_number(x) for x in entry):
-        return complex(entry[0], entry[1])
+        return complex(_float(entry[0], where), _float(entry[1], where))
     raise ValidationError(f"{where}: each entry must be a number or an [re, im] pair, got {entry!r}")
+
+
+def _only_numbers(kinds) -> bool:
+    """Whether every type in ``kinds`` passes ``_is_number``."""
+    return all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds)
+
+
+def _bulk_complex(flat: list) -> np.ndarray | None:
+    """Entries converted at once, bit for bit as ``_entry_to_complex`` would.
+
+    Every entry must be a number, or every entry a list or tuple of two
+    numbers.  Returns a fresh 1-D complex128 array, or None when any entry
+    is of another form, the two forms mix or an integer exceeds float
+    range; the per-entry rule then decides.
+    """
+    kinds = set(map(type, flat))
+    pairs = not _only_numbers(kinds)
+    if pairs:
+        if not (kinds <= {list, tuple} and set(map(len, flat)) == {2}):
+            return None
+        flat = list(chain.from_iterable(flat))
+        if not _only_numbers(set(map(type, flat))):
+            return None
+    try:
+        values = np.fromiter(flat, dtype=np.float64, count=len(flat))
+    except OverflowError:
+        return None
+    return values.view(np.complex128) if pairs else values.astype(np.complex128)
 
 
 def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
@@ -74,6 +122,10 @@ def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{where}: 'dim' must be a positive integer")
     if len(entries) != dim:
         raise ValidationError(f"{where}: declared dim {dim} but found {len(entries)} rows")
+    if all(isinstance(row, list) and len(row) == dim for row in entries):
+        m = _bulk_complex(list(chain.from_iterable(entries)))
+        if m is not None:
+            return m.reshape(dim, dim)
     m = np.zeros((dim, dim), dtype=np.complex128)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
@@ -86,7 +138,10 @@ def matrix_from_obj(obj, where: str = "matrix") -> np.ndarray:
 def vector_from_obj(obj, where: str = "vector") -> PureVector:
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{where}: expected a non-empty list of amplitudes")
-    return PureVector([_entry_to_complex(x, f"{where}[{k}]") for k, x in enumerate(obj)])
+    amplitudes = _bulk_complex(obj)
+    if amplitudes is None:
+        amplitudes = [_entry_to_complex(x, f"{where}[{k}]") for k, x in enumerate(obj)]
+    return PureVector(amplitudes)
 
 
 def event_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "event") -> Event:
@@ -110,7 +165,8 @@ def state_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "state") -> 
             weight = comp["weight"]
             if not _is_number(weight):
                 raise ValidationError(f"{where}: ensemble weight must be a number, got {weight!r}")
-            pairs.append((float(weight), vector_from_obj(comp["vector"], f"{where}.ensemble[{k}].vector")))
+            weight = _float(weight, f"{where}.ensemble[{k}].weight")
+            pairs.append((weight, vector_from_obj(comp["vector"], f"{where}.ensemble[{k}].vector")))
         return State.from_ensemble(pairs, tol=tol)
     return State(matrix_from_obj(obj, where), tol=tol)
 
@@ -185,7 +241,8 @@ def classical_space_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ClassicalSpa
         raise ValidationError("classical space: expected an object with a 'weights' list")
     if not all(_is_number(w) for w in obj["weights"]):
         raise ValidationError(f"classical space: weights must be numbers, got {obj['weights']!r}")
-    return ClassicalSpace(obj["weights"], tol=tol)
+    weights = [_float(w, f"classical space: weights[{k}]") for k, w in enumerate(obj["weights"])]
+    return ClassicalSpace(weights, tol=tol)
 
 
 def classical_event_from_obj(obj, n_outcomes: int) -> ClassicalEvent:
@@ -197,11 +254,8 @@ def classical_event_from_obj(obj, n_outcomes: int) -> ClassicalEvent:
 
 
 def matrix_to_obj(matrix: np.ndarray) -> dict:
-    m = np.asarray(matrix, dtype=np.complex128)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(m.shape[1])] for i in range(m.shape[0])],
-    }
+    m = np.ascontiguousarray(matrix, dtype=np.complex128)
+    return {"dim": int(m.shape[0]), "entries": m.view(np.float64).reshape(*m.shape, 2).tolist()}
 
 
 def event_to_obj(e: Event) -> dict:

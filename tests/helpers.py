@@ -163,3 +163,37 @@ def dense_objective_seq(d: Event, chain, tol=DEFAULT_TOL):
         objective = False
     value = clamp_probability(lam.real, tol) if objective else None
     return lam, residual, objective, value
+
+
+def _reference_is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def reference_entry_to_complex(entry, where):
+    """One matrix or vector entry, the per-entry way: a number or an [re, im] pair."""
+    if _reference_is_number(entry):
+        return complex(entry)
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(_reference_is_number(x) for x in entry):
+        return complex(entry[0], entry[1])
+    raise ValidationError(f"{where}: each entry must be a number or an [re, im] pair, got {entry!r}")
+
+
+def reference_matrix_from_obj(obj, where="matrix"):
+    """Reference for ``io.matrix_from_obj``: one Python conversion and one numpy store per entry."""
+    if not isinstance(obj, dict) or "entries" not in obj:
+        raise ValidationError(f"{where}: expected an object with 'dim' and 'entries'")
+    entries = obj["entries"]
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError(f"{where}: 'entries' must be a non-empty list of rows")
+    dim = obj.get("dim", len(entries))
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValidationError(f"{where}: 'dim' must be a positive integer")
+    if len(entries) != dim:
+        raise ValidationError(f"{where}: declared dim {dim} but found {len(entries)} rows")
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValidationError(f"{where}: row {i} must be a list of {dim} entries")
+        for j, entry in enumerate(row):
+            m[i, j] = reference_entry_to_complex(entry, f"{where}[{i}][{j}]")
+    return m

@@ -256,6 +256,19 @@ def test_json_booleans_exit_2(tmp_path):
     assert "Traceback" not in rejected.stderr
 
 
+def test_out_of_range_numbers_exit_2(tmp_path):
+    # An integer beyond float range, and entries whose Frobenius norm overflows.
+    huge_int = tmp_path / "huge_int.json"
+    huge_int.write_text('{"entries": [[1, ' + "1" + "0" * 400 + '], [0, 0]]}')
+    huge_norm = tmp_path / "huge_norm.json"
+    huge_norm.write_text(json.dumps({"entries": [[0.5, 1e200], [1e200, 0.5]]}))
+    for path, message in ((huge_int, "integer beyond float range"), (huge_norm, "norm overflows")):
+        code, out, err = run_main("objective", "--outcome", str(path), "--event", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+
 def test_argparse_failures_exit_2():
     none = run_cli("condprob")
     assert none.returncode == 2

@@ -124,6 +124,8 @@ def test_state_value_on_events_and_observables():
     assert abs(state_value(zp, sigma_z) - 1.0) < 1e-15
     with pytest.raises(ValidationError):
         state_value(zp, np.array([[0, 1], [0, 0]]))
+    with pytest.raises(ValidationError, match="norm overflows"):
+        state_value(zp, np.array([[0, 1e200], [0, 0]]))
 
 
 def test_state_value_dimension_mismatch():

@@ -38,6 +38,20 @@ def test_validate_event_rejects_non_projections():
         validate_event(np.diag([0.5, 0.5]))
     with pytest.raises(ValidationError, match="idempotent"):
         validate_event(2.0 * np.eye(2))
+    # An infinite norm would make every budget infinite.
+    with pytest.raises(ValidationError, match="norm overflows"):
+        validate_event(np.array([[0.5, 1e200], [1e200, 0.5]]))
+
+
+def test_frobenius_matches_numpy_and_overflows_to_inf():
+    # The input check's norm keeps np.linalg.norm's bits, so no budget moves.
+    rng = np.random.default_rng(701)
+    for _ in range(200):
+        dim = int(rng.integers(1, 20))
+        m = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) * 10.0 ** int(rng.integers(-300, 70))
+        for x in (m, m.T, m - m.conj().T):
+            assert events._frobenius(x) == float(np.linalg.norm(x, "fro"))
+    assert events._frobenius(np.array([[0.5, 1e200], [1e200, 0.5]], dtype=np.complex128)) == np.inf
 
 
 def _off_block_anti_hermitian(rng, p):

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,12 @@ from qcondprob.io import (
     write_json,
 )
 
-from helpers import random_full_rank_state, random_projection
+from helpers import (
+    random_full_rank_state,
+    random_projection,
+    reference_entry_to_complex,
+    reference_matrix_from_obj,
+)
 
 
 def test_matrix_round_trip():
@@ -32,28 +38,118 @@ def test_matrix_round_trip():
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         back = matrix_from_obj(matrix_to_obj(m))
         assert np.array_equal(back, m)
+    # The writer reads any layout and keeps signed zeros, as a per-entry writer would.
+    m = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).T
+    m[0, 1] = complex(-0.0, -0.0)
+    per_entry = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(4)] for i in range(4)]
+    assert json.dumps(matrix_to_obj(m)) == json.dumps({"dim": 4, "entries": per_entry})
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
+
+
+def _random_number(rng, huge=True):
+    """A JSON-like number: ints, floats, signed zeros, subnormals, +-1e+-300, numpy float scalars."""
+    kind = int(rng.integers(8 if huge else 7))
+    sign = float(rng.choice([-1.0, 1.0]))
+    if kind == 0:
+        return int(rng.integers(-5, 6))
+    if kind == 1:
+        return int(sign) * 3 ** int(rng.integers(30, 200))  # beyond 2**53: rounded on conversion
+    if kind == 2:
+        return float(rng.normal())
+    if kind == 3:
+        return sign * 0.0
+    if kind == 4:
+        return sign * float(rng.uniform()) * 2.2250738585072014e-308
+    if kind == 5:
+        return np.float64(rng.normal())
+    if kind == 6:
+        return sign * 5e-324
+    return sign * float(rng.uniform(1.0, 1.7)) * 10.0 ** float(rng.choice([300, -300]))
+
+
+def _random_entry(rng, form, huge=True):
+    if form == "mixed":
+        form = str(rng.choice(["bare", "list", "tuple"]))
+    if form == "bare":
+        return _random_number(rng, huge)
+    pair = [_random_number(rng, huge), _random_number(rng, huge)]
+    return pair if form == "list" else tuple(pair)
+
+
+def test_bulk_decoding_is_bit_identical_to_the_per_entry_reference():
+    rng = np.random.default_rng(619)
+    for _ in range(240):
+        dim = int(rng.integers(1, 17))
+        form = str(rng.choice(["bare", "list", "tuple", "mixed"]))
+        entries = [[_random_entry(rng, form) for _ in range(dim)] for _ in range(dim)]
+        obj = {"dim": dim, "entries": entries} if rng.random() < 0.5 else {"entries": entries}
+        fast = matrix_from_obj(obj)
+        assert fast.dtype == np.complex128 and fast.shape == (dim, dim)
+        assert np.array_equal(_bits(fast), _bits(reference_matrix_from_obj(obj))), (dim, form)
+        # Vectors: no +-1e300 entries, whose squared norm overflows in PureVector.
+        amplitudes = [1] + [_random_entry(rng, form, huge=False) for _ in range(dim - 1)]
+        expected = [reference_entry_to_complex(x, "v") for x in amplitudes]
+        assert np.array_equal(_bits(vector_from_obj(amplitudes).amplitudes), _bits(expected)), (dim, form)
+
+
+_EACH = "each entry must be a number or an [re, im] pair, got"
+
+
+@pytest.mark.parametrize("obj, message", [
+    pytest.param([[1, 0], [0, 1]], "m: expected an object with 'dim' and 'entries'", id="not-an-object"),
+    pytest.param({"entries": []}, "m: 'entries' must be a non-empty list of rows", id="empty-entries"),
+    pytest.param({"dim": 0, "entries": [[1]]}, "m: 'dim' must be a positive integer", id="dim-zero"),
+    pytest.param({"dim": 3, "entries": [[1, 0], [0, 1]]}, "m: declared dim 3 but found 2 rows", id="dim-mismatch"),
+    pytest.param({"entries": [[1, 0], [0]]}, "m: row 1 must be a list of 2 entries", id="ragged-row"),
+    pytest.param({"entries": [[1, 0], (0, 1)]}, "m: row 1 must be a list of 2 entries", id="row-not-a-list"),
+    pytest.param({"entries": [[1, "x"], [0]]}, f"m[0][1]: {_EACH} 'x'", id="entry-before-ragged-row"),
+    pytest.param({"entries": [[1, True], [0, 1]]}, f"m[0][1]: {_EACH} True", id="bool"),
+    pytest.param({"entries": [[[1, 0], [0, False]], [[0, 0], [1, 0]]]}, f"m[0][1]: {_EACH} [0, False]", id="bool-in-pair"),
+    pytest.param({"entries": [[1, "x"], [0, 1]]}, f"m[0][1]: {_EACH} 'x'", id="string"),
+    pytest.param({"entries": [[1, 0], [None, 1]]}, f"m[1][0]: {_EACH} None", id="none"),
+    pytest.param({"entries": [[[1, 0], [0, 1, 2]], [[0, 0], [1, 0]]]}, f"m[0][1]: {_EACH} [0, 1, 2]", id="three-element-pair"),
+    pytest.param({"entries": [[[[1, 0], [0, 0]], [0, 0]], [[0, 0], [1, 0]]]}, f"m[0][0]: {_EACH} [[1, 0], [0, 0]]", id="nested-pair"),
+    pytest.param({"entries": [[[[1, 0], [0, 0]]]]}, f"m[0][0]: {_EACH} [[1, 0], [0, 0]]", id="all-nested"),
+    pytest.param({"entries": [[[1]]]}, f"m[0][0]: {_EACH} [1]", id="one-element-pair"),
+    pytest.param({"entries": [[1, [0, 1]], [0, None]]}, f"m[1][1]: {_EACH} None", id="none-in-mixed"),
+    pytest.param({"entries": [[np.array([1.0, 0.0])]]}, f"m[0][0]: {_EACH} array([1., 0.])", id="array-pair"),
+])
+def test_malformed_matrices_keep_their_messages(obj, message):
+    for parse in (matrix_from_obj, reference_matrix_from_obj):
+        with pytest.raises(ValidationError) as info:
+            parse(obj, "m")
+        assert str(info.value) == message
+
+
+def test_integers_beyond_float_range_are_refused(tmp_path):
+    huge = 10 ** 400
+    for entries, message in (
+        ([[1, huge], [0, 1]], "m[0][1]: integer beyond float range"),
+        ([[[1, 0], [0, -huge]], [[0, 0], [1, 0]]], "m[0][1]: integer beyond float range"),
+        ([[1, [huge, 0]], [0, 1]], "m[0][1]: integer beyond float range"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            matrix_from_obj({"entries": entries}, "m")
+        assert str(info.value) == message
+    with pytest.raises(ValidationError, match=r"^v\[1\]: integer beyond float range$"):
+        vector_from_obj([1, huge], "v")
+    with pytest.raises(ValidationError, match=r"^s\.ensemble\[0\]\.weight: integer beyond float range$"):
+        state_from_obj({"ensemble": [{"weight": huge, "vector": [1, 0]}]}, where="s")
+    with pytest.raises(ValidationError, match=r"weights\[1\]: integer beyond float range$"):
+        classical_space_from_obj({"weights": [0.5, huge]})
+    # Past the interpreter's integer-string limit the parse itself refuses; below it, the loader does.
+    path = tmp_path / "long_integer.json"
+    path.write_text('{"entries": [[1' + "0" * 5000 + "]]}", encoding="utf-8")
+    with pytest.raises(ValidationError):
+        load_event(str(path))
 
 
 def test_matrix_accepts_bare_reals_and_defaults_dim():
     m = matrix_from_obj({"entries": [[1, 0], [0, [0, 1]]]})
     assert np.array_equal(m, np.array([[1, 0], [0, 1j]]))
-
-
-def test_matrix_rejects_malformed_objects():
-    with pytest.raises(ValidationError):
-        matrix_from_obj([[1, 0], [0, 1]])
-    with pytest.raises(ValidationError):
-        matrix_from_obj({"entries": []})
-    with pytest.raises(ValidationError):
-        matrix_from_obj({"dim": 3, "entries": [[1, 0], [0, 1]]})
-    with pytest.raises(ValidationError):
-        matrix_from_obj({"entries": [[1, 0], [0]]})
-    with pytest.raises(ValidationError):
-        matrix_from_obj({"entries": [[1, "x"], [0, 1]]})
-    with pytest.raises(ValidationError):
-        matrix_from_obj({"entries": [[1, [0, 1, 2]], [0, 1]]})
-    with pytest.raises(ValidationError):
-        matrix_from_obj({"dim": 0, "entries": []})
 
 
 def test_vector_from_obj():
