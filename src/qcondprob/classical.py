@@ -33,7 +33,7 @@ class ClassicalSpace:
     def __init__(self, weights, tol: Tolerances = DEFAULT_TOL):
         try:
             w = np.array(weights, dtype=np.float64).reshape(-1)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"cannot interpret weights: {exc}") from exc
         if w.size == 0:
             raise ValidationError("classical space needs at least one outcome")

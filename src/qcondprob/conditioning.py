@@ -40,7 +40,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, _dimension, _self_adjoint_matrix
+from .events import Event, _dimension, _frobenius, _self_adjoint_matrix
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 # Agreement threshold between the closed-form and step-by-step values of
@@ -58,6 +58,20 @@ def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.vdot(b, a)))
 
 
+def _scaled_norm(v: np.ndarray) -> tuple[float, float]:
+    """``(s, n)`` with ``|v| = s * n``, so that no square overflows or underflows.
+
+    While |v|^2 stays well inside the float range, ``s`` is 1.0 and ``n``
+    is ``np.linalg.norm(v)`` bit for bit; else ``s`` is the largest
+    amplitude and ``n`` the norm of ``v / s``.
+    """
+    n = _frobenius(v)
+    if 1e-150 < n < 1e150:
+        return 1.0, n
+    s = float(np.max(np.abs(v)))
+    return s, _frobenius(v / s)
+
+
 class PureVector:
     """A nonzero vector of complex amplitudes.
 
@@ -70,13 +84,13 @@ class PureVector:
     def __init__(self, amplitudes):
         try:
             v = np.array(amplitudes, dtype=np.complex128).reshape(-1)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"cannot interpret input as a complex vector: {exc}") from exc
         if v.size == 0:
             raise ValidationError("vector must have positive dimension")
         if not np.all(np.isfinite(v)):
             raise ValidationError("vector contains non-finite entries")
-        if float(np.linalg.norm(v)) == 0.0:
+        if not np.any(v):
             raise ValidationError("vector must be nonzero")
         v.setflags(write=False)
         self._amplitudes = v
@@ -90,14 +104,19 @@ class PureVector:
         return self._amplitudes.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._amplitudes))
+        s, n = _scaled_norm(self._amplitudes)
+        return s * n
+
+    def _unit(self) -> np.ndarray:
+        s, n = _scaled_norm(self._amplitudes)
+        return self._amplitudes / s / n
 
     def normalized(self) -> "PureVector":
-        return PureVector(self._amplitudes / self.norm())
+        return PureVector(self._unit())
 
     def projector(self) -> Event:
         """The minimal event whose range is the line spanned by this vector."""
-        v = self._amplitudes / self.norm()
+        v = self._unit()
         return Event(np.outer(v, v.conj()), 1)
 
     def __repr__(self) -> str:
@@ -163,16 +182,18 @@ class State:
                 v = PureVector(v)
             weights.append(w)
             vectors.append(v)
-        total = sum(weights)
-        if total <= 0:
+        # Scaled by the largest weight, so the sum cannot overflow.
+        top = max(weights)
+        if top <= 0:
             raise ValidationError("ensemble weights must have positive sum")
+        total = sum(w / top for w in weights)
         dim = vectors[0].dim
         rho = np.zeros((dim, dim), dtype=np.complex128)
         for w, v in zip(weights, vectors):
             if v.dim != dim:
                 raise ValidationError(f"ensemble vectors live in different dimensions: {dim} vs {v.dim}")
-            u = v.amplitudes / v.norm()
-            rho += (w / total) * np.outer(u, u.conj())
+            u = v._unit()
+            rho += (w / top / total) * np.outer(u, u.conj())
         return cls(rho, tol=tol)
 
     @classmethod

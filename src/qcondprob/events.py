@@ -91,7 +91,7 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
     """
     try:
         m = np.array(entries, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"cannot interpret input as a complex matrix: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")

@@ -19,11 +19,21 @@ two outlets:
   though nothing was absorbed.
 
 The distinction is physical, not bookkeeping: adding a detector to a
-rejoined apparatus changes downstream probabilities.  The analytic
-evaluation returns a derivation trace recording which rule fired at
-each apparatus; the sampler reproduces the same statistics by splitting
-trial counts down a tree of branch points, one binomial draw per point
-that any trial reaches.
+rejoined apparatus changes downstream probabilities.
+
+One interpreter applies these rules, the Lüders branch tree.  A
+projection maps a ray to a ray, so each branch carries one unnormalised
+vector u, starting at the preparation's ray: a block maps u to P u, a
+detector branches into P u and u - P u, and rejoined outlets pass u on.
+An outlet's probability given its path is |P u|^2 / |u|^2 (or
+|u - P u|^2 / |u|^2); one at or below ``prob_floor`` is unreachable and
+pruned.  Over the leaves, value = sum <u|D|u> / sum |u|^2 for the final
+outcome D: Bayes' rule, each record's branch weighted by its chance of
+surviving later blocks.  The one refusal is a survival sum |u|^2 at or
+below ``prob_floor``.  :func:`evaluate_chain` folds the tree and records
+a derivation trace, whose ``weight`` on a detector entry is the outlet's
+probability given its path (0.0 if unreachable); :func:`conditioned_on_record`
+folds the recorded branch; :func:`sample_chain` splits trials down the tree.
 """
 
 from __future__ import annotations
@@ -33,10 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import PureVector, State, _chain_events, cond_state, state_value
-from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, _is_integer, complement
-from .objective import objective_seq
+from .conditioning import PureVector, _chain_events
+from .errors import UndefinedProbabilityError, ValidationError
+from .events import Event, _is_integer, _ray
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 _PAULI = {
@@ -140,7 +149,7 @@ class Chain:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One derivation-trace entry: which rule fired at which apparatus."""
+    """One derivation-trace entry: which rule fired at which apparatus, with a detector outlet's ``weight``."""
 
     apparatus_index: int
     rule: str
@@ -157,92 +166,126 @@ class ChainEvaluation:
     steps: tuple[TraceStep, ...]
 
 
-def _seq_value(d: Event, prefix: list[Event], tol: Tolerances) -> float:
-    result = objective_seq(d, prefix, tol)
-    if result.value is None:
-        raise InvariantError("chain prefixed by a minimal preparation must give state-independent values")
-    return result.value
+_NOTES = {
+    RULE_COHERENT_JOIN: "no record exists of the outlet taken; the apparatus tests the certain sum event",
+    RULE_BLOCK: "negation outlet absorbed; survivors are conditioned on the tested event",
+    "recorded": "which-way record created as the system clears the detector outlet; "
+                "branches combine as a classical mixture",
+    "unreachable": "outlet unreachable from this preparation; contributes nothing",
+}
+_FINAL = "final"
+
+
+@dataclass(slots=True)
+class _Node:
+    """Apparatus ``index`` (trace rule ``kind``) or the final test, reached by a branch with |u|^2 = ``mass``.
+
+    ``p`` and ``q`` are the positive and negation outlets' probabilities
+    given the path, ``p`` the final outcome's on a leaf; a pruned outlet
+    has 0.0 and child None.  A rejoin's one child is ``positive``.
+    """
+
+    index: int
+    kind: str
+    mass: float
+    p: float = 1.0
+    q: float = 0.0
+    positive: _Node | None = None
+    negation: _Node | None = None
+
+
+def _branch_tree(chain: Chain, tol: Tolerances) -> _Node:
+    """The Lüders branch tree of ``chain`` (module docstring); one matrix-vector product per node."""
+    apparatuses = chain.apparatuses
+    final = chain.final_outcome.matrix
+
+    def grow(u: np.ndarray, mass: float, idx: int) -> _Node:
+        if idx == len(apparatuses):
+            hits = float(np.vdot(u, final @ u).real)
+            return _Node(idx, _FINAL, mass, clamp_probability(hits / mass, tol, what="final-outcome probability"))
+        app = apparatuses[idx]
+        if app.mode == MODE_PASS and not app.has_detector:
+            return _Node(idx, RULE_COHERENT_JOIN, mass, positive=grow(u, mass, idx + 1))
+        pu = app.test_event.matrix @ u
+        p, p_mass = weigh(pu, mass)
+        positive = grow(pu, p_mass, idx + 1) if p else None
+        if app.mode == MODE_BLOCK:
+            return _Node(idx, RULE_BLOCK, mass, p, positive=positive)
+        qu = u - pu
+        q, q_mass = weigh(qu, mass)
+        return _Node(idx, RULE_INCOHERENT_SPLIT, mass, p, q, positive, grow(qu, q_mass, idx + 1) if q else None)
+
+    def weigh(v: np.ndarray, mass: float) -> tuple[float, float]:
+        # The outlet's probability given the path, 0.0 when it is pruned, and its |v|^2.
+        v_mass = float(np.vdot(v, v).real)
+        p = clamp_probability(v_mass / mass, tol, what="branch probability")
+        return (p if p > tol.prob_floor else 0.0), v_mass
+
+    u = _ray(chain.preparation)
+    return grow(u, float(np.vdot(u, u).real), 0)
+
+
+def _fold(node: _Node | None) -> tuple[float, float]:
+    """Sums of <u|D|u> and |u|^2 over the leaves below ``node``: final-outcome hits and survivors."""
+    if node is None:
+        return 0.0, 0.0
+    if node.kind == _FINAL:
+        return node.p * node.mass, node.mass
+    hits_p, mass_p = _fold(node.positive)
+    hits_n, mass_n = _fold(node.negation)
+    return hits_p + hits_n, mass_p + mass_n
+
+
+def _value(hits: float, survival: float, tol: Tolerances) -> float:
+    """Final-outcome probability among survivors; the one refusal, when none survive."""
+    if survival <= tol.prob_floor:
+        raise UndefinedProbabilityError(f"no trial survives the chain: survival probability {survival!r}")
+    return clamp_probability(hits / survival, tol, what="chain probability")
 
 
 def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluation:
     """Analytic probability of the final outcome, with a derivation trace.
 
-    Recurses over the apparatuses, maintaining the conditioning prefix.
-    A rejoined apparatus tests the sum of its outlet events, the certain
-    event, and leaves the prefix unchanged; a blocking apparatus appends
-    its tested event to the prefix, and a detector apparatus splits into
-    a probability-weighted classical mixture over its outlets.  Outlet
-    branches of probability zero are noted and skipped.  Because the
-    preparation is minimal, the result is the same for every state that
-    can be prepared this way.
+    The trace lists each apparatus that a branch of the tree reaches,
+    depth first and positive outlet first, one entry per detector outlet.
+    Because the preparation is minimal, the result is the same for every
+    state that can be prepared this way.
     """
+    root = _branch_tree(chain, tol)
     steps: list[TraceStep] = []
 
-    def recurse(prefix: list[Event], idx: int) -> float:
-        if idx == len(chain.apparatuses):
-            return _seq_value(chain.final_outcome, prefix, tol)
-        app = chain.apparatuses[idx]
-        if app.mode == MODE_BLOCK:
-            steps.append(TraceStep(
-                apparatus_index=idx,
-                rule=RULE_BLOCK,
-                note="negation outlet absorbed; survivors are conditioned on the tested event",
-            ))
-            return recurse(prefix + [app.test_event], idx + 1)
-        if not app.has_detector:
-            steps.append(TraceStep(
-                apparatus_index=idx,
-                rule=RULE_COHERENT_JOIN,
-                note="no record exists of the outlet taken; the apparatus tests the certain sum event",
-            ))
-            return recurse(prefix, idx + 1)
-        total = 0.0
-        for branch_name, branch_event in (("positive", app.test_event), ("negation", complement(app.test_event))):
-            weight = _seq_value(branch_event, prefix, tol)
-            if weight <= tol.prob_floor:
-                steps.append(TraceStep(
-                    apparatus_index=idx,
-                    rule=RULE_INCOHERENT_SPLIT,
-                    branch=branch_name,
-                    weight=0.0,
-                    note="outlet unreachable from this preparation; contributes nothing",
-                ))
-                continue
-            steps.append(TraceStep(
-                apparatus_index=idx,
-                rule=RULE_INCOHERENT_SPLIT,
-                branch=branch_name,
-                weight=weight,
-                note="which-way record created as the system clears the detector outlet; "
-                     "branches combine as a classical mixture",
-            ))
-            total += weight * recurse(prefix + [branch_event], idx + 1)
-        return total
+    def trace(node: _Node | None) -> None:
+        if node is None or node.kind == _FINAL:
+            return
+        if node.kind != RULE_INCOHERENT_SPLIT:
+            steps.append(TraceStep(node.index, node.kind, note=_NOTES[node.kind]))
+            trace(node.positive)
+            return
+        for branch, weight, child in (("positive", node.p, node.positive), ("negation", node.q, node.negation)):
+            note = _NOTES["unreachable" if child is None else "recorded"]
+            steps.append(TraceStep(node.index, RULE_INCOHERENT_SPLIT, branch, weight, note))
+            trace(child)
 
-    value = clamp_probability(recurse([chain.preparation], 0), tol, what="chain probability")
-    return ChainEvaluation(value=value, steps=tuple(steps))
+    trace(root)
+    return ChainEvaluation(value=_value(*_fold(root), tol), steps=tuple(steps))
 
 
 def conditioned_on_record(chain: Chain, record: str, tol: Tolerances = DEFAULT_TOL) -> float:
     """Final-outcome probability given the detector's recorded outlet.
 
     The chain must contain exactly one detector apparatus.  ``record``
-    selects which outlet its record shows ("positive" or "negation");
-    the returned value conditions on that branch alongside the blocking
-    and rejoining rules of the other apparatuses.
+    selects which outlet its record shows ("positive" or "negation"),
+    and only that outlet's branch of the tree is folded.
     """
     if record not in ("positive", "negation"):
         raise ValidationError(f"unknown record value {record!r}")
     detector_count = sum(1 for app in chain.apparatuses if app.has_detector)
     if detector_count != 1:
         raise ValidationError(f"conditioning on a record needs exactly one detector apparatus, found {detector_count}")
-    prefix = [chain.preparation]
-    for app in chain.apparatuses:
-        if app.mode == MODE_BLOCK:
-            prefix.append(app.test_event)
-        elif app.has_detector:
-            prefix.append(app.test_event if record == "positive" else complement(app.test_event))
-    return _seq_value(chain.final_outcome, prefix, tol)
+    node = _branch_tree(chain, tol)
+    while node is not None and node.kind != RULE_INCOHERENT_SPLIT:
+        node = node.positive
+    return _value(*_fold(node and getattr(node, record)), tol)
 
 
 @dataclass(frozen=True)
@@ -267,19 +310,6 @@ class SampleReport:
     detector_counts: dict[str, int] = field(default_factory=dict)
 
 
-class _DrawNode:
-    """Precomputed decision point: probability of the positive branch plus children."""
-
-    __slots__ = ("kind", "p", "on_positive", "on_negation", "apparatus_index")
-
-    def __init__(self, kind, p, on_positive=None, on_negation=None, apparatus_index=None):
-        self.kind = kind  # "block", "detector" or "final"
-        self.p = p
-        self.on_positive = on_positive
-        self.on_negation = on_negation
-        self.apparatus_index = apparatus_index
-
-
 def _snap_unit(p: float, tol: Tolerances) -> float:
     # Probabilities within tolerance of 0 or 1 are treated as exact so a
     # certain branch can never lose a trial to a stray uniform draw.
@@ -288,60 +318,6 @@ def _snap_unit(p: float, tol: Tolerances) -> float:
     if p >= 1.0 - (tol.atol + tol.rtol):
         return 1.0
     return p
-
-
-def _build_draw_tree(chain: Chain, tol: Tolerances) -> _DrawNode:
-    """Turn the chain into a tree of scalar decision points.
-
-    All matrix work happens here, once; sampling then only splits trial
-    counts down the tree.  States are propagated by conditioning on the
-    branch events, mirroring the analytic rules.
-    """
-    def build(state: State, idx: int) -> _DrawNode:
-        if idx == len(chain.apparatuses):
-            p = _snap_unit(state_value(state, chain.final_outcome, tol), tol)
-            return _DrawNode("final", p)
-        app = chain.apparatuses[idx]
-        if app.mode == MODE_PASS and not app.has_detector:
-            # Rejoined outlets: the apparatus tests the certain event,
-            # so no draw happens and the state is unchanged.
-            return build(state, idx + 1)
-        p = _snap_unit(state_value(state, app.test_event, tol), tol)
-        if app.mode == MODE_BLOCK:
-            child = build(cond_state(state, app.test_event, tol), idx + 1) if p > 0.0 else None
-            return _DrawNode("block", p, on_positive=child, apparatus_index=idx)
-        pos = build(cond_state(state, app.test_event, tol), idx + 1) if p > 0.0 else None
-        neg_event = complement(app.test_event)
-        neg = build(cond_state(state, neg_event, tol), idx + 1) if p < 1.0 else None
-        return _DrawNode("detector", p, on_positive=pos, on_negation=neg, apparatus_index=idx)
-
-    return build(State(chain.preparation.matrix, tol=tol), 0)
-
-
-def _run_worker(root: _DrawNode, trials: int, rng: np.random.Generator,
-                counts: dict[str, int], detector_counts: dict[str, int]) -> None:
-    """Split ``trials`` down the tree, adding to ``counts`` and ``detector_counts``.
-
-    k ~ Binomial(n, p) of the n trials reaching a node take its positive
-    branch; nodes are visited depth first, positive before negation.
-    """
-    def split(node: _DrawNode, n: int) -> None:
-        k = int(rng.binomial(n, node.p))
-        if node.kind == "final":
-            counts["positive"] += k
-            counts["negation"] += n - k
-        elif node.kind == "block":
-            counts["blocked"] += n - k
-            if k:
-                split(node.on_positive, k)
-        else:
-            for branch, child, m in (("positive", node.on_positive, k), ("negation", node.on_negation, n - k)):
-                if m:
-                    key = f"apparatus{node.apparatus_index}:{branch}"
-                    detector_counts[key] = detector_counts.get(key, 0) + m
-                    split(child, m)
-
-    split(root, trials)
 
 
 def sample_chain(
@@ -355,14 +331,14 @@ def sample_chain(
 
     The trials are dealt out as evenly as possible over ``workers``
     substreams of numpy's PCG64 generator, each seeded by
-    ``SeedSequence((seed, worker_index))``.  A worker starts with its n
-    trials at the root of the chain's branch tree; at each branch point
-    any of them reach, k ~ Binomial(n, p) take the positive branch and
-    n - k the negation branch (or are "blocked").  The counts have the
-    joint law of walking each trial alone, the cost does not grow with
-    ``trials``, and results are bit-for-bit reproducible for a given
-    (seed, trials, workers).  Blocked trials are excluded from the
-    frequency denominator.
+    ``SeedSequence((seed, worker_index))``.  A worker's trials start at
+    the root of the branch tree.  Of the n reaching a block, detector or
+    leaf, k ~ Binomial(n, p) take the positive outlet or outcome, where a
+    detector's p is its positive share p / (p + q); nodes are visited
+    depth first, positive first.  The counts have the joint law of walking
+    each trial alone, the cost does not grow with ``trials``, and results
+    are bit-for-bit reproducible for a given (seed, trials, workers).
+    Blocked trials are excluded from the frequency denominator.
     """
     for name, value, low in (("trials", trials, 1), ("workers", workers, 1), ("seed", seed, 0)):
         if not _is_integer(value) or value < low:
@@ -370,16 +346,37 @@ def sample_chain(
             raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
     if -(-int(trials) // int(workers)) > np.iinfo(np.int64).max:  # Generator.binomial takes an int64 n
         raise ValidationError(f"trials per worker must fit in int64, got {trials!r} over {workers!r} workers")
-    root = _build_draw_tree(chain, tol)
-    evaluation = evaluate_chain(chain, tol)
+    root = _branch_tree(chain, tol)
+    value = _value(*_fold(root), tol)
 
     counts = {"positive": 0, "negation": 0, "blocked": 0}
     detector_counts: dict[str, int] = {}
+
+    def split(node: _Node, n: int) -> None:
+        if node.kind == RULE_COHERENT_JOIN:
+            split(node.positive, n)
+            return
+        p = node.p / (node.p + node.q) if node.kind == RULE_INCOHERENT_SPLIT else node.p
+        k = int(rng.binomial(n, _snap_unit(p, tol)))
+        if node.kind == _FINAL:
+            counts["positive"] += k
+            counts["negation"] += n - k
+        elif node.kind == RULE_BLOCK:
+            counts["blocked"] += n - k
+            if k:
+                split(node.positive, k)
+        else:
+            for branch, child, m in (("positive", node.positive, k), ("negation", node.negation, n - k)):
+                if m:
+                    key = f"apparatus{node.index}:{branch}"
+                    detector_counts[key] = detector_counts.get(key, 0) + m
+                    split(child, m)
+
     base, extra = divmod(int(trials), int(workers))
     # Workers past the trial count would receive no trials.
     for w in range(min(int(workers), int(trials))):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), w))))
-        _run_worker(root, base + (1 if w < extra else 0), rng, counts, detector_counts)
+        split(root, base + (1 if w < extra else 0))
 
     survivors = counts["positive"] + counts["negation"]
     if survivors == 0:
@@ -388,7 +385,7 @@ def sample_chain(
         "positive": counts["positive"] / survivors,
         "negation": counts["negation"] / survivors,
     }
-    analytic = {"positive": evaluation.value, "negation": 1.0 - evaluation.value}
+    analytic = {"positive": value, "negation": 1.0 - value}
     max_dev = max(abs(frequencies[k] - analytic[k]) for k in ("positive", "negation"))
     outcome_counts = {k: v for k, v in counts.items() if not (k == "blocked" and v == 0)}
     return SampleReport(

@@ -107,13 +107,15 @@ def random_chain(rng, dim, n_apparatuses):
     return Chain(random_rank1(rng, dim), apparatuses, final)
 
 
-def chain_forward_pass(chain: Chain):
+def chain_forward_pass(chain: Chain, record=None):
     """Forward Lueders pass over unnormalised density matrices.
 
-    A block maps rho to B rho B, a detector to P rho P + P' rho P' and a
+    A block maps rho to B rho B, a detector to P rho P + P' rho P' (or,
+    when ``record`` names an outlet, to that outlet's term alone) and a
     rejoined apparatus leaves rho alone.  Returns the survival tr(rho),
-    the final-outcome value tr(rho D) / tr(rho) and, per detector
-    apparatus index, the probability tr(rho) that a trial reaches it.
+    the final-outcome value tr(rho D) / tr(rho), None when the survival
+    is at or below the default prob_floor, and, per detector apparatus
+    index, the probability tr(rho) that a trial reaches it.
     """
     rho = chain.preparation.matrix
     eye = np.eye(chain.dim)
@@ -125,8 +127,11 @@ def chain_forward_pass(chain: Chain):
         elif app.has_detector:
             reach[idx] = np.trace(rho).real
             q = eye - p
-            rho = p @ rho @ p + q @ rho @ q
+            branches = {"positive": p @ rho @ p, "negation": q @ rho @ q}
+            rho = branches[record] if record is not None else branches["positive"] + branches["negation"]
     survival = np.trace(rho).real
+    if survival <= DEFAULT_TOL.prob_floor:
+        return survival, None, reach
     return survival, np.trace(rho @ chain.final_outcome.matrix).real / survival, reach
 
 

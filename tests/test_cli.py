@@ -178,6 +178,36 @@ def test_chain_json_format():
     assert set(sample["detector_counts"]) == {"apparatus0:positive", "apparatus0:negation"}
 
 
+def write_chain(path, preparation, apparatuses, final):
+    """A scenario file: ``apparatuses`` lists (matrix, mode, detector)."""
+    path.write_text(json.dumps({
+        "preparation": matrix_to_obj(preparation),
+        "apparatuses": [{"event": matrix_to_obj(m), "mode": mode, "detector": detector}
+                        for m, mode, detector in apparatuses],
+        "final": matrix_to_obj(final),
+    }))
+    return str(path)
+
+
+def test_chain_block_after_detector_and_tiny_overlaps_exit_0(tmp_path):
+    u = np.ones(3) / np.sqrt(3.0)
+    e1 = np.diag([1.0, 0.0, 0.0])
+    dim3 = write_chain(tmp_path / "dim3.json", np.outer(u, u),
+                       [(e1, "pass_both", "positive"), (np.diag([1.0, 1.0, 0.0]), "block_on_negation", None)], e1)
+    code, out, err = run_main("chain", "--scenario", dim3, "--sample", "--trials", "1000", "--seed", "42")
+    assert (code, err) == (0, "")
+    pairs = dict(line.split() for line in out.splitlines() if not line.startswith(" "))
+    assert (pairs["value"], pairs["analytic_positive"]) == ("0.5", "0.5")
+    zero = np.diag([1.0, 0.0])
+    for overlap, printed in ((1e-5, "0.9999800002"), (1e-6, "0.999998000002")):
+        r = np.array([np.sqrt(overlap), np.sqrt(1.0 - overlap)])
+        path = write_chain(tmp_path / f"tiny{overlap}.json", zero,
+                           [(np.outer(r, r), "pass_both", "positive"), (zero, "pass_both", "positive")], zero)
+        code, out, err = run_main("chain", "--scenario", path)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"value  {printed}\n")
+
+
 def test_slit_csv_matches_library():
     result = run_cli("slit", "--model", fixture("double_slit_dim8.json"))
     assert result.returncode == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,29 @@ def test_from_ensemble_normalises_weights_and_vectors():
         State.from_ensemble([(0.0, PureVector([1, 0]))])
     with pytest.raises(ValidationError):
         State.from_ensemble([(1.0, PureVector([1, 0])), (1.0, PureVector([1, 0, 0]))])
+
+
+def test_integers_beyond_float_range_are_refused_by_every_constructor():
+    # Each coerces with np.array, which raises OverflowError for such an int.
+    for build in (validate_event, State, PureVector, ClassicalSpace):
+        arg = [10**400] if build in (PureVector, ClassicalSpace) else [[10**400]]
+        with pytest.raises(ValidationError, match="cannot interpret"):
+            build(arg)
+
+
+def test_from_ensemble_takes_huge_amplitudes_and_weights_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pairs, expected in (
+            ([(1.0, [1e200, 0, 0, 0])], np.diag([1.0, 0, 0, 0])),
+            ([(1.0, [1e308, 1e308, 1e308, 1e308])], np.full((4, 4), 0.25)),
+            ([(1e308, [1, 0]), (1e308, [0, 1])], np.diag([0.5, 0.5])),
+            ([(1.0, [1e-200, 0]), (3.0, [0, 1e-170])], np.diag([0.25, 0.75])),
+        ):
+            assert np.allclose(State.from_ensemble(pairs).rho, expected, atol=1e-15, rtol=0)
+        assert PureVector([1e200, 1e200]).norm() == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert PureVector([3e-200, 4e-200]).norm() == pytest.approx(5e-200, rel=1e-15)
+        assert np.allclose(PureVector([1e300, 1e300j]).projector().matrix, [[0.5, -0.5j], [0.5j, 0.5]])
 
 
 def test_state_value_on_events_and_observables():

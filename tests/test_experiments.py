@@ -16,6 +16,7 @@ from qcondprob import (
     spin_projector,
     spin_vector,
     transition_prob,
+    validate_event,
 )
 from qcondprob.experiments import (
     MODE_BLOCK,
@@ -349,3 +350,96 @@ def test_sample_chain_matches_forward_pass_oracle():
             else:
                 assert reached[k + 1] == reached[k]
     assert blocks_after_detectors >= 10
+
+
+def dim3_block_after_detector_chain():
+    """Detector on e1, then a block on e1 + e2, from (1, 1, 1)/sqrt(3); Bayes gives 1/2 for e1."""
+    u = np.ones(3) / np.sqrt(3.0)
+    e1 = validate_event(np.diag([1.0, 0.0, 0.0]))
+    return Chain(
+        validate_event(np.outer(u, u)),
+        [Apparatus(e1, detector="positive"), Apparatus(validate_event(np.diag([1.0, 1.0, 0.0])), mode=MODE_BLOCK)],
+        e1,
+    )
+
+
+def tiny_overlap_chain(overlap):
+    """From |0>, a detector on a ray r with |<0|r>|^2 = overlap, then a detector on |0>; final outcome |0>."""
+    r = np.array([np.sqrt(overlap), np.sqrt(1.0 - overlap)])
+    zero = validate_event(np.diag([1.0, 0.0]))
+    return Chain(zero, [Apparatus(validate_event(np.outer(r, r)), detector="positive"),
+                        Apparatus(zero, detector="positive")], zero)
+
+
+def test_block_after_detector_weighs_each_record_by_its_survival():
+    # Of the 1/3 recorded at e1 all survive the block, of the 2/3 recorded
+    # elsewhere half do: 1/3 / (1/3 + 1/3) = 1/2, not the 1/3 of weighting
+    # the records before the block.
+    chain = dim3_block_after_detector_chain()
+    evaluation = evaluate_chain(chain)
+    assert abs(evaluation.value - 0.5) < 1e-12
+    assert abs(sample_chain(chain, trials=100, seed=1).analytic["positive"] - 0.5) < 1e-12
+    assert [(s.rule, s.branch) for s in evaluation.steps] == [
+        (RULE_INCOHERENT_SPLIT, "positive"), (RULE_BLOCK, None),
+        (RULE_INCOHERENT_SPLIT, "negation"), (RULE_BLOCK, None),
+    ]
+    assert [s.weight for s in evaluation.steps if s.branch] == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
+    report = sample_chain(chain, trials=100_000, seed=42)
+    survivors = report.outcome_counts["positive"] + report.outcome_counts["negation"]
+    assert within_sigmas(report.outcome_counts["positive"], survivors, 0.5)
+
+
+@pytest.mark.parametrize("overlap", [1e-5, 1e-6])
+def test_tiny_detector_overlap_is_evaluated_not_refused(overlap):
+    # The leaf recorded at r and then at |0> has absolute weight overlap**2,
+    # a negligible share of the value; no leaf may refuse on its own.
+    chain = tiny_overlap_chain(overlap)
+    expected = overlap ** 2 + (1.0 - overlap) ** 2
+    assert abs(evaluate_chain(chain).value - expected) < 1e-12
+    assert abs(sample_chain(chain, trials=1000, seed=7).analytic["positive"] - expected) < 1e-12
+
+
+def test_one_tree_matches_the_forward_pass_on_random_chains():
+    # The analytic value, the sampler's analytic value and the value given a
+    # record all come from one tree; each must match the density-matrix pass,
+    # and each must refuse exactly where that pass finds no survivors.  Some
+    # chains get a block pair that nothing survives, some a detector whose
+    # positive record the next block kills.
+    rng = np.random.default_rng(1212)
+    seen = {"refused": 0, "record_refused": 0, "records": 0, "blocks_after_detectors": 0}
+
+    def agrees(call, want):
+        if want is None:
+            with pytest.raises(UndefinedProbabilityError):
+                call()
+            return
+        assert abs(call() - want) < 1e-10
+
+    for n in range(240):
+        dim = int(rng.integers(2, 7))
+        chain = random_chain(rng, dim, int(rng.integers(1, 9)))
+        apparatuses = list(chain.apparatuses)
+        at = int(rng.integers(0, len(apparatuses) + 1))
+        e = random_projection(rng, dim, int(rng.integers(1, dim)))
+        if n % 6 == 1:
+            apparatuses[at:at] = [Apparatus(e, mode=MODE_BLOCK), Apparatus(complement(e), mode=MODE_BLOCK)]
+        elif n % 6 == 2:
+            apparatuses = [a for a in apparatuses if not a.has_detector]
+            at = min(at, len(apparatuses))
+            apparatuses[at:at] = [Apparatus(e, detector="negation"), Apparatus(complement(e), mode=MODE_BLOCK)]
+        chain = Chain(chain.preparation, apparatuses, chain.final_outcome)
+        survival, value, reach = chain_forward_pass(chain)
+        if reach and any(a.mode == MODE_BLOCK for a in apparatuses[min(reach):]):
+            seen["blocks_after_detectors"] += 1
+        seen["refused"] += value is None
+        agrees(lambda: evaluate_chain(chain).value, value)
+        # Enough trials that some survive wherever the pass finds survivors.
+        agrees(lambda: sample_chain(chain, trials=10**18, seed=n).analytic["positive"], value)
+        if len(reach) == 1:
+            for record in ("positive", "negation"):
+                _, want, _ = chain_forward_pass(chain, record=record)
+                seen["records"] += 1
+                seen["record_refused"] += want is None
+                agrees(lambda: conditioned_on_record(chain, record), want)
+    assert seen["refused"] >= 30 and seen["record_refused"] >= 30
+    assert seen["records"] >= 100 and seen["blocks_after_detectors"] >= 60
