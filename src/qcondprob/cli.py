@@ -24,13 +24,7 @@ import json
 import sys
 
 from .conditioning import repeated_cond_prob
-from .errors import (
-    ConvergenceError,
-    InvariantError,
-    QcpError,
-    UndefinedProbabilityError,
-    ValidationError,
-)
+from .errors import QcpError, UndefinedProbabilityError, ValidationError
 from .experiments import conditioned_on_record, evaluate_chain, sample_chain
 from .interference import double_slit_scan, scan_to_csv
 from .io import load_chain, load_event, load_slit_model, load_state, load_valuation
@@ -274,10 +268,7 @@ def main(argv=None) -> int:
     except UndefinedProbabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except (InvariantError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except QcpError as exc:  # pragma: no cover - no other subtypes today
+    except QcpError as exc:  # InvariantError, the one other subtype raised
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

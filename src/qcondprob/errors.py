@@ -24,7 +24,11 @@ class UndefinedProbabilityError(QcpError):
 
 
 class ConvergenceError(QcpError):
-    """An iterative routine exhausted its iteration cap."""
+    """An iterative routine exhausted its iteration cap.
+
+    No routine of the package raises it; the name stays exported for
+    callers that catch it.
+    """
 
 
 class InvariantError(QcpError):

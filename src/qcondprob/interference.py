@@ -23,7 +23,9 @@ The incoherent variant models the presence of a which-part record: the
 classical mixture terms survive, the interference term is dropped.
 
 All four entry points read their terms from one kernel.  It checks the
-split once.  For a general state it forms ``e1 @ rho @ e1``,
+split once, by the exclusion rule ``|e1 @ e2|_F <= atol + rtol``, and
+takes ``e1 + e2`` as the event of rank ``r1 + r2`` without revalidating
+the sum.  For a general state it forms ``e1 @ rho @ e1``,
 ``e2 @ rho @ e2`` and ``e2 @ rho @ e1`` once; each outcome then costs
 three traces against ``d``, in O(d^2) rather than O(d^3).  A minimal
 preparation runs on its ray ``v``: the kernel forms ``e1 @ v`` and
@@ -40,7 +42,7 @@ import numpy as np
 
 from .conditioning import State, cond_prob
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _ray, is_orthogonal, validate_event
+from .events import Event, _ray, is_orthogonal
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 
@@ -98,7 +100,7 @@ def _decompose(
         raise ValidationError(f"branch events live in different dimensions: {e1.dim} vs {e2.dim}")
     if not is_orthogonal(e1, e2, tol):
         raise ValidationError("branch events must be mutually exclusive (orthogonal)")
-    e = validate_event(e1.matrix + e2.matrix, tol)
+    e = Event(e1.matrix + e2.matrix, e1.rank + e2.rank)
     for d in outcomes:
         if not isinstance(d, Event):
             raise ValidationError("outcome must be an Event")

@@ -218,8 +218,8 @@ def pure_event_prob(psi: PureVector, d: Event, tol: Tolerances = DEFAULT_TOL) ->
         psi = PureVector(psi)
     if psi.dim != d.dim:
         raise ValidationError(f"dimension mismatch: vector {psi.dim} vs event {d.dim}")
-    v = psi.amplitudes
-    value = float(np.real(np.vdot(v, d.matrix @ v))) / (psi.norm() ** 2)
+    v = psi._unit()
+    value = float(np.real(np.vdot(v, d.matrix @ v)))
     return clamp_probability(value, tol, what="pure-state probability")
 
 
@@ -235,8 +235,7 @@ def transition_prob(psi: PureVector, xi: PureVector, tol: Tolerances = DEFAULT_T
         xi = PureVector(xi)
     if psi.dim != xi.dim:
         raise ValidationError(f"dimension mismatch: {psi.dim} vs {xi.dim}")
-    overlap = complex(np.vdot(psi.amplitudes, xi.amplitudes))
-    value = (abs(overlap) ** 2) / (psi.norm() ** 2 * xi.norm() ** 2)
+    value = abs(complex(np.vdot(psi._unit(), xi._unit()))) ** 2
     return clamp_probability(value, tol, what="transition probability")
 
 

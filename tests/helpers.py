@@ -1,9 +1,12 @@
 """Shared random generators and independent oracles for the tests.
 
-Oracles here deliberately use different algorithms than the package
-(SVD-based subspace math, brute-force enumeration, a forward pass over
-unnormalised density matrices, the state-independence fit from dense
-products) so agreement is evidence, not circularity.
+Oracles here mostly use different algorithms than the package
+(brute-force enumeration, a forward pass over unnormalised density
+matrices, the state-independence fit from dense products) so agreement
+is evidence, not circularity.  The one exception is
+:func:`intersection_projector`, which shares the package's meet
+algorithm; meet tests that need an independent check compare with a
+planted meet instead.
 """
 
 import math
@@ -67,6 +70,10 @@ def intersection_projector(e: Event, f: Event) -> np.ndarray:
 
     A vector lies in both ranges exactly when both complements kill it,
     so the intersection is the null space of the stacked complements.
+    ``lattice_meet`` uses the same algorithm with a cut derived from the
+    tolerances, so agreement with it checks only the cut, not the
+    algorithm; the planted-angle tests in ``test_events.py`` check the
+    meet against the planted intersection.
     """
     eye = np.eye(e.dim)
     _, s, vh = svd(np.vstack([eye - e.matrix, eye - f.matrix]), full_matrices=False)

@@ -3,7 +3,6 @@ import pytest
 
 from qcondprob import (
     DEFAULT_TOL,
-    ConvergenceError,
     State,
     ValidationError,
     commutes,
@@ -264,30 +263,25 @@ def test_meet_result_is_lower_bound():
         assert implies(m, f)
 
 
-def test_meet_iteration_cap(monkeypatch):
-    e = random_projection(np.random.default_rng(47), 5, 3)
-    f = random_projection(np.random.default_rng(48), 5, 3)
-    monkeypatch.setattr(events, "_MEET_MAX_SQUARINGS", 1)
-    with pytest.raises(ConvergenceError):
-        lattice_meet(e, f)
-
-
 def _planted_meet_pair(rng, dim, shared_rank, theta):
-    """Projections sharing ``shared_rank`` directions, one more each at angle theta."""
+    """Projections sharing ``shared_rank`` directions, one more each at angle theta.
+
+    Returns both projections and the planted meet, the projection onto
+    the shared directions.
+    """
     u = random_unitary(rng, dim)
     shared = u[:, :shared_rank]
     x, y = u[:, shared_rank], u[:, shared_rank + 1]
     ce = np.column_stack([shared, x])
     cf = np.column_stack([shared, np.cos(theta) * x + np.sin(theta) * y])
-    return ce @ ce.conj().T, cf @ cf.conj().T
+    return ce @ ce.conj().T, cf @ cf.conj().T, shared @ shared.conj().T
 
 
 def test_meet_matches_svd_oracle_down_to_small_angles():
-    # Squaring e f e resolves the smallest principal angle theta to about
-    # eps / theta^2, hence the looser bound below 1e-2.  Inputs written to
+    # The meet resolves the smallest principal angle theta to about
+    # eps / theta, hence the looser bound below 1e-2.  Inputs written to
     # 10 decimals are projections only within validate_event's tolerance;
     # they are compared with the oracle on the same rounded matrices.
-    assert events._MEET_MAX_SQUARINGS <= 40
     thetas = sorted(set(np.logspace(-4, np.log10(np.pi / 2), 11)) | {1e-3, 0.05})
     rng = np.random.default_rng(53)
     rounded_checked = 0
@@ -297,12 +291,12 @@ def test_meet_matches_svd_oracle_down_to_small_angles():
                 continue
             for theta in thetas:
                 for _ in range(3):
-                    pe, pf = _planted_meet_pair(rng, dim, shared_rank, theta)
+                    pe, pf, _ = _planted_meet_pair(rng, dim, shared_rank, theta)
                     e, f = validate_event(pe), validate_event(pf)
                     m = lattice_meet(e, f)
                     assert m.rank == shared_rank
                     gap = np.linalg.norm(m.matrix - intersection_projector(e, f))
-                    assert gap <= (1e-7 if theta < 1e-2 else 1e-10), (dim, shared_rank, theta, gap)
+                    assert gap <= (1e-10 if theta < 1e-2 else 1e-12), (dim, shared_rank, theta, gap)
                     try:
                         e, f = validate_event(np.round(pe, 10)), validate_event(np.round(pf, 10))
                     except ValidationError:
@@ -314,21 +308,60 @@ def test_meet_matches_svd_oracle_down_to_small_angles():
     assert rounded_checked >= 100
 
 
-def test_meet_at_the_resolution_limit_is_not_an_input_error():
-    # Near the squaring bound (theta about 3e-5) the loop stops with its
-    # floor at its largest; below it the bound runs out, and below about
-    # 1e-7 the two directions count as shared.  Valid inputs never raise
-    # ValidationError.
-    rng = np.random.default_rng(59)
-    for dim, theta in [(4, 1e-7), (4, 3e-7), (4, 2.5e-5), (4, 3e-5), (16, 2.5e-5), (16, 3e-5)]:
+def test_meet_recovers_the_planted_intersection_from_1e9_to_pi_over_2():
+    # One SVD of the stacked complements sees a gap of about theta, so the
+    # meet of exact inputs is off the planted one by about eps / theta.
+    # Inputs written to 10 decimals determine the meet only to about
+    # 1e-10 / theta; the rank stays right down to 1e-9, whose singular
+    # value sqrt(2) sin(theta / 2) still clears the cut by a factor of
+    # about 1.2 after rounding.
+    # At 10 decimals the dim-16 projections fail validation, so only dims
+    # up to 8 are rounded.
+    thetas = np.logspace(-9, np.log10(np.pi / 2), 19)
+    rng = np.random.default_rng(61)
+    for dim in (3, 4, 5, 6, 8, 12, 16):
+        for shared_rank in (1, 2):
+            if shared_rank + 2 > dim:
+                continue
+            for theta in thetas:
+                for _ in range(3):
+                    pe, pf, planted = _planted_meet_pair(rng, dim, shared_rank, theta)
+                    m = lattice_meet(validate_event(pe), validate_event(pf))
+                    gap = np.linalg.norm(m.matrix - planted)
+                    assert m.rank == shared_rank and gap <= 1e-13 + 4e-15 / theta, (dim, shared_rank, theta, gap)
+                    if dim > 8:
+                        continue
+                    m = lattice_meet(validate_event(np.round(pe, 10)), validate_event(np.round(pf, 10)))
+                    gap = np.linalg.norm(m.matrix - planted)
+                    assert m.rank == shared_rank and gap <= 1e-9 / theta, (dim, shared_rank, theta, gap)
+
+
+@pytest.mark.parametrize("theta", [2e-5, 1e-6, 1e-7, 1e-8])
+def test_meet_resolves_small_principal_angles(theta):
+    # A meet that sees a gap of theta^2, as repeated squaring of
+    # e @ f @ e did, cannot resolve these angles: it stops without
+    # converging, or returns one dimension too many.
+    rng = np.random.default_rng(67)
+    for dim in (4, 8, 16):
         for shared_rank in (1, 2):
             for _ in range(5):
-                e, f = (validate_event(p) for p in _planted_meet_pair(rng, dim, shared_rank, theta))
-                try:
-                    m = lattice_meet(e, f)
-                except ConvergenceError:
-                    continue
-                assert validate_event(m.matrix).rank == m.rank >= shared_rank
+                pe, pf, planted = _planted_meet_pair(rng, dim, shared_rank, theta)
+                m = lattice_meet(validate_event(pe), validate_event(pf))
+                assert m.rank == shared_rank, (dim, shared_rank)
+                assert np.linalg.norm(m.matrix - planted) <= 1e-13 + 4e-15 / theta, (dim, shared_rank)
+
+
+def test_meet_at_the_resolution_limit_is_not_an_input_error():
+    # Two directions at an angle below sqrt(2) tau, about 7e-10 here,
+    # count as shared; above it they are told apart.  Either way the
+    # result is a valid event of the rank it reports.
+    rng = np.random.default_rng(59)
+    for dim, theta in [(4, 1e-10), (4, 3e-10), (4, 1.5e-9), (16, 1e-10), (16, 3e-10), (16, 1.5e-9)]:
+        for shared_rank in (1, 2):
+            for _ in range(5):
+                pe, pf, _ = _planted_meet_pair(rng, dim, shared_rank, theta)
+                m = lattice_meet(validate_event(pe), validate_event(pf))
+                assert validate_event(m.matrix).rank == m.rank == shared_rank + (theta < 1e-9)
 
 
 def test_event_repr():

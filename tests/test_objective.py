@@ -5,6 +5,7 @@ import pytest
 
 from qcondprob import (
     DEFAULT_TOL,
+    PureVector,
     State,
     UndefinedProbabilityError,
     ValidationError,
@@ -346,6 +347,15 @@ def test_transition_prob():
     # Equals the probability of one minimal event given the other.
     r = objective_cond_prob(zp.projector(), xp.projector())
     assert abs(transition_prob(xp, zp) - r.value) < 1e-12
+
+
+def test_pure_probabilities_of_huge_and_tiny_amplitudes():
+    # Both read the unit vector, so no squared norm overflows or underflows.
+    z = validate_event(np.diag([1.0, 0.0]))
+    assert transition_prob([1e200, 0.0], [1.0, 0.0]) == 1.0
+    assert pure_event_prob(PureVector([1e200, 0.0]), z) == 1.0
+    assert abs(transition_prob([1e-200, 1e-200], [1e200, 0.0]) - 0.5) < 1e-15
+    assert abs(pure_event_prob(PureVector([3e-200, 4e-200]), z) - 0.36) < 1e-15
 
 
 def test_state_from_outcome():
