@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditioning import State
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _index
+from .events import Event, _dimension, _index
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -71,7 +71,8 @@ class ClassicalEvent:
 
     @classmethod
     def from_indices(cls, n_outcomes: int, indices: Iterable[int]) -> "ClassicalEvent":
-        mask = np.zeros(int(n_outcomes), dtype=bool)
+        n_outcomes = _dimension(n_outcomes)
+        mask = np.zeros(n_outcomes, dtype=bool)
         for i in indices:
             mask[_index(i, n_outcomes, "outcome index")] = True
         return cls(mask)

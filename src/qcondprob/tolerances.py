@@ -17,7 +17,7 @@ from .errors import InvariantError, ValidationError
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Bundle of numerical thresholds.
+    """Bundle of numerical thresholds, each a real number in (0, 1).
 
     Attributes
     ----------
@@ -39,10 +39,11 @@ class Tolerances:
     prob_floor: float = 1e-12
 
     def __post_init__(self) -> None:
+        # A tolerance of 1 or more lets any probability pass for any other.
         for name in ("atol", "rtol", "objectivity_tol", "prob_floor"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValidationError(f"tolerance {name!r} must be a positive number, got {value!r}")
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < 1):
+                raise ValidationError(f"tolerance {name!r} must be a number in (0, 1), got {value!r}")
 
     def close(self, x: float, y: float) -> bool:
         """True when x and y agree within atol + rtol * max(|x|, |y|)."""

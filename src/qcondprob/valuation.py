@@ -13,6 +13,13 @@ quantum collections do not: the demand that an event's value not depend
 on which resolution it is read in becomes unsatisfiable.  The search
 below either produces an assignment or exhausts the constraint-pruned
 search tree, reporting the node count as the certificate of exhaustion.
+
+The exclusion relation is held once, as one integer bitmask per
+distinct event: bit j of mask i is set when events i and j exclude each
+other.  Enumerated resolutions are the cliques of that graph whose
+ranks total the dimension, explicit ones are checked against the same
+masks, and a search node is a pair of masks, the events set true and
+the events set false.
 """
 
 from __future__ import annotations
@@ -97,8 +104,8 @@ def _deduplicate(stack: np.ndarray, tol: Tolerances) -> tuple[list[int], list[in
     return kept, remap
 
 
-def _exclusion_relation(stack: np.ndarray, tol: Tolerances) -> list[list[bool]]:
-    """Symmetric mutual exclusion by :func:`is_orthogonal`'s rule, ``|e_i @ e_j|_F``, as lists.
+def _exclusion_relation(stack: np.ndarray, tol: Tolerances) -> list[int]:
+    """Symmetric mutual exclusion by :func:`is_orthogonal`'s rule, ``|e_i @ e_j|_F``, as one mask per event.
 
     One matrix product per block of rows: the block's events stacked as
     rows times the events from the block's first on, side by side, has
@@ -117,24 +124,25 @@ def _exclusion_relation(stack: np.ndarray, tol: Tolerances) -> list[list[bool]]:
         rows = np.einsum("ijk,ijk->ij", parts, parts).reshape(-1, d, n - start)
         norms[start:start + step, start:] = np.sqrt(rows.sum(axis=1))
     relation = np.triu(_excludes(norms, tol), 1)
-    return (relation | relation.T).tolist()
+    rows = np.packbits(relation | relation.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _enumerate_resolutions(ranks: list[int], dim: int, exclusive: list[list[bool]]) -> list[tuple[int, ...]]:
-    n = len(ranks)
+def _enumerate_resolutions(ranks: list[int], dim: int, exclusive: list[int]) -> list[tuple[int, ...]]:
+    """Cliques of the exclusion graph whose ranks total ``dim``, in lexicographic order."""
     found: list[tuple[int, ...]] = []
 
-    def extend(start: int, chosen: list[int], rank_sum: int) -> None:
+    def extend(start: int, candidates: int, chosen: list[int], rank_sum: int) -> None:
         if rank_sum == dim:
             found.append(tuple(chosen))
             return
-        for k in range(start, n):
-            if rank_sum + ranks[k] <= dim and all(exclusive[k][c] for c in chosen):
+        for k in range(start, len(ranks)):
+            if candidates >> k & 1 and rank_sum + ranks[k] <= dim:
                 chosen.append(k)
-                extend(k + 1, chosen, rank_sum + ranks[k])
+                extend(k + 1, candidates & exclusive[k], chosen, rank_sum + ranks[k])
                 chosen.pop()
 
-    extend(0, [], 0)
+    extend(0, (1 << len(ranks)) - 1, [], 0)
     return found
 
 
@@ -162,12 +170,12 @@ class ValuationProblem:
     relation between the kept events, which the resolutions and the
     search both read.  When ``resolutions`` is omitted they are
     enumerated; explicit families pass the enumerator's rule: integer
-    indices, members pairwise exclusive, ranks summing to the
-    dimension.  At most ``MAX_EVENTS`` distinct events are accepted
-    since the search is exhaustive.
+    indices naming distinct events, members pairwise exclusive, ranks
+    summing to the dimension.  At most ``MAX_EVENTS`` distinct events
+    are accepted since the search is exhaustive.
     """
 
-    __slots__ = ("_events", "_resolutions", "_exclusive_pairs")
+    __slots__ = ("_events", "_resolutions", "_exclusive")
 
     def __init__(
         self,
@@ -195,17 +203,19 @@ class ValuationProblem:
         else:
             families = []
             for fam in resolutions:
-                mapped = sorted({remap[_index(i, len(raw), "resolution index")] for i in fam})
-                if not all(exclusive[a][b] for k, a in enumerate(mapped) for b in mapped[k + 1:]):
+                listed = [remap[_index(i, len(raw), "resolution index")] for i in fam]
+                mapped = sorted(set(listed))
+                if len(mapped) < len(listed):
+                    raise ValidationError("resolution members must be distinct events")
+                members = sum(1 << i for i in mapped)
+                if any(members & ~exclusive[i] != 1 << i for i in mapped):
                     raise ValidationError("resolution members must be pairwise exclusive")
                 if sum(ranks[i] for i in mapped) != dim:
                     raise ValidationError("resolution members must sum to the identity")
                 families.append(tuple(mapped))
         self._events = tuple(raw[i] for i in kept)
         self._resolutions = tuple(families)
-        self._exclusive_pairs = tuple(
-            (i, j) for i, row in enumerate(exclusive) for j in range(i + 1, len(row)) if row[j]
-        )
+        self._exclusive = exclusive
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -218,53 +228,35 @@ class ValuationProblem:
     @property
     def exclusive_pairs(self) -> tuple[tuple[int, int], ...]:
         """Index pairs ``(i, j)``, ``i < j`` in lexicographic order, of mutually exclusive events."""
-        return self._exclusive_pairs
+        n = len(self._exclusive)
+        return tuple((i, j) for i, mask in enumerate(self._exclusive) for j in range(i + 1, n) if mask >> j & 1)
 
     def __repr__(self) -> str:
         return f"ValuationProblem(n_events={len(self._events)}, n_resolutions={len(self._resolutions)})"
 
 
-def _propagate(values: list, resolutions, orth_pairs) -> bool:
-    """Fixpoint constraint propagation; False on contradiction."""
-    changed = True
-    while changed:
-        changed = False
-        for fam in resolutions:
-            n_true = 0
-            unassigned = []
-            for i in fam:
-                if values[i] is True:
-                    n_true += 1
-                elif values[i] is None:
-                    unassigned.append(i)
-            if n_true > 1:
-                return False
-            if n_true == 1:
-                for i in unassigned:
-                    values[i] = False
-                    changed = True
-            elif not unassigned:
-                return False
-            elif len(unassigned) == 1:
-                values[unassigned[0]] = True
-                changed = True
-        for i, j in orth_pairs:
-            if values[i] is True and values[j] is True:
-                return False
-            if values[i] is True and values[j] is None:
-                values[j] = False
-                changed = True
-            elif values[j] is True and values[i] is None:
-                values[i] = False
-                changed = True
-    return True
+def _propagate(true: int, false: int, families: list[int], exclusive: list[int]) -> tuple[int, int] | None:
+    """Fixpoint constraint propagation on the true and false masks; None on contradiction.
 
-
-def _verify(values: Sequence[bool], resolutions, orth_pairs) -> bool:
-    for fam in resolutions:
-        if sum(1 for i in fam if values[i]) != 1:
-            return False
-    return all(not (values[i] and values[j]) for i, j in orth_pairs)
+    An event set true, here or by the caller, is open (not false) and at
+    once makes the events it excludes false, so no event is ever both.
+    Members of a family exclude one another, so a true member has made
+    the rest false.  What is left: a family with no member open
+    contradicts, and a lone open member becomes true.  The rules only
+    add to the masks, so any order reaches the same fixpoint or
+    contradiction.
+    """
+    while True:
+        before = true, false
+        for fam in families:
+            open_ = fam & ~false
+            if not open_:
+                return None
+            if not open_ & (open_ - 1):
+                true |= open_
+                false |= exclusive[open_.bit_length() - 1]
+        if (true, false) == before:
+            return true, false
 
 
 def search_valuation(problem: ValuationProblem) -> ValuationResult:
@@ -272,35 +264,35 @@ def search_valuation(problem: ValuationProblem) -> ValuationResult:
 
     Depth-first over the events in order, trying true before false, with
     fixpoint propagation of the exactly-one and exclusion constraints at
-    every node.  The exclusion constraints are the problem's own
-    :attr:`~ValuationProblem.exclusive_pairs`.  A found assignment is
-    re-verified against the full constraint set before being returned.
+    every node.  The exclusion constraints are the problem's own masks.
+    A found assignment is re-verified against the full constraint set
+    before being returned.
     """
     n = len(problem.events)
-    orth_pairs = problem.exclusive_pairs
-    resolutions = problem.resolutions
+    exclusive = problem._exclusive
+    families = [sum(1 << i for i in fam) for fam in problem.resolutions]
+    everything = (1 << n) - 1
     nodes = 0
 
-    def dfs(values: list) -> tuple[bool, ...] | None:
+    def dfs(true: int, false: int) -> int | None:
         nonlocal nodes
         nodes += 1
-        if not _propagate(values, resolutions, orth_pairs):
+        masks = _propagate(true, false, families, exclusive)
+        if masks is None:
             return None
-        try:
-            pivot = values.index(None)
-        except ValueError:
-            return tuple(bool(v) for v in values)
-        for choice in (True, False):
-            trial = list(values)
-            trial[pivot] = choice
-            result = dfs(trial)
-            if result is not None:
-                return result
-        return None
+        true, false = masks
+        free = everything & ~(true | false)
+        if not free:
+            return true
+        pivot = free & -free
+        found = dfs(true | pivot, false | exclusive[pivot.bit_length() - 1])
+        return found if found is not None else dfs(true, false | pivot)
 
-    assignment = dfs([None] * n)
-    if assignment is None:
+    true = dfs(0, 0)
+    if true is None:
         return ValuationResult(satisfiable=False, assignment=None, nodes_explored=nodes)
-    if not _verify(assignment, resolutions, orth_pairs):
+    assignment = tuple(bool(true >> i & 1) for i in range(n))
+    one_per_family = all((fam & true).bit_count() == 1 for fam in families)
+    if not one_per_family or any(value and exclusive[i] & true for i, value in enumerate(assignment)):
         raise InvariantError("search produced an assignment violating its own constraints")
     return ValuationResult(satisfiable=True, assignment=assignment, nodes_explored=nodes)

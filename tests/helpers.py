@@ -9,6 +9,7 @@ algorithm; meet tests that need an independent check compare with a
 planted meet instead.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from qcondprob import (
     UndefinedProbabilityError,
     ValidationError,
     clamp_probability,
+    is_orthogonal,
     validate_event,
 )
 from qcondprob.experiments import MODE_BLOCK
@@ -209,3 +211,103 @@ def reference_matrix_from_obj(obj, where="matrix"):
         for j, entry in enumerate(row):
             m[i, j] = reference_entry_to_complex(entry, f"{where}[{i}][{j}]")
     return m
+
+
+def peres33_rays():
+    """Peres' 33 rays in dimension 3: components 0, +-1, +-sqrt(2), up to overall sign, unit length."""
+    s = math.sqrt(2.0)
+    seeds = [(0, 0, 1), (0, 1, 1), (0, 1, -1), (0, 1, s), (0, 1, -s),
+             (1, 1, s), (1, -1, s), (1, 1, -s), (1, -1, -s)]
+    rays = {}
+    for seed in seeds:
+        for perm in itertools.permutations(seed):
+            v = np.array(perm, dtype=float)
+            if v[np.flatnonzero(v)[0]] < 0:
+                v = -v
+            rays.setdefault(tuple(np.round(v, 12)), v / np.linalg.norm(v))
+    return list(rays.values())
+
+
+def reference_valuation(events, resolutions=None, tol=DEFAULT_TOL):
+    """The list-based valuation rules on distinct events: ``(resolutions, exclusive_pairs, assignment, nodes)``.
+
+    The exclusion relation is a list of lists of bools from pairwise
+    :func:`is_orthogonal`; resolutions, when not given, come from a
+    recursion that adds an event when its rank fits and it excludes every
+    member chosen so far; the search copies a True/False/None list per
+    node, branches on the first None, true before false, and sweeps every
+    family and every exclusive pair until nothing changes.
+    """
+    n, dim = len(events), events[0].dim
+    exclusive = [[i != j and is_orthogonal(e, f, tol) for j, f in enumerate(events)] for i, e in enumerate(events)]
+    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n) if exclusive[i][j])
+    if resolutions is None:
+        resolutions = []
+
+        def extend(start, chosen, rank_sum):
+            if rank_sum == dim:
+                resolutions.append(tuple(chosen))
+                return
+            for k in range(start, n):
+                if rank_sum + events[k].rank <= dim and all(exclusive[k][c] for c in chosen):
+                    chosen.append(k)
+                    extend(k + 1, chosen, rank_sum + events[k].rank)
+                    chosen.pop()
+
+        extend(0, [], 0)
+    resolutions = tuple(resolutions)
+
+    def propagate(values):
+        changed = True
+        while changed:
+            changed = False
+            for fam in resolutions:
+                n_true = 0
+                unassigned = []
+                for i in fam:
+                    if values[i] is True:
+                        n_true += 1
+                    elif values[i] is None:
+                        unassigned.append(i)
+                if n_true > 1:
+                    return False
+                if n_true == 1:
+                    for i in unassigned:
+                        values[i] = False
+                        changed = True
+                elif not unassigned:
+                    return False
+                elif len(unassigned) == 1:
+                    values[unassigned[0]] = True
+                    changed = True
+            for i, j in pairs:
+                if values[i] is True and values[j] is True:
+                    return False
+                if values[i] is True and values[j] is None:
+                    values[j] = False
+                    changed = True
+                elif values[j] is True and values[i] is None:
+                    values[i] = False
+                    changed = True
+        return True
+
+    nodes = 0
+
+    def dfs(values):
+        nonlocal nodes
+        nodes += 1
+        if not propagate(values):
+            return None
+        try:
+            pivot = values.index(None)
+        except ValueError:
+            return tuple(values)
+        for choice in (True, False):
+            trial = list(values)
+            trial[pivot] = choice
+            found = dfs(trial)
+            if found is not None:
+                return found
+        return None
+
+    return resolutions, pairs, dfs([None] * n), nodes

@@ -41,6 +41,9 @@ def test_event_construction():
     for indices in ([True, 2], [2.9], [1.0], ["1"]):
         with pytest.raises(ValidationError, match="not an integer"):
             ClassicalEvent.from_indices(3, indices)
+    for n_outcomes in (-1, 2.5, True):
+        with pytest.raises(ValidationError, match="positive integer"):
+            ClassicalEvent.from_indices(n_outcomes, [0])
 
 
 def test_prob_and_cond_prob_on_die():

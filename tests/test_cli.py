@@ -266,9 +266,18 @@ def test_input_problems_exit_2(tmp_path):
     broken = run_cli("objective", "--outcome", str(garbage), "--event", fixture("objective_pair_e.json"))
     assert broken.returncode == 2
 
-    bad_tol = run_cli("objective", "--outcome", fixture("objective_pair_d.json"),
-                      "--event", fixture("objective_pair_e.json"), "--atol", "-1")
-    assert bad_tol.returncode == 2
+    for atol in ("-1", "inf", "2"):
+        bad_tol = run_cli("objective", "--outcome", fixture("objective_pair_d.json"),
+                          "--event", fixture("objective_pair_e.json"), "--atol", atol)
+        assert bad_tol.returncode == 2
+    # Under an infinite tolerance these non-projections would pass as events and a state.
+    not_state = tmp_path / "not_state.json"
+    not_state.write_text(json.dumps({"dim": 2, "entries": [[7.0, 0.0], [0.0, -2.0]]}))
+    not_event = tmp_path / "not_event.json"
+    not_event.write_text(json.dumps({"dim": 2, "entries": [[5.0, 0.0], [0.0, -3.0]]}))
+    lax = run_cli("condprob", "--state", str(not_state), "--outcome", str(not_event),
+                  "--event", str(not_event), "--atol", "inf")
+    assert (lax.returncode, lax.stdout) == (2, "")
 
     not_projection = tmp_path / "scaled.json"
     not_projection.write_text(json.dumps({"dim": 2, "entries": [[2.0, 0.0], [0.0, 0.0]]}))

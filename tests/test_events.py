@@ -4,6 +4,7 @@ import pytest
 from qcondprob import (
     DEFAULT_TOL,
     State,
+    Tolerances,
     ValidationError,
     commutes,
     complement,
@@ -40,6 +41,17 @@ def test_validate_event_rejects_non_projections():
     # An infinite norm would make every budget infinite.
     with pytest.raises(ValidationError, match="norm overflows"):
         validate_event(np.array([[0.5, 1e200], [1e200, 0.5]]))
+
+
+def test_tolerances_are_reals_in_the_open_unit_interval():
+    # An infinite atol would pass diag(5, -3) as a rank-2 event.
+    with pytest.raises(ValidationError, match="in \\(0, 1\\)"):
+        validate_event([[5, 0], [0, -3]], Tolerances(atol=float("inf")))
+    for field in ("atol", "rtol", "objectivity_tol", "prob_floor"):
+        for value in (float("inf"), float("nan"), 1.0, 2, True, 0.0, -1e-10, "1e-10", None):
+            with pytest.raises(ValidationError, match=field):
+                Tolerances(**{field: value})
+    assert Tolerances(atol=np.float64(1e-6), rtol=0.999).atol == 1e-6
 
 
 def test_frobenius_matches_numpy_and_overflows_to_inf():

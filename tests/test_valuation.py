@@ -20,7 +20,7 @@ from qcondprob import (
 from qcondprob import valuation
 from qcondprob.fixtures import classical_valuation, kochen_specker_18, qubit_valuation
 
-from helpers import random_projection, random_unitary
+from helpers import peres33_rays, random_projection, random_unitary, reference_valuation
 
 
 def diag_event(pattern):
@@ -95,6 +95,12 @@ def test_explicit_resolutions_are_checked():
         ValuationProblem([a, wide, c], resolutions=[(0, 1, 1)])
     with pytest.raises(ValidationError):
         ValuationProblem([a, b, c], resolutions=[(0, 1, 7)])
+    # One event listed twice, by its index or by a copy's, is not a family
+    # of distinct exclusive members, whatever the ranks add up to.
+    with pytest.raises(ValidationError, match="distinct"):
+        ValuationProblem([a, b, c], resolutions=[(0, 0, 1, 2)])
+    with pytest.raises(ValidationError, match="distinct"):
+        ValuationProblem([a, b, c, diag_event([1, 0, 0])], resolutions=[(0, 1, 2, 3)])
 
 
 def test_classical_collection_is_satisfiable():
@@ -354,3 +360,54 @@ def test_meet_of_rays_and_deduplication_share_the_sameness_rule():
             same = len(ValuationProblem([e, f], tol=tol).events) == 1
             assert same == (factor < 1.0)
             assert lattice_meet(e, f, tol).rank == (1 if same else 0)
+
+
+def _reference_instances(rng):
+    """600 ``(events, resolutions)``: rotated KS18 and Peres-33 ray subsets, diagonal sets in d = 5.
+
+    KS18 subsets carry, every other time, the designed bases that lie
+    inside them as explicit resolutions; the rest leave them to the
+    enumerator (None).
+    """
+    ks = kochen_specker_18()
+    peres = [validate_event(np.outer(v, v)) for v in peres33_rays()]
+    for k in range(200):
+        q = random_unitary(rng, 4)
+        members = sorted(rng.choice(18, size=int(rng.integers(12, 19)), replace=False))
+        events = [validate_event(q @ ks.events[i].matrix @ q.conj().T) for i in members]
+        position = {m: i for i, m in enumerate(members)}
+        inside = [tuple(position[i] for i in fam) for fam in ks.resolutions if set(fam) <= position.keys()]
+        yield events, inside if k % 2 else None
+    for _ in range(200):
+        q = random_unitary(rng, 3)
+        members = rng.choice(33, size=int(rng.integers(4, MAX_EVENTS + 1)), replace=False)
+        yield [validate_event(q @ peres[i].matrix @ q.conj().T) for i in members], None
+    for _ in range(200):
+        patterns = rng.integers(0, 2, size=(int(rng.integers(3, 13)), 5))
+        yield [diag_event(row) for row in patterns if row.any()], None
+
+
+def test_masks_match_the_list_based_reference():
+    unsat = branched = 0
+    for events, resolutions in _reference_instances(np.random.default_rng(1409)):
+        problem = ValuationProblem(events, resolutions=resolutions)
+        found = search_valuation(problem)
+        expected = reference_valuation(problem.events, resolutions)
+        assert (problem.resolutions, problem.exclusive_pairs) == expected[:2]
+        assert (found.assignment, found.nodes_explored) == expected[2:]
+        unsat += not found.satisfiable
+        branched += found.nodes_explored > 1
+    assert unsat >= 20 and branched >= 300
+
+
+def test_full_collections_match_the_reference(monkeypatch):
+    ks = kochen_specker_18()
+    found = search_valuation(ks)
+    assert reference_valuation(ks.events, ks.resolutions)[2:] == (None, found.nodes_explored) == (None, 31)
+    monkeypatch.setattr(valuation, "MAX_EVENTS", 33)
+    peres = ValuationProblem([validate_event(np.outer(v, v)) for v in peres33_rays()])
+    found = search_valuation(peres)
+    assert len(peres.events) == 33 and len(peres.resolutions) == 16
+    assert (found.satisfiable, found.nodes_explored) == (False, 47)
+    expected = reference_valuation(peres.events)
+    assert (peres.resolutions, peres.exclusive_pairs, None, 47) == expected
