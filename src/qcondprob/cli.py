@@ -29,7 +29,7 @@ from .experiments import conditioned_on_record, evaluate_chain, sample_chain
 from .interference import double_slit_scan, scan_to_csv
 from .io import load_chain, load_event, load_slit_model, load_state, load_valuation
 from .objective import objective_seq
-from .tolerances import Tolerances
+from .tolerances import DEFAULT_TOL, Tolerances
 from .valuation import search_valuation
 
 EXIT_OK = 0
@@ -42,13 +42,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+# The tolerance flags, by Tolerances field; each subcommand registers the ones it reads.
+_TOL_HELP = {
+    "atol": "absolute comparison tolerance",
+    "rtol": "relative comparison tolerance",
+    "objectivity_tol": "residual threshold for state-independence",
+    "prob_floor": "smallest usable conditioning probability",
+}
+
+
 def _tol(args) -> Tolerances:
-    return Tolerances(
-        atol=args.atol,
-        rtol=args.rtol,
-        objectivity_tol=args.objectivity_tol,
-        prob_floor=args.prob_floor,
-    )
+    return Tolerances(**{name: value for name, value in vars(args).items() if name in _TOL_HELP})
 
 
 def _print_pairs(pairs: list[tuple[str, str]]) -> None:
@@ -200,13 +204,10 @@ def cmd_valuation(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--atol", type=float, default=1e-10, help="absolute comparison tolerance")
-    parser.add_argument("--rtol", type=float, default=1e-10, help="relative comparison tolerance")
-    parser.add_argument("--objectivity-tol", type=float, default=1e-9,
-                        help="residual threshold for state-independence")
-    parser.add_argument("--prob-floor", type=float, default=1e-12,
-                        help="smallest usable conditioning probability")
+def _add_common(parser: argparse.ArgumentParser, *tolerances: str) -> None:
+    for name in ("atol", "rtol", *tolerances):
+        parser.add_argument("--" + name.replace("_", "-"), type=float, default=getattr(DEFAULT_TOL, name),
+                            help=_TOL_HELP[name])
     parser.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (the slit scan prints CSV in table mode)")
 
@@ -223,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", required=True, help="outcome event JSON file")
     p.add_argument("--event", required=True, action="append",
                    help="conditioning event JSON file; repeat to condition on a sequence in order")
-    _add_common(p)
+    _add_common(p, "prob_floor")
     p.set_defaults(func=cmd_condprob)
 
     p = sub.add_parser("objective", help="state-independence test for a conditioning sequence")
     p.add_argument("--outcome", required=True, help="outcome event JSON file")
     p.add_argument("--event", required=True, action="append",
                    help="conditioning event JSON file; repeat for a sequence in order")
-    _add_common(p)
+    _add_common(p, "objectivity_tol", "prob_floor")
     p.set_defaults(func=cmd_objective)
 
     p = sub.add_parser("chain", help="evaluate an apparatus scenario")
@@ -241,12 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="pseudorandom seed for sampling")
     p.add_argument("--trials", type=int, default=100000, help="number of sampling trials")
     p.add_argument("--workers", type=int, default=1, help="independent sampling substreams")
-    _add_common(p)
+    _add_common(p, "prob_floor")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("slit", help="two-slit detector scan (CSV)")
     p.add_argument("--model", required=True, help="slit model JSON file")
-    _add_common(p)
+    _add_common(p, "prob_floor")
     p.set_defaults(func=cmd_slit)
 
     p = sub.add_parser("valuation", help="noncontextual truth-assignment search")

@@ -29,7 +29,8 @@ Validation happens once, at the boundary: ``State(...)`` checks every
 matrix handed to it.  The update ``rho -> rho_e`` of an already
 validated state by an already validated event is a state by
 construction, so :func:`cond_state` wraps its result without checking
-it again.  Traces of products with a self-adjoint factor are taken as
+it again, as :meth:`State.from_ensemble` wraps its mixture of unit
+rays.  Traces of products with a self-adjoint factor are taken as
 elementwise sums in O(d^2) rather than by forming the product in O(d^3).
 """
 
@@ -44,7 +45,7 @@ from .events import Event, _dimension, _frobenius, _self_adjoint_matrix
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 # Agreement threshold between the closed-form and step-by-step values of
-# a repeated conditional probability.
+# a repeated conditional probability, relative to max(1, |value|).
 _PATH_AGREEMENT_TOL = 1e-12
 
 
@@ -160,7 +161,7 @@ class State:
         return state
 
     @classmethod
-    def from_ensemble(cls, pairs: Iterable[tuple[float, PureVector]], tol: Tolerances = DEFAULT_TOL) -> "State":
+    def from_ensemble(cls, pairs: Iterable[tuple[float, PureVector]]) -> "State":
         """Mix weighted pure vectors into a state.
 
         ``pairs`` is an iterable of (weight, vector).  Weights must be
@@ -168,6 +169,9 @@ class State:
         are normalised individually, so
 
             rho = sum_i  w_i * |v_i><v_i| / <v_i|v_i>.
+
+        A convex mixture of unit rays is a state by construction, so the
+        symmetrised sum is wrapped without the checks of ``State(...)``.
         """
         pairs = list(pairs)
         if not pairs:
@@ -194,12 +198,12 @@ class State:
                 raise ValidationError(f"ensemble vectors live in different dimensions: {dim} vs {v.dim}")
             u = v._unit()
             rho += (w / top / total) * np.outer(u, u.conj())
-        return cls(rho, tol=tol)
+        return cls._trusted((rho + rho.conj().T) / 2.0)
 
     @classmethod
-    def from_pure(cls, v: PureVector, tol: Tolerances = DEFAULT_TOL) -> "State":
+    def from_pure(cls, v: PureVector) -> "State":
         """The state concentrated on a single vector."""
-        return cls.from_ensemble([(1.0, v)], tol=tol)
+        return cls.from_ensemble([(1.0, v)])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "State":
@@ -333,7 +337,8 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
 
     and recomputes the value by folding :func:`cond_state` over the chain
     and evaluating ``d`` in the final state.  The two paths must agree to
-    1e-12; disagreement raises :class:`InvariantError`.  A vanishing
+    ``1e-12 * max(1, |value|)``, so to 1e-12 for an event outcome;
+    disagreement raises :class:`InvariantError`.  A vanishing
     denominator raises :class:`UndefinedProbabilityError`.
 
     The order of the chain matters: distinct orderings of the same events
@@ -345,6 +350,6 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
     for e in events:
         current = cond_state(current, e, tol)
     stepwise = state_value(current, d, tol)
-    if abs(value - stepwise) > _PATH_AGREEMENT_TOL:
+    if abs(value - stepwise) > _PATH_AGREEMENT_TOL * max(1.0, abs(value)):
         raise InvariantError(f"closed-form and step-by-step conditioning disagree: {value!r} vs {stepwise!r}")
     return value

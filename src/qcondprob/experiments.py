@@ -38,7 +38,6 @@ folds the recorded branch; :func:`sample_chain` splits trials down the tree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +51,6 @@ _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-_SPIN_VECTORS = {
-    ("x", "+"): (1 / math.sqrt(2), 1 / math.sqrt(2)),
-    ("x", "-"): (1 / math.sqrt(2), -1 / math.sqrt(2)),
-    ("y", "+"): (1 / math.sqrt(2), 1j / math.sqrt(2)),
-    ("y", "-"): (1 / math.sqrt(2), -1j / math.sqrt(2)),
-    ("z", "+"): (1, 0),
-    ("z", "-"): (0, 1),
 }
 
 MODE_BLOCK = "block_on_negation"
@@ -89,10 +79,7 @@ def spin_projector(axis: str, sign: str) -> Event:
 
 def spin_vector(axis: str, sign: str) -> PureVector:
     """Unit vector spanning the range of the matching spin projector."""
-    key = (str(axis).lower(), sign)
-    if key not in _SPIN_VECTORS:
-        raise ValidationError(f"unknown spin direction {key!r}")
-    return PureVector(np.array(_SPIN_VECTORS[key], dtype=np.complex128))
+    return PureVector(_ray(spin_projector(axis, sign)))
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,22 @@ term ``lam = trace(f @ e1 @ d @ e2)`` is the scalar with
 The incoherent variant models the presence of a which-part record: the
 classical mixture terms survive, the interference term is dropped.
 
-All four entry points read their terms from one kernel.  It checks the
-split once, by the exclusion rule ``|e1 @ e2|_F <= atol + rtol``, and
-takes ``e1 + e2`` as the event of rank ``r1 + r2`` without revalidating
-the sum.  For a general state it forms ``e1 @ rho @ e1``,
-``e2 @ rho @ e2`` and ``e2 @ rho @ e1`` once; each outcome then costs
-three traces against ``d``, in O(d^2) rather than O(d^3).  A minimal
-preparation runs on its ray ``v``: the kernel forms ``e1 @ v`` and
-``e2 @ v`` once, and each outcome costs two matrix-vector products
-with ``d``, so no d x d product is formed at all.
+All four entry points read their terms from one kernel and one formula.
+It checks the split once, by the exclusion rule
+``|e1 @ e2|_F <= atol + rtol``, and forms ``b_i = e_i @ rho`` and ``c_i``:
+``c_i = e_i`` for a density matrix, ``c_i = b_i`` for the ray ``v`` of a
+minimal preparation, which stands for ``rho = v @ adjoint(v)``.  Since
+
+    trace(rho @ e_i @ d @ e_j) == vdot(e_i @ rho, d @ e_j)   and
+    adjoint(v) @ e_i @ d @ e_j @ v == vdot(e_i @ v, d @ e_j @ v),
+
+every term is ``vdot(b_i, d @ c_j)``, the branch weights are
+``vdot(b_i, c_i)`` and the normalizer is their sum.  Each outcome costs
+the two products ``d @ c_i``: matrix-vector products in O(d^2) on a ray,
+so no d x d product is formed at all, and on a density matrix d x d
+products, four in all with the two ``b_i``.  Only
+:func:`split_cond_prob` forms ``e1 + e2``, as the event of rank
+``r1 + r2``, without revalidating the sum.
 """
 
 from __future__ import annotations
@@ -74,25 +81,28 @@ class InterferenceReport:
 
 def _decompose(
     rho: np.ndarray, e1: Event, e2: Event, outcomes: Sequence[Event], tol: Tolerances
-) -> tuple[Event, float, list[tuple[float, float, complex]]]:
+) -> tuple[float, list[tuple[float, float, complex]]]:
     """Terms of ``trace(rho @ e @ d @ e)`` over the split ``e = e1 + e2``.
 
     ``rho`` is a density matrix, or the unit ray ``v`` of a minimal
-    preparation, which stands for ``rho = v @ adjoint(v)``.  Returns the
-    combined event ``e``, the normalizer ``trace(rho @ e)`` and, for each
-    outcome ``d``, the triple ``(part1, part2, cross)``:
+    preparation.  Returns the normalizer and, for each outcome ``d``, the
+    triple ``(part1, part2, cross)`` by one formula:
 
-        trace(rho @ e1 @ d @ e1),  trace(rho @ e2 @ d @ e2),  trace(rho @ e1 @ d @ e2).
+        vdot(b_1, d @ c_1) == trace(rho @ e1 @ d @ e1),
+        vdot(b_2, d @ c_2) == trace(rho @ e2 @ d @ e2),
+        vdot(b_1, d @ c_2) == trace(rho @ e1 @ d @ e2),
 
-    On a ray, with ``b_i = e_i @ v``, these are ``adjoint(b_1) d b_1``,
-    ``adjoint(b_2) d b_2`` and ``adjoint(b_1) d b_2``, the normalizer is
-    ``adjoint(v) e v`` and the branch weights are ``|b_i|^2``, so each
-    outcome costs O(d^2).
+    with ``b_i = e_i @ rho``, and ``c_i = e_i`` on a density matrix or
+    ``c_i = b_i`` on a ray, the only step that depends on the input.  Each
+    outcome costs the two products ``d @ c_i``, O(d^2) on a ray.  The
+    normalizer ``vdot(b_1, c_1) + vdot(b_2, c_2)`` is, like the conditioning
+    kernel's denominator, not clamped: for parts that are projections only
+    within tolerance it may exceed 1 by their defects.
 
     Outcomes are checked before the weights, so an invalid outcome raises
     :class:`ValidationError` even where the decomposition is undefined.
     Raises :class:`UndefinedProbabilityError` when either branch weight
-    or the normalizer is at or below the probability floor.
+    ``vdot(b_i, c_i)`` is at or below the probability floor.
     """
     if not isinstance(e1, Event) or not isinstance(e2, Event):
         raise ValidationError("branch conditions must be Events")
@@ -100,42 +110,32 @@ def _decompose(
         raise ValidationError(f"branch events live in different dimensions: {e1.dim} vs {e2.dim}")
     if not is_orthogonal(e1, e2, tol):
         raise ValidationError("branch events must be mutually exclusive (orthogonal)")
-    e = Event(e1.matrix + e2.matrix, e1.rank + e2.rank)
     for d in outcomes:
         if not isinstance(d, Event):
             raise ValidationError("outcome must be an Event")
-    if any(x.dim != rho.shape[0] for x in (e, *outcomes)):
+    if any(x.dim != rho.shape[0] for x in (e1, *outcomes)):
         raise ValidationError("state, outcome and branch dimensions must agree")
-    if rho.ndim == 1:
-        b1, b2 = e1.matrix @ rho, e2.matrix @ rho
-        weights = (np.vdot(b1, b1).real, np.vdot(b2, b2).real)
-        raw_normalizer = np.vdot(rho, e.matrix @ rho).real
-
-        def parts(d: np.ndarray):
-            d2 = d @ b2
-            return np.vdot(b1, d @ b1), np.vdot(b2, d2), np.vdot(b1, d2)
-    else:
-        left = rho @ e1.matrix
-        a1 = e1.matrix @ left
-        a2 = e2.matrix @ rho @ e2.matrix
-        c = e2.matrix @ left
-        weights = (np.trace(a1).real, np.trace(a2).real)
-        raw_normalizer = np.real(np.vdot(e.matrix, rho))
-
-        def parts(d: np.ndarray):
-            # trace(x @ d) == dot(x.ravel(), d.T.ravel()), in O(d^2).
-            flat = d.T.ravel()
-            return (np.dot(x.ravel(), flat) for x in (a1, a2, c))
-    normalizer = clamp_probability(float(raw_normalizer), tol, what="probability of the condition")
+    b1, b2 = e1.matrix @ rho, e2.matrix @ rho
+    c1, c2 = (b1, b2) if rho.ndim == 1 else (e1.matrix, e2.matrix)
+    weights = (float(np.vdot(b1, c1).real), float(np.vdot(b2, c2).real))
     if min(weights) <= tol.prob_floor:
         raise UndefinedProbabilityError("branch probability vanishes; decomposition is undefined")
-    if normalizer <= tol.prob_floor:
-        raise UndefinedProbabilityError("combined condition has vanishing probability")
     terms = []
     for d in outcomes:
-        p1, p2, cross = parts(d.matrix)
-        terms.append((float(p1.real), float(p2.real), complex(cross)))
-    return e, normalizer, terms
+        dc2 = d.matrix @ c2
+        p1, p2 = np.vdot(b1, d.matrix @ c1).real, np.vdot(b2, dc2).real
+        terms.append((float(p1), float(p2), complex(np.vdot(b1, dc2))))
+    return weights[0] + weights[1], terms
+
+
+def _coherent_total(normalizer: float, p1: float, p2: float, cross: complex, tol: Tolerances) -> float:
+    """``(part1 + part2 + 2 Re cross) / normalizer``: the cross term kept."""
+    return clamp_probability((p1 + p2 + 2.0 * cross.real) / normalizer, tol, what="decomposed conditional probability")
+
+
+def _incoherent_total(normalizer: float, p1: float, p2: float, tol: Tolerances) -> float:
+    """``(part1 + part2) / normalizer``: the cross term dropped by a which-part record."""
+    return clamp_probability((p1 + p2) / normalizer, tol, what="incoherent combination")
 
 
 def _prepared(f: Event) -> np.ndarray:
@@ -159,12 +159,12 @@ def split_cond_prob(
     ``total`` is computed directly from the combined condition, the
     parts and cross term from the branches, so the report's identity is
     a genuine consistency statement rather than a tautology.  Raises
-    :class:`UndefinedProbabilityError` if either branch (or the
-    combination) carries probability at or below the floor.
+    :class:`UndefinedProbabilityError` if either branch carries
+    probability at or below the floor.
     """
-    e, normalizer, [(p1, p2, cross)] = _decompose(mu.rho, e1, e2, [d], tol)
+    normalizer, [(p1, p2, cross)] = _decompose(mu.rho, e1, e2, [d], tol)
     return InterferenceReport(
-        total=cond_prob(mu, d, e, tol),
+        total=cond_prob(mu, d, Event(e1.matrix + e2.matrix, e1.rank + e2.rank), tol),
         part1=p1,
         part2=p2,
         interference=2.0 * cross.real,
@@ -193,13 +193,12 @@ def objective_split(
     so it can be checked independently against the direct sequential
     conditional probability of ``d`` given ``f`` then ``e1 + e2``.
     """
-    _, normalizer, [(p1, p2, lam)] = _decompose(_prepared(f), e1, e2, [d], tol)
-    interference = 2.0 * lam.real
+    normalizer, [(p1, p2, lam)] = _decompose(_prepared(f), e1, e2, [d], tol)
     return InterferenceReport(
-        total=clamp_probability((p1 + p2 + interference) / normalizer, tol, what="decomposed conditional probability"),
+        total=_coherent_total(normalizer, p1, p2, lam, tol),
         part1=p1,
         part2=p2,
-        interference=interference,
+        interference=2.0 * lam.real,
         normalizer=normalizer,
         coherent=True,
         lambda_complex=lam,
@@ -219,9 +218,9 @@ def incoherent_combine(
     mixture renormalised by the same combined mass as the coherent case,
     so the two variants are directly comparable.
     """
-    _, normalizer, [(p1, p2, _)] = _decompose(_prepared(f), e1, e2, [d], tol)
+    normalizer, [(p1, p2, _)] = _decompose(_prepared(f), e1, e2, [d], tol)
     return InterferenceReport(
-        total=clamp_probability((p1 + p2) / normalizer, tol, what="incoherent combination"),
+        total=_incoherent_total(normalizer, p1, p2, tol),
         part1=p1,
         part2=p2,
         interference=0.0,
@@ -253,23 +252,22 @@ def double_slit_scan(
     For each detector event the coherent column is the decomposed
     conditional probability with the cross term kept, the incoherent
     column the which-part variant; both come from one kernel formed once
-    per scan.  When a branch or the combined condition has vanishing
-    weight after ``f`` the decomposition is undefined for every detector,
-    and every row is flagged ``defined=False`` with NaN values.
+    per scan.  When a branch has vanishing weight after ``f`` the
+    decomposition is undefined for every detector, and every row is
+    flagged ``defined=False`` with NaN values.
     """
     if not detectors:
         raise ValidationError("detector bank must contain at least one event")
     try:
-        _, normalizer, terms = _decompose(_prepared(f), e1, e2, detectors, tol)
+        normalizer, terms = _decompose(_prepared(f), e1, e2, detectors, tol)
     except UndefinedProbabilityError:
         nan = float("nan")
         return [ScanPoint(index=i, coherent=nan, incoherent=nan, defined=False) for i in range(len(detectors))]
     return [
         ScanPoint(
             index=i,
-            coherent=clamp_probability((p1 + p2 + 2.0 * cross.real) / normalizer, tol,
-                                       what="decomposed conditional probability"),
-            incoherent=clamp_probability((p1 + p2) / normalizer, tol, what="incoherent combination"),
+            coherent=_coherent_total(normalizer, p1, p2, cross, tol),
+            incoherent=_incoherent_total(normalizer, p1, p2, tol),
             defined=True,
         )
         for i, (p1, p2, cross) in enumerate(terms)

@@ -167,7 +167,7 @@ def state_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "state") -> 
                 raise ValidationError(f"{where}: ensemble weight must be a number, got {weight!r}")
             weight = _float(weight, f"{where}.ensemble[{k}].weight")
             pairs.append((weight, vector_from_obj(comp["vector"], f"{where}.ensemble[{k}].vector")))
-        return State.from_ensemble(pairs, tol=tol)
+        return State.from_ensemble(pairs)
     return State(matrix_from_obj(obj, where), tol=tol)
 
 

@@ -311,3 +311,54 @@ def reference_valuation(events, resolutions=None, tol=DEFAULT_TOL):
         return None
 
     return resolutions, pairs, dfs([None] * n), nodes
+
+
+def reference_decompose(rho, e1, e2, outcomes, tol=DEFAULT_TOL):
+    """The two-formula interference kernel: ``(normalizer, [(part1, part2, cross), ...])``.
+
+    A density matrix goes through the compressions ``e1 rho e1``,
+    ``e2 rho e2`` and ``e2 rho e1`` and three traces per outcome; a ray
+    ``v`` through ``b_i = e_i v``.  The normalizer is read from the sum
+    event ``e1 + e2`` and refused on its own, after the branch weights.
+    """
+    if not isinstance(e1, Event) or not isinstance(e2, Event):
+        raise ValidationError("branch conditions must be Events")
+    if e1.dim != e2.dim:
+        raise ValidationError("branch events live in different dimensions")
+    if not is_orthogonal(e1, e2, tol):
+        raise ValidationError("branch events must be mutually exclusive (orthogonal)")
+    e = Event(e1.matrix + e2.matrix, e1.rank + e2.rank)
+    for d in outcomes:
+        if not isinstance(d, Event):
+            raise ValidationError("outcome must be an Event")
+    if any(x.dim != rho.shape[0] for x in (e, *outcomes)):
+        raise ValidationError("state, outcome and branch dimensions must agree")
+    if rho.ndim == 1:
+        b1, b2 = e1.matrix @ rho, e2.matrix @ rho
+        weights = (np.vdot(b1, b1).real, np.vdot(b2, b2).real)
+        raw_normalizer = np.vdot(rho, e.matrix @ rho).real
+
+        def parts(d):
+            d2 = d @ b2
+            return np.vdot(b1, d @ b1), np.vdot(b2, d2), np.vdot(b1, d2)
+    else:
+        left = rho @ e1.matrix
+        a1 = e1.matrix @ left
+        a2 = e2.matrix @ rho @ e2.matrix
+        c = e2.matrix @ left
+        weights = (np.trace(a1).real, np.trace(a2).real)
+        raw_normalizer = np.real(np.vdot(e.matrix, rho))
+
+        def parts(d):
+            flat = d.T.ravel()
+            return (np.dot(x.ravel(), flat) for x in (a1, a2, c))
+    normalizer = clamp_probability(float(raw_normalizer), tol, what="probability of the condition")
+    if min(weights) <= tol.prob_floor:
+        raise UndefinedProbabilityError("branch probability vanishes; decomposition is undefined")
+    if normalizer <= tol.prob_floor:
+        raise UndefinedProbabilityError("combined condition has vanishing probability")
+    terms = []
+    for d in outcomes:
+        p1, p2, cross = parts(d.matrix)
+        terms.append((float(p1.real), float(p2.real), complex(cross)))
+    return normalizer, terms

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,7 +8,7 @@ import sys
 
 import numpy as np
 
-from qcondprob import cli, repeated_cond_prob
+from qcondprob import DEFAULT_TOL, cli, repeated_cond_prob
 from qcondprob.fixtures import double_slit_model
 from qcondprob.interference import double_slit_scan, scan_to_csv
 from qcondprob.io import load_event, load_state, matrix_to_obj
@@ -283,6 +284,44 @@ def test_input_problems_exit_2(tmp_path):
     not_projection.write_text(json.dumps({"dim": 2, "entries": [[2.0, 0.0], [0.0, 0.0]]}))
     rejected = run_cli("objective", "--outcome", str(not_projection), "--event", fixture("objective_pair_e.json"))
     assert rejected.returncode == 2
+
+
+def test_each_command_takes_the_tolerance_flags_it_reads():
+    reads = {
+        "condprob": {"--atol", "--rtol", "--prob-floor"},
+        "objective": {"--atol", "--rtol", "--objectivity-tol", "--prob-floor"},
+        "chain": {"--atol", "--rtol", "--prob-floor"},
+        "slit": {"--atol", "--rtol", "--prob-floor"},
+        "valuation": {"--atol", "--rtol"},
+    }
+    flags = {"--atol", "--rtol", "--objectivity-tol", "--prob-floor"}
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(reads)
+    for name, sub in commands.items():
+        assert flags & set(sub._option_string_actions) == reads[name]
+    # Every default is the library's.
+    args = parser.parse_args(["objective", "--outcome", "d.json", "--event", "e.json"])
+    assert cli._tol(args) == DEFAULT_TOL
+    args = parser.parse_args(["valuation", "--problem", "p.json"])
+    assert cli._tol(args) == DEFAULT_TOL
+    ignored = run_cli("condprob", "--state", fixture("state_mixed_dim4.json"),
+                      "--outcome", fixture("objective_pair_d.json"), "--event", fixture("objective_pair_e.json"),
+                      "--objectivity-tol", "1e-9")
+    assert ignored.returncode == 2
+    assert "unrecognized arguments: --objectivity-tol" in ignored.stderr
+
+
+def test_ensembles_are_not_revalidated_under_strict_tolerances(tmp_path):
+    state = tmp_path / "ensemble.json"
+    state.write_text(json.dumps({"ensemble": [
+        {"weight": 0.2, "vector": [[-0.3, 0.5], [1.2, -0.8], [-1.8, 1.2], [0, 0.7]]},
+        {"weight": 0.3, "vector": [[-1.3, 1.7], [0.7, -0.1], [-0.4, 0.1], [-0.2, -0.3]]},
+        {"weight": 0.5, "vector": [[-1.1, 1.3], [0, 0.1], [0.1, -2.4], [0.5, -0.3]]},
+    ]}))
+    strict = run_cli("condprob", "--state", str(state), "--outcome", fixture("objective_pair_d.json"),
+                     "--event", fixture("objective_pair_e.json"), "--atol", "1e-16", "--rtol", "1e-16")
+    assert (strict.returncode, strict.stdout) == (0, "value  0.5\n")
 
 
 def test_json_booleans_exit_2(tmp_path):

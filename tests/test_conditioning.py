@@ -10,6 +10,7 @@ from qcondprob import (
     InvariantError,
     PureVector,
     State,
+    Tolerances,
     UndefinedProbabilityError,
     ValidationError,
     complement,
@@ -24,6 +25,7 @@ from qcondprob import (
     validate_event,
 )
 from qcondprob.fixtures import lower_block_state_dim4, mixed_state_dim4, objective_pair
+from qcondprob.io import state_from_obj
 
 from helpers import random_full_rank_state, random_projection, random_rank1, random_unitary
 
@@ -115,6 +117,25 @@ def test_from_ensemble_normalises_weights_and_vectors():
         State.from_ensemble([(0.0, PureVector([1, 0]))])
     with pytest.raises(ValidationError):
         State.from_ensemble([(1.0, PureVector([1, 0])), (1.0, PureVector([1, 0, 0]))])
+
+
+def test_from_ensemble_is_not_revalidated_under_strict_tolerances():
+    # A convex mixture of unit rays is a state by construction; checking its
+    # trace again at atol = rtol = 1e-16 refused about a quarter of these.
+    strict = Tolerances(atol=1e-16, rtol=1e-16)
+    rng = np.random.default_rng(1502)
+    for _ in range(200):
+        dim = int(rng.integers(2, 9))
+        weights = rng.dirichlet(np.ones(3))
+        vectors = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        obj = {"ensemble": [{"weight": float(w), "vector": [[z.real, z.imag] for z in v]}
+                            for w, v in zip(weights, vectors)]}
+        rho = state_from_obj(obj, strict).rho
+        units = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+        assert np.allclose(rho, np.einsum("k,ki,kj->ij", weights, units, units.conj()), atol=1e-15, rtol=0)
+        assert np.array_equal(rho, rho.conj().T)
+    with pytest.raises(TypeError):
+        State.from_ensemble([(1.0, PureVector([1, 0]))], tol=strict)
 
 
 def test_integers_beyond_float_range_are_refused_by_every_constructor():
@@ -340,6 +361,16 @@ def test_cross_check_still_runs(monkeypatch):
         repeated_cond_prob(mu, d, [e])
     # The closed form alone, and cond_prob with it, is not cross-checked.
     assert conditioning._closed_form(mu, d, [e, e], DEFAULT_TOL) == cond_prob(mu, d, e)
+
+
+def test_cross_check_scales_with_the_value():
+    # A conditional expectation of 2.2e6: the two paths differ by 5e-10,
+    # a relative gap of 2e-16, which an absolute 1e-12 refused.
+    a = 1e6 * np.array([[-1.8, 3.5], [3.5, -0.8]])
+    chain = [validate_event(np.outer(v, v)) for v in (np.array([1, 2]) / np.sqrt(5), np.array([3, 4]) / 5)]
+    mu = State.maximally_mixed(2)
+    assert repeated_cond_prob(mu, a, chain) == pytest.approx(2.2e6, rel=1e-15)
+    assert repeated_cond_prob(mu, a / 1e6, chain) == pytest.approx(2.2, rel=1e-15)
 
 
 def test_cross_check_accepts_events_idempotent_only_within_tolerance():

@@ -56,6 +56,21 @@ def test_spin_projector_conventions():
         spin_vector("q", "-")
 
 
+def test_spin_vectors_are_the_rays_of_the_spin_projectors():
+    h = 1 / np.sqrt(2)
+    table = {
+        ("x", "+"): (h, h), ("x", "-"): (h, -h),
+        ("y", "+"): (h, 1j * h), ("y", "-"): (h, -1j * h),
+        ("z", "+"): (1, 0), ("z", "-"): (0, 1),
+    }
+    for (axis, sign), amplitudes in table.items():
+        assert np.array_equal(spin_vector(axis, sign).amplitudes, np.array(amplitudes, dtype=np.complex128))
+    assert np.array_equal(spin_vector("Y", "-").amplitudes, spin_vector("y", "-").amplitudes)
+    for axis, sign in (("q", "-"), ("x", "up")):
+        with pytest.raises(ValidationError):
+            spin_vector(axis, sign)
+
+
 def test_spin_transition_probabilities():
     assert abs(transition_prob(spin_vector("z", "+"), spin_vector("x", "+")) - 0.5) < 1e-15
     assert abs(transition_prob(spin_vector("x", "+"), spin_vector("y", "-")) - 0.5) < 1e-15

@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 
@@ -5,11 +6,14 @@ import numpy as np
 import pytest
 
 from qcondprob import (
+    DEFAULT_TOL,
+    QcpError,
     ScanPoint,
     State,
     UndefinedProbabilityError,
     ValidationError,
     double_slit_scan,
+    identity_event,
     incoherent_combine,
     objective_seq,
     objective_split,
@@ -19,9 +23,17 @@ from qcondprob import (
     validate_event,
 )
 from qcondprob.fixtures import double_slit_model
+from qcondprob.interference import _decompose
 from qcondprob.io import load_slit_model
 
-from helpers import orthogonal_split, random_full_rank_state, random_projection, random_rank1
+from helpers import (
+    orthogonal_split,
+    random_full_rank_state,
+    random_projection,
+    random_rank1,
+    random_unitary,
+    reference_decompose,
+)
 
 FIXTURE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
@@ -363,3 +375,77 @@ def test_invalid_outcome_is_reported_before_vanishing_weights():
         split_cond_prob(mu, good, e1, e2)
     with pytest.raises(ValidationError):
         double_slit_scan(validate_event(np.diag([1.0, 1.0, 0.0, 0.0])), e1, e2, [good])
+
+
+def _kernel_result(kernel, rho, e1, e2, outcomes):
+    try:
+        return kernel(rho, e1, e2, outcomes, DEFAULT_TOL)
+    except QcpError as exc:
+        return type(exc)
+
+
+def test_kernel_matches_the_two_formula_reference():
+    """``vdot(b_i, d @ c_j)`` against the compressions-and-traces kernel it replaced."""
+    rng = np.random.default_rng(1515)
+    seen = collections.Counter()
+    for _ in range(600):
+        dim = int(rng.integers(2, 17))
+        u = random_unitary(rng, dim)
+        r1 = int(rng.integers(1, dim))
+        r2 = int(rng.integers(1, dim - r1 + 1))
+        ranges = [u[:, :r1], u[:, r1:r1 + r2]]
+        branches = []
+        for cols in ranges:
+            m = cols @ cols.conj().T
+            if rng.random() < 1 / 3:
+                # Written to 10 decimals, as a JSON input carries it.
+                try:
+                    branches.append(validate_event(np.round(m, 10)))
+                    seen["rounded"] += 1
+                    continue
+                except ValidationError:
+                    pass
+            branches.append(validate_event(m))
+        if rng.random() < 0.05:
+            branches[1] = random_projection(rng, dim, r2)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        vanishing = rng.random() < 0.2
+        if vanishing:
+            # The input lives outside one branch, so that branch has no weight.
+            cols = ranges[int(rng.integers(2))]
+            g -= cols @ (cols.conj().T @ g)
+        if rng.random() < 0.5:
+            rho = g[:, 0] / np.linalg.norm(g[:, 0])
+        else:
+            g = g[:, :int(rng.integers(1, dim + 1))]
+            rho = State(g @ g.conj().T / np.linalg.norm(g) ** 2).rho
+        # The identity outcome's parts are the branch weights.
+        outcomes = [identity_event(dim)]
+        outcomes += [random_projection(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(int(rng.integers(1, 4)))]
+        if rng.random() < 0.15:
+            k = int(rng.integers(len(outcomes)))
+            outcomes[k] = outcomes[k].matrix if rng.random() < 0.5 else identity_event(dim + 1)
+            # Outcomes are checked before the weights.
+            seen["invalid outcome, vanishing branch"] += vanishing
+        got = _kernel_result(_decompose, rho, *branches, outcomes)
+        want = _kernel_result(reference_decompose, rho, *branches, outcomes)
+        if isinstance(want, type):
+            assert got is want
+            seen[want.__name__] += 1
+            continue
+        assert not isinstance(got, type), got
+        (normalizer, terms), (ref_normalizer, ref_terms) = got, want
+        # The normalizer is now the sum of the branch weights, which are
+        # quadratic in the parts; the reference reads trace(rho @ e), linear
+        # in them, and clamps it into [0, 1].  Both agree for exact
+        # projections; for parts written to 10 decimals they differ by at
+        # most the parts' idempotence defects.
+        defect = sum(np.linalg.norm(e.matrix.conj().T @ e.matrix - e.matrix, 2) for e in branches)
+        assert abs(min(normalizer, 1.0) - ref_normalizer) <= 1e-12 + defect
+        assert len(terms) == len(ref_terms) == len(outcomes)
+        for term, ref_term in zip(terms, ref_terms):
+            assert all(abs(x - y) <= 1e-12 for x, y in zip(term, ref_term))
+        seen["defined ray" if rho.ndim == 1 else "defined density matrix"] += 1
+    assert seen["rounded"] >= 200 and seen["invalid outcome, vanishing branch"] >= 10
+    assert seen["UndefinedProbabilityError"] >= 50 and seen["ValidationError"] >= 100
+    assert seen["defined ray"] >= 120 and seen["defined density matrix"] >= 120
