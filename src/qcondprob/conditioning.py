@@ -22,8 +22,12 @@ form: with the ordered product ``E = e1 @ e2 @ ... @ en``,
 One private kernel evaluates this closed form.  A single condition is
 the chain of length one, so :func:`cond_prob` is the kernel on ``[e]``
 and equals :func:`repeated_cond_prob` on ``[e]`` bit for bit.
-:func:`repeated_cond_prob` always recomputes its value by composing the
-state updates step by step and raises if the two paths disagree.
+:func:`repeated_cond_prob` always recomputes its value step by step and
+raises if the two paths disagree.  The step compresses without
+renormalising, ``C -> adjoint(e) @ C @ e`` from ``C = rho``, and divides
+by ``trace(C)`` once at the end: the per-step traces cancel, so this is
+the fold of :func:`cond_state` over the chain with ``adjoint(E) @ rho @ E``
+associated step by step instead of through the product ``E``.
 
 Validation happens once, at the boundary: ``State(...)`` checks every
 matrix handed to it.  The update ``rho -> rho_e`` of an already
@@ -245,14 +249,20 @@ def state_value(mu: State, a, tol: Tolerances = DEFAULT_TOL) -> float:
     return value
 
 
+def _compress(rho: np.ndarray, e: Event) -> np.ndarray:
+    """The unnormalised Lüders compression ``adjoint(e) @ rho @ e``."""
+    m = e.matrix
+    return m.conj().T @ rho @ m
+
+
 def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     """State update on observing ``e``: ``(e @ rho @ e) / trace(e @ rho @ e)``.
 
     For an exact projection the denominator is ``mu(e) = trace(rho @ e)``.
-    The compression is taken as ``adjoint(e) @ rho @ e`` and divided by
-    its own trace, exactly like the closed form of
-    :func:`repeated_cond_prob`, so the two agree even for events that are
-    self-adjoint and idempotent only within tolerance.
+    The compression is taken as ``adjoint(e) @ rho @ e``, the step of
+    :func:`repeated_cond_prob`'s cross-check, and divided by its own
+    trace, exactly like the closed form, so the two agree even for events
+    that are self-adjoint and idempotent only within tolerance.
 
     ``mu`` and ``e`` were validated when they were built, and compressing
     a state by a projection and renormalising yields a state, so the
@@ -265,7 +275,7 @@ def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     """
     if e.dim != mu.dim:
         raise ValidationError(f"dimension mismatch: state {mu.dim} vs event {e.dim}")
-    compressed = e.matrix.conj().T @ mu.rho @ e.matrix
+    compressed = _compress(mu.rho, e)
     p = float(np.real(np.trace(compressed)))
     if p <= tol.prob_floor:
         raise UndefinedProbabilityError(f"cannot condition on an event of probability {p!r}")
@@ -335,21 +345,31 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
 
         trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))
 
-    and recomputes the value by folding :func:`cond_state` over the chain
-    and evaluating ``d`` in the final state.  The two paths must agree to
-    ``1e-12 * max(1, |value|)``, so to 1e-12 for an event outcome;
-    disagreement raises :class:`InvariantError`.  A vanishing
-    denominator raises :class:`UndefinedProbabilityError`.
+    and recomputes the value step by step: it folds the unnormalised
+    compressions ``C -> adjoint(e) @ C @ e`` over the chain from
+    ``C = rho`` and takes ``Re trace(C @ d) / Re trace(C)`` once at the
+    end.  This is the fold of :func:`cond_state`, whose per-step traces
+    cancel, and whose symmetrisation leaves ``Re trace(C @ d)`` unchanged.
+    The two paths must agree to ``1e-12 * max(1, |value|)``, so to 1e-12
+    for an event outcome; disagreement raises :class:`InvariantError`.
+    A weight ``trace(C)`` at or below the probability floor on either
+    path raises :class:`UndefinedProbabilityError`.
 
     The order of the chain matters: distinct orderings of the same events
     are genuinely different observations and give different values.
     """
     events = list(chain)
     value = _closed_form(mu, d, events, tol)
-    current = mu
+    dm = _operand_matrix(d, "conditioned operand", tol)
+    compressed = mu.rho
     for e in events:
-        current = cond_state(current, e, tol)
-    stepwise = state_value(current, d, tol)
+        compressed = _compress(compressed, e)
+    weight = float(np.real(np.trace(compressed)))
+    if weight <= tol.prob_floor:
+        raise UndefinedProbabilityError(f"cannot condition on a chain of probability {weight!r}")
+    stepwise = _real_trace_product(compressed, dm) / weight
+    if isinstance(d, Event):
+        stepwise = clamp_probability(stepwise, tol, what="step-by-step conditional probability")
     if abs(value - stepwise) > _PATH_AGREEMENT_TOL * max(1.0, abs(value)):
         raise InvariantError(f"closed-form and step-by-step conditioning disagree: {value!r} vs {stepwise!r}")
     return value

@@ -19,7 +19,7 @@ of about eps / theta (see :func:`lattice_meet`).
 This module also holds the package's one input check for matrices,
 which events, states and operands all pass, its one index and one
 dimension rule, the one sameness and one exclusion rule, and the ray of
-a minimal event.
+a minimal event, which the event keeps once derived.
 """
 
 from __future__ import annotations
@@ -37,16 +37,18 @@ class Event:
 
     Instances are immutable; ``matrix`` is a read-only complex array and
     ``rank`` the integer trace.  Construct via :func:`validate_event` or
-    the module helpers rather than trusting raw matrices.
+    the module helpers rather than trusting raw matrices.  A minimal
+    event keeps its ray once :func:`_ray` has derived it.
     """
 
-    __slots__ = ("_matrix", "_rank")
+    __slots__ = ("_matrix", "_rank", "_ray")
 
     def __init__(self, matrix: np.ndarray, rank: int):
         m = np.array(matrix, dtype=np.complex128)
         m.setflags(write=False)
         self._matrix = m
         self._rank = int(rank)
+        self._ray = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -195,11 +197,17 @@ def _ray(e: Event) -> np.ndarray:
     For ``e = v @ adjoint(v)`` column k is ``v * conj(v[k])`` and the
     diagonal entry ``|v[k]|^2``, so the column with the largest diagonal
     entry (at least 1/d) divided by its norm is ``v`` times a phase: O(d)
-    work, no eigendecomposition.  ``e`` must be minimal.
+    work, no eigendecomposition.  ``e`` must be minimal.  The ray is
+    derived on the first call and kept on ``e`` as a read-only array,
+    which every later call returns.
     """
-    k = int(np.argmax(e.matrix.diagonal().real))
-    column = e.matrix[:, k]
-    return column / np.linalg.norm(column)
+    if e._ray is None:
+        k = int(np.argmax(e.matrix.diagonal().real))
+        column = e.matrix[:, k]
+        ray = column / np.linalg.norm(column)
+        ray.setflags(write=False)
+        e._ray = ray
+    return e._ray
 
 
 def is_orthogonal(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -208,7 +216,7 @@ def is_orthogonal(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     Symmetric for events, since ``f @ e`` is the adjoint of ``e @ f``.
     """
     _check_same_space(e, f)
-    return bool(_excludes(np.linalg.norm(e.matrix @ f.matrix, "fro"), tol))
+    return bool(_excludes(_frobenius(e.matrix @ f.matrix), tol))
 
 
 def implies(f: Event, e: Event, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -34,6 +34,9 @@ below ``prob_floor``.  :func:`evaluate_chain` folds the tree and records
 a derivation trace, whose ``weight`` on a detector entry is the outlet's
 probability given its path (0.0 if unreachable); :func:`conditioned_on_record`
 folds the recorded branch; :func:`sample_chain` splits trials down the tree.
+Growing the tree and every walk over it are iterative, with an explicit
+stack visited depth first and positive outlet first, so a chain's length
+is bounded by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -182,25 +185,19 @@ class _Node:
 
 
 def _branch_tree(chain: Chain, tol: Tolerances) -> _Node:
-    """The Lüders branch tree of ``chain`` (module docstring); one matrix-vector product per node."""
+    """The Lüders branch tree of ``chain`` (module docstring); one matrix-vector product per node.
+
+    Grown from an explicit stack of (node, its vector), depth first and
+    positive first, so a chain of any length needs no recursion.  A node
+    is made, with its rule and mass, when its parent passes an outlet on
+    to it, and is expanded when it leaves the stack.
+    """
     apparatuses = chain.apparatuses
     final = chain.final_outcome.matrix
-
-    def grow(u: np.ndarray, mass: float, idx: int) -> _Node:
-        if idx == len(apparatuses):
-            hits = float(np.vdot(u, final @ u).real)
-            return _Node(idx, _FINAL, mass, clamp_probability(hits / mass, tol, what="final-outcome probability"))
-        app = apparatuses[idx]
-        if app.mode == MODE_PASS and not app.has_detector:
-            return _Node(idx, RULE_COHERENT_JOIN, mass, positive=grow(u, mass, idx + 1))
-        pu = app.test_event.matrix @ u
-        p, p_mass = weigh(pu, mass)
-        positive = grow(pu, p_mass, idx + 1) if p else None
-        if app.mode == MODE_BLOCK:
-            return _Node(idx, RULE_BLOCK, mass, p, positive=positive)
-        qu = u - pu
-        q, q_mass = weigh(qu, mass)
-        return _Node(idx, RULE_INCOHERENT_SPLIT, mass, p, q, positive, grow(qu, q_mass, idx + 1) if q else None)
+    kinds = [
+        RULE_BLOCK if app.mode == MODE_BLOCK else RULE_INCOHERENT_SPLIT if app.has_detector else RULE_COHERENT_JOIN
+        for app in apparatuses
+    ] + [_FINAL]
 
     def weigh(v: np.ndarray, mass: float) -> tuple[float, float]:
         # The outlet's probability given the path, 0.0 when it is pruned, and its |v|^2.
@@ -209,18 +206,58 @@ def _branch_tree(chain: Chain, tol: Tolerances) -> _Node:
         return (p if p > tol.prob_floor else 0.0), v_mass
 
     u = _ray(chain.preparation)
-    return grow(u, float(np.vdot(u, u).real), 0)
+    root = _Node(0, kinds[0], float(np.vdot(u, u).real))
+    pending = [(root, u)]
+    while pending:
+        node, u = pending.pop()
+        idx, mass = node.index, node.mass
+        if node.kind == _FINAL:
+            hits = float(np.vdot(u, final @ u).real)
+            node.p = clamp_probability(hits / mass, tol, what="final-outcome probability")
+        elif node.kind == RULE_COHERENT_JOIN:
+            node.positive = _Node(idx + 1, kinds[idx + 1], mass)
+            pending.append((node.positive, u))
+        else:
+            pu = apparatuses[idx].test_event.matrix @ u
+            node.p, p_mass = weigh(pu, mass)
+            if node.kind == RULE_INCOHERENT_SPLIT:
+                qu = u - pu
+                node.q, q_mass = weigh(qu, mass)
+                if node.q:
+                    node.negation = _Node(idx + 1, kinds[idx + 1], q_mass)
+                    pending.append((node.negation, qu))
+            if node.p:
+                node.positive = _Node(idx + 1, kinds[idx + 1], p_mass)
+                pending.append((node.positive, pu))
+    return root
 
 
 def _fold(node: _Node | None) -> tuple[float, float]:
-    """Sums of <u|D|u> and |u|^2 over the leaves below ``node``: final-outcome hits and survivors."""
-    if node is None:
-        return 0.0, 0.0
-    if node.kind == _FINAL:
-        return node.p * node.mass, node.mass
-    hits_p, mass_p = _fold(node.positive)
-    hits_n, mass_n = _fold(node.negation)
-    return hits_p + hits_n, mass_p + mass_n
+    """Sums of <u|D|u> and |u|^2 over the leaves below ``node``: final-outcome hits and survivors.
+
+    Each node adds its positive child's sums to its negation child's, a
+    pruned child counting as zeros.  The nodes are listed in preorder,
+    positive first, and summed in reverse, so a node's children have put
+    their sums on the stack, positive on top, when it takes them.
+    """
+    order = []
+    pending = [] if node is None else [node]
+    while pending:
+        node = pending.pop()
+        order.append(node)
+        if node.negation is not None:
+            pending.append(node.negation)
+        if node.positive is not None:
+            pending.append(node.positive)
+    sums = [(0.0, 0.0)]  # the sums of an empty tree
+    for node in reversed(order):
+        if node.kind == _FINAL:
+            sums.append((node.p * node.mass, node.mass))
+            continue
+        hits_p, mass_p = sums.pop() if node.positive is not None else (0.0, 0.0)
+        hits_n, mass_n = sums.pop() if node.negation is not None else (0.0, 0.0)
+        sums.append((hits_p + hits_n, mass_p + mass_n))
+    return sums[-1]
 
 
 def _value(hits: float, survival: float, tol: Tolerances) -> float:
@@ -240,20 +277,22 @@ def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluati
     """
     root = _branch_tree(chain, tol)
     steps: list[TraceStep] = []
-
-    def trace(node: _Node | None) -> None:
-        if node is None or node.kind == _FINAL:
-            return
-        if node.kind != RULE_INCOHERENT_SPLIT:
-            steps.append(TraceStep(node.index, node.kind, note=_NOTES[node.kind]))
-            trace(node.positive)
-            return
-        for branch, weight, child in (("positive", node.p, node.positive), ("negation", node.q, node.negation)):
-            note = _NOTES["unreachable" if child is None else "recorded"]
-            steps.append(TraceStep(node.index, RULE_INCOHERENT_SPLIT, branch, weight, note))
-            trace(child)
-
-    trace(root)
+    # Depth first, positive first: a node to trace, or a detector entry to record before its outlet's subtree.
+    pending: list[_Node | TraceStep | None] = [root]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, TraceStep):
+            steps.append(item)
+        elif item is None or item.kind == _FINAL:
+            continue
+        elif item.kind != RULE_INCOHERENT_SPLIT:
+            steps.append(TraceStep(item.index, item.kind, note=_NOTES[item.kind]))
+            pending.append(item.positive)
+        else:
+            for branch, weight, child in (("negation", item.q, item.negation), ("positive", item.p, item.positive)):
+                note = _NOTES["unreachable" if child is None else "recorded"]
+                pending.append(child)
+                pending.append(TraceStep(item.index, RULE_INCOHERENT_SPLIT, branch, weight, note))
     return ChainEvaluation(value=_value(*_fold(root), tol), steps=tuple(steps))
 
 
@@ -339,25 +378,29 @@ def sample_chain(
     counts = {"positive": 0, "negation": 0, "blocked": 0}
     detector_counts: dict[str, int] = {}
 
-    def split(node: _Node, n: int) -> None:
-        if node.kind == RULE_COHERENT_JOIN:
-            split(node.positive, n)
-            return
-        p = node.p / (node.p + node.q) if node.kind == RULE_INCOHERENT_SPLIT else node.p
-        k = int(rng.binomial(n, _snap_unit(p, tol)))
-        if node.kind == _FINAL:
-            counts["positive"] += k
-            counts["negation"] += n - k
-        elif node.kind == RULE_BLOCK:
-            counts["blocked"] += n - k
-            if k:
-                split(node.positive, k)
-        else:
-            for branch, child, m in (("positive", node.positive, k), ("negation", node.negation, n - k)):
-                if m:
-                    key = f"apparatus{node.index}:{branch}"
-                    detector_counts[key] = detector_counts.get(key, 0) + m
-                    split(child, m)
+    def split(root: _Node, n: int) -> None:
+        # Depth first, positive first: (node, trials reaching it, detector record key or None).
+        pending: list[tuple[_Node, int, str | None]] = [(root, n, None)]
+        while pending:
+            node, n, key = pending.pop()
+            if key is not None:
+                detector_counts[key] = detector_counts.get(key, 0) + n
+            if node.kind == RULE_COHERENT_JOIN:
+                pending.append((node.positive, n, None))
+                continue
+            p = node.p / (node.p + node.q) if node.kind == RULE_INCOHERENT_SPLIT else node.p
+            k = int(rng.binomial(n, _snap_unit(p, tol)))
+            if node.kind == _FINAL:
+                counts["positive"] += k
+                counts["negation"] += n - k
+            elif node.kind == RULE_BLOCK:
+                counts["blocked"] += n - k
+                if k:
+                    pending.append((node.positive, k, None))
+            else:
+                for branch, child, m in (("negation", node.negation, n - k), ("positive", node.positive, k)):
+                    if m:
+                        pending.append((child, m, f"apparatus{node.index}:{branch}"))
 
     base, extra = divmod(int(trials), int(workers))
     # Workers past the trial count would receive no trials.

@@ -45,7 +45,7 @@ import numpy as np
 
 from .conditioning import PureVector, State, _chain_events, _chain_product
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _ray
+from .events import Event, _frobenius, _ray
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
 
 
@@ -100,7 +100,7 @@ def _fit(compressed: np.ndarray, reference: np.ndarray, tol: Tolerances) -> tupl
     denom = float(np.real(np.vdot(reference, reference)))
     _refuse_zero_reference(denom, tol)
     lam = complex(np.vdot(reference, compressed)) / denom
-    residual = float(np.linalg.norm(compressed - lam * reference, "fro"))
+    residual = _frobenius(compressed - lam * reference)
     return lam, residual
 
 

@@ -419,3 +419,64 @@ def test_cross_check_accepts_events_self_adjoint_only_within_tolerance():
         accepted += 1
         repeated_cond_prob(mu, d, [e])  # raises InvariantError when the paths disagree
     assert accepted >= 25
+
+
+def _perturbed(rng, e, how):
+    """``e`` as given, written to 10 decimals, or plus a real antisymmetric error of Frobenius norm 3e-11.
+
+    None when the result fails validation.
+    """
+    if how == "exact":
+        return e
+    if how == "rounded":
+        m = np.round(e.matrix, 10)
+    else:
+        g = rng.normal(size=e.matrix.shape)
+        m = e.matrix + 3e-11 * (g - g.T) / np.linalg.norm(g - g.T)
+    try:
+        return validate_event(m)
+    except ValidationError:
+        return None
+
+
+def test_cross_check_agrees_with_the_closed_form_on_every_valid_chain():
+    # Seeded states of every rank, chains of 1 to 8 events (some exclusive
+    # pairs among them, so that some chains are undefined), exact events and
+    # events within their validation slack.  The step-by-step fold never
+    # raises InvariantError, the value is the closed form's bit for bit, and
+    # UndefinedProbabilityError comes exactly where the closed form raises it.
+    rng = np.random.default_rng(1951)
+    seen = {"defined": 0, "undefined": 0, "exact": 0, "rounded": 0, "antisymmetric": 0}
+    for dim in (2, 3, 4, 6, 8, 12, 16):
+        for state_rank in range(1, dim + 1):
+            mu = _state_of_rank(rng, dim, state_rank)
+            for how in ("exact", "rounded", "antisymmetric") * 2:
+                length = int(rng.integers(1, 9))
+                chain = [random_projection(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(length)]
+                if rng.random() < 0.3:
+                    at = int(rng.integers(length))
+                    chain[at:at + 1] = [chain[at], complement(chain[at])]
+                chain = [_perturbed(rng, e, how) for e in chain[:8]]
+                if any(e is None for e in chain):
+                    continue
+                seen[how] += 1
+                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                for d in (random_projection(rng, dim, int(rng.integers(1, dim + 1))), g + g.conj().T):
+                    try:
+                        expected = conditioning._closed_form(mu, d, chain, DEFAULT_TOL)
+                    except UndefinedProbabilityError:
+                        with pytest.raises(UndefinedProbabilityError):
+                            repeated_cond_prob(mu, d, chain)
+                        seen["undefined"] += 1
+                        continue
+                    assert repeated_cond_prob(mu, d, chain) == expected
+                    seen["defined"] += 1
+    assert seen["defined"] >= 250 and seen["undefined"] >= 50
+    assert min(seen["exact"], seen["rounded"], seen["antisymmetric"]) >= 40
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantError,
+                   reason="ROADMAP item 7: the clamp's slack (2e-10) is tighter than the idempotence slack validation grants")
+def test_conditioning_on_an_event_within_its_validation_slack_is_defined():
+    e = validate_event(np.diag([1.0 + 2.5e-10, 0.0]))
+    assert cond_prob(State(np.diag([1.0, 0.0])), e, e) == 1.0

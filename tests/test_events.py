@@ -3,6 +3,7 @@ import pytest
 
 from qcondprob import (
     DEFAULT_TOL,
+    PureVector,
     State,
     Tolerances,
     ValidationError,
@@ -192,6 +193,29 @@ def test_ray_spans_a_minimal_event():
                 ray = events._ray(e)
                 assert abs(np.linalg.norm(ray) - 1.0) < 1e-15
                 assert np.linalg.norm(np.outer(ray, ray.conj()) - e.matrix) < 1e-9
+
+
+def test_minimal_event_keeps_its_ray():
+    # However a minimal event was built, the first _ray call derives the
+    # ray and every later call returns that same read-only array, equal bit
+    # for bit to the column / norm computation.
+    rng = np.random.default_rng(17)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    built = [
+        validate_event(np.outer(v, v.conj()) / np.vdot(v, v).real),
+        spin_projector("y", "-"),
+        PureVector(v).projector(),
+        complement(random_projection(rng, 4, 3)),
+        lattice_meet(validate_event(np.diag([1.0, 1.0, 0.0])), validate_event(np.diag([0.0, 1.0, 1.0]))),
+    ]
+    for e in built:
+        assert e.is_minimal()
+        k = int(np.argmax(e.matrix.diagonal().real))
+        fresh = e.matrix[:, k] / np.linalg.norm(e.matrix[:, k])
+        ray = events._ray(e)
+        assert events._ray(e) is ray
+        assert not ray.flags.writeable
+        assert np.array_equal(ray, fresh)
 
 
 def test_meet_commuting_is_product():

@@ -458,3 +458,26 @@ def test_one_tree_matches_the_forward_pass_on_random_chains():
                 agrees(lambda: conditioned_on_record(chain, record), want)
     assert seen["refused"] >= 30 and seen["record_refused"] >= 30
     assert seen["records"] >= 100 and seen["blocks_after_detectors"] >= 60
+
+
+@pytest.mark.parametrize("blocks", [2000, 10**4])
+def test_long_chains_do_not_recurse(blocks):
+    # One x detector, then z blocks: each record survives the first block
+    # with probability 1/2 and every later one with certainty, and the final
+    # x test sees z+ on both branches.  Growing, folding, tracing and
+    # sampling walk the tree with explicit stacks, so no length hits
+    # Python's recursion limit.
+    apparatuses = [Apparatus(spin_projector("x", "+"), detector="positive")]
+    apparatuses += [Apparatus(spin_projector("z", "+"), mode=MODE_BLOCK)] * blocks
+    chain = Chain(spin_projector("z", "+"), apparatuses, spin_projector("x", "+"))
+    evaluation = evaluate_chain(chain)
+    assert abs(evaluation.value - 0.5) < 1e-12
+    assert len(evaluation.steps) == 2 * (blocks + 1)
+    assert [s.branch for s in evaluation.steps if s.rule == RULE_INCOHERENT_SPLIT] == ["positive", "negation"]
+    assert evaluation.steps[1].rule == RULE_BLOCK and evaluation.steps[blocks + 1].branch == "negation"
+    for record in ("positive", "negation"):
+        assert abs(conditioned_on_record(chain, record) - 0.5) < 1e-12
+    report = sample_chain(chain, trials=1000, seed=1)
+    counts = report.outcome_counts
+    assert sum(counts.values()) == 1000 and within_sigmas(counts["blocked"], 1000, 0.5)
+    assert sum(report.detector_counts.values()) == 1000
