@@ -19,7 +19,7 @@ from .errors import (
     UndefinedProbabilityError,
     ValidationError,
 )
-from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
+from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 from .events import (
     Event,
     commutes,
@@ -133,6 +133,7 @@ __all__ = [
     "objective_cond_prob",
     "objective_seq",
     "objective_split",
+    "probability_slack",
     "pure_event_prob",
     "repeated_cond_prob",
     "sample_chain",

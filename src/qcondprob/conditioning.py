@@ -22,20 +22,14 @@ form: with the ordered product ``E = e1 @ e2 @ ... @ en``,
 One private kernel evaluates this closed form.  A single condition is
 the chain of length one, so :func:`cond_prob` is the kernel on ``[e]``
 and equals :func:`repeated_cond_prob` on ``[e]`` bit for bit.
-:func:`repeated_cond_prob` always recomputes its value step by step and
-raises if the two paths disagree.  The step compresses without
-renormalising, ``C -> adjoint(e) @ C @ e`` from ``C = rho``, and divides
-by ``trace(C)`` once at the end: the per-step traces cancel, so this is
-the fold of :func:`cond_state` over the chain with ``adjoint(E) @ rho @ E``
-associated step by step instead of through the product ``E``.
+:func:`repeated_cond_prob` always cross-checks it against the fold of
+:func:`cond_state` over the chain and raises if the two disagree.
 
 Validation happens once, at the boundary: ``State(...)`` checks every
-matrix handed to it.  The update ``rho -> rho_e`` of an already
-validated state by an already validated event is a state by
-construction, so :func:`cond_state` wraps its result without checking
-it again, as :meth:`State.from_ensemble` wraps its mixture of unit
-rays.  Traces of products with a self-adjoint factor are taken as
-elementwise sums in O(d^2) rather than by forming the product in O(d^3).
+matrix handed to it, and :func:`cond_state` and :meth:`State.from_ensemble`
+wrap what they build from validated objects without checking it again.
+Traces of products with a self-adjoint factor are taken as elementwise
+sums in O(d^2) rather than by forming the product in O(d^3).
 """
 
 from __future__ import annotations
@@ -46,10 +40,11 @@ import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
 from .events import Event, _dimension, _frobenius, _self_adjoint_matrix
-from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
+from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 # Agreement threshold between the closed-form and step-by-step values of
-# a repeated conditional probability, relative to max(1, |value|).
+# a repeated conditional probability, relative to max(1, |value|): a fixed
+# bound on the round-off of two association orders, not a user tolerance.
 _PATH_AGREEMENT_TOL = 1e-12
 
 
@@ -135,7 +130,8 @@ class State:
     positive semi-definiteness and unit trace) or from an ensemble of
     weighted vectors via :meth:`from_ensemble`.  Positive
     semi-definiteness lets the smallest eigenvalue dip to
-    ``-tol.atol * max(1, |trace|)``, as round-off slack.
+    ``-tol.atol * max(1, |trace|)``, as round-off slack: an eigenvalue's
+    round-off scales with the trace, not with a Frobenius norm.
     """
 
     __slots__ = ("_rho",)
@@ -238,14 +234,14 @@ def state_value(mu: State, a, tol: Tolerances = DEFAULT_TOL) -> float:
 
     ``a`` may be an :class:`Event` or a self-adjoint matrix.  The result
     is real; for events it is additionally clamped into [0, 1], with any
-    departure beyond tolerance raising :class:`InvariantError`.
+    departure beyond :func:`probability_slack` raising :class:`InvariantError`.
     """
     m = _operand_matrix(a, "operand of state_value", tol)
     if m.shape[0] != mu.dim:
         raise ValidationError(f"dimension mismatch: state {mu.dim} vs operand {m.shape[0]}")
     value = _real_trace_product(mu.rho, m)
     if isinstance(a, Event):
-        return clamp_probability(value, tol, what="event probability")
+        return clamp_probability(value, probability_slack(a.rank, tol), what="event probability")
     return value
 
 
@@ -264,10 +260,8 @@ def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     trace, exactly like the closed form, so the two agree even for events
     that are self-adjoint and idempotent only within tolerance.
 
-    ``mu`` and ``e`` were validated when they were built, and compressing
-    a state by a projection and renormalising yields a state, so the
-    symmetrised result is wrapped without re-running the checks of
-    ``State(...)``.
+    A validated state compressed by a validated event and renormalised is
+    a state, so the symmetrised result skips the checks of ``State(...)``.
 
     Raises :class:`UndefinedProbabilityError` when that trace is at or
     below the probability floor, since conditioning on a probability-zero
@@ -320,20 +314,19 @@ def _closed_form(mu: State, d, chain: Sequence[Event], tol: Tolerances) -> float
         raise UndefinedProbabilityError(f"cannot condition on a chain of probability {den!r}")
     value = float(np.vdot(product, weighted @ dm).real) / den
     if isinstance(d, Event):
-        return clamp_probability(value, tol, what="conditional probability")
+        return clamp_probability(value, probability_slack(d.rank, tol), what="conditional probability")
     return value
 
 
 def cond_prob(mu: State, d, e: Event, tol: Tolerances = DEFAULT_TOL) -> float:
     """Conditional probability ``trace(rho @ e @ d @ e) / trace(rho @ e)``.
 
-    The closed form of :func:`repeated_cond_prob` on the one-element
-    chain ``[e]``, with which it agrees bit for bit; the compression is
-    taken as ``adjoint(e) @ rho @ e`` and divided by its own trace.
-    ``d`` may be an event or any self-adjoint matrix (in which case the
-    result is a conditional expectation rather than a probability and is
-    not clamped).  Raises :class:`UndefinedProbabilityError` when
-    ``mu(e)`` is at or below the probability floor.
+    The closed form on ``[e]`` (module docstring), with the compression
+    ``adjoint(e) @ rho @ e`` divided by its own trace.  ``d`` may be an
+    event or any self-adjoint matrix (in which case the result is a
+    conditional expectation rather than a probability and is not
+    clamped).  Raises :class:`UndefinedProbabilityError` when ``mu(e)``
+    is at or below the probability floor.
     """
     return _closed_form(mu, d, [e], tol)
 
@@ -369,7 +362,8 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
         raise UndefinedProbabilityError(f"cannot condition on a chain of probability {weight!r}")
     stepwise = _real_trace_product(compressed, dm) / weight
     if isinstance(d, Event):
-        stepwise = clamp_probability(stepwise, tol, what="step-by-step conditional probability")
+        slack = probability_slack(d.rank, tol)
+        stepwise = clamp_probability(stepwise, slack, what="step-by-step conditional probability")
     if abs(value - stepwise) > _PATH_AGREEMENT_TOL * max(1.0, abs(value)):
         raise InvariantError(f"closed-form and step-by-step conditioning disagree: {value!r} vs {stepwise!r}")
     return value

@@ -9,17 +9,13 @@ events.  The logical structure lives in the matrix algebra:
 * mutual exclusion is ``e @ f == 0``,
 * implication ``f <= e`` is absorption ``e @ f == f``,
 * conjunction is the lattice meet, the projection onto the intersection
-  of the two ranges.
-
-Ranks of events come from traces.  The meet is the null space of the
-stacked complements ``[I - e; I - f]``, read from one SVD with no
-iteration: it resolves principal angles down to about 1e-9 with an error
-of about eps / theta (see :func:`lattice_meet`).
+  of the two ranges, read from one SVD (see :func:`lattice_meet`).
 
 This module also holds the package's one input check for matrices,
 which events, states and operands all pass, its one index and one
 dimension rule, the one sameness and one exclusion rule, and the ray of
-a minimal event, which the event keeps once derived.
+a minimal event, which the event keeps once derived.  Every comparison
+here is at Frobenius scale, within a :meth:`Tolerances.budget`.
 """
 
 from __future__ import annotations
@@ -81,9 +77,9 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
 
     Coerces ``entries`` to a fresh finite square complex128 matrix ``m``
     with a finite ``|m|_F`` and requires
-    ``|m - adjoint(m)|_F <= atol + rtol * (1 + |m|_F)``.  Returns ``m``
-    with that budget, which callers reuse for their further checks, taking
-    norms with :func:`_frobenius`, so that one that overflows exceeds the
+    ``|m - adjoint(m)|_F <= tol.budget(|m|_F)``.  Returns ``m`` with that
+    budget, which callers reuse for their further checks, taking norms
+    with :func:`_frobenius`, so that one that overflows exceeds the
     budget.  Raises :class:`ValidationError` naming ``what``.
     """
     try:
@@ -100,7 +96,7 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
     # An infinite norm would make the budget infinite and pass every check.
     if not math.isfinite(norm):
         raise ValidationError(f"{what} is too large: its Frobenius norm overflows")
-    budget = tol.atol + tol.rtol * (1.0 + norm)
+    budget = tol.budget(norm)
     if _frobenius(m - m.conj().T) > budget:
         raise ValidationError(f"{what} is not self-adjoint within tolerance")
     return m, budget
@@ -141,10 +137,10 @@ def _dimension(dim) -> int:
 def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     """Check that a matrix is an orthogonal projection and wrap it.
 
-    Requires self-adjointness, idempotence and a trace within tolerance
-    of a nonnegative integer, all at Frobenius scale.  The stored rank is
-    that integer.  Raises :class:`ValidationError` with the failed
-    property named.
+    Requires self-adjointness, idempotence and a trace near a
+    nonnegative integer, each defect within ``tol.budget(|e|_F)``.  The
+    stored rank is that integer.  Raises :class:`ValidationError` with
+    the failed property named.
     """
     m, budget = _self_adjoint_matrix(matrix, "event matrix", tol)
     if _frobenius(m @ m - m) > budget:
@@ -179,16 +175,16 @@ def complement(e: Event) -> Event:
 
 
 # The sameness and exclusion rules, on Frobenius norms given as scalars or
-# arrays: e and f are the same event when |e - f|_F is within atol + rtol,
+# arrays: e and f are the same event when |e - f|_F is within tol.budget(),
 # and exclude each other when |e @ f|_F is.  lattice_meet on two minimal
 # events and the valuation problems' deduplication decide by _same;
 # is_orthogonal and their exclusion relation decide by _excludes.
 def _same(distance, tol: Tolerances):
-    return distance <= tol.atol + tol.rtol
+    return distance <= tol.budget()
 
 
 def _excludes(overlap, tol: Tolerances):
-    return overlap <= tol.atol + tol.rtol
+    return overlap <= tol.budget()
 
 
 def _ray(e: Event) -> np.ndarray:
@@ -223,14 +219,14 @@ def implies(f: Event, e: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when f is contained in e (f <= e), i.e. e absorbs f: e @ f == f."""
     _check_same_space(f, e)
     diff = e.matrix @ f.matrix - f.matrix
-    return float(np.linalg.norm(diff, "fro")) <= tol.atol + tol.rtol * (1.0 + float(np.linalg.norm(f.matrix, "fro")))
+    return float(np.linalg.norm(diff, "fro")) <= tol.budget(float(np.linalg.norm(f.matrix, "fro")))
 
 
 def commutes(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when e @ f == f @ e within tolerance."""
     _check_same_space(e, f)
-    scale = 1.0 + float(np.linalg.norm(e.matrix, "fro")) * float(np.linalg.norm(f.matrix, "fro"))
-    return float(np.linalg.norm(e.matrix @ f.matrix - f.matrix @ e.matrix, "fro")) <= tol.atol + tol.rtol * scale
+    scale = float(np.linalg.norm(e.matrix, "fro")) * float(np.linalg.norm(f.matrix, "fro"))
+    return float(np.linalg.norm(e.matrix @ f.matrix - f.matrix @ e.matrix, "fro")) <= tol.budget(scale)
 
 
 def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
@@ -245,10 +241,7 @@ def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
     the other range has singular value sqrt(2) sin(theta / 2), so the gap
     seen is about theta, not theta^2, and the result is accurate to about
     eps / theta.  The meet basis is the right singular vectors whose
-    singular value is at most
-
-        tau = sqrt(2) * (atol + rtol * (1 + sqrt(r))),
-
+    singular value is at most ``tau = sqrt(2) * tol.budget(sqrt(r))``,
     ``r`` the larger rank: sqrt(2) times the validation budget of the
     larger event, which each complement may miss a shared direction by.
     Resolution limit: two directions at an angle below sqrt(2) tau, about
@@ -260,6 +253,6 @@ def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
         return e if _same(np.linalg.norm(e.matrix - f.matrix, "fro"), tol) else zero_event(e.dim)
     eye = np.eye(e.dim, dtype=np.complex128)
     _, s, vh = np.linalg.svd(np.vstack([eye - e.matrix, eye - f.matrix]), full_matrices=False)
-    tau = math.sqrt(2.0) * (tol.atol + tol.rtol * (1.0 + math.sqrt(max(e.rank, f.rank))))
+    tau = math.sqrt(2.0) * tol.budget(math.sqrt(max(e.rank, f.rank)))
     basis = vh[s <= tau]
     return Event(basis.conj().T @ basis, len(basis))

@@ -34,9 +34,6 @@ below ``prob_floor``.  :func:`evaluate_chain` folds the tree and records
 a derivation trace, whose ``weight`` on a detector entry is the outlet's
 probability given its path (0.0 if unreachable); :func:`conditioned_on_record`
 folds the recorded branch; :func:`sample_chain` splits trials down the tree.
-Growing the tree and every walk over it are iterative, with an explicit
-stack visited depth first and positive outlet first, so a chain's length
-is bounded by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ import numpy as np
 from .conditioning import PureVector, _chain_events
 from .errors import UndefinedProbabilityError, ValidationError
 from .events import Event, _is_integer, _ray
-from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
+from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -190,7 +187,8 @@ def _branch_tree(chain: Chain, tol: Tolerances) -> _Node:
     Grown from an explicit stack of (node, its vector), depth first and
     positive first, so a chain of any length needs no recursion.  A node
     is made, with its rule and mass, when its parent passes an outlet on
-    to it, and is expanded when it leaves the stack.
+    to it, and is expanded when it leaves the stack.  Probabilities clamp
+    within their event's :func:`probability_slack`, taken once per event.
     """
     apparatuses = chain.apparatuses
     final = chain.final_outcome.matrix
@@ -198,11 +196,13 @@ def _branch_tree(chain: Chain, tol: Tolerances) -> _Node:
         RULE_BLOCK if app.mode == MODE_BLOCK else RULE_INCOHERENT_SPLIT if app.has_detector else RULE_COHERENT_JOIN
         for app in apparatuses
     ] + [_FINAL]
+    slacks = [probability_slack(app.test_event.rank, tol) for app in apparatuses]
+    slacks.append(probability_slack(chain.final_outcome.rank, tol))
 
-    def weigh(v: np.ndarray, mass: float) -> tuple[float, float]:
+    def weigh(v: np.ndarray, mass: float, slack: float) -> tuple[float, float]:
         # The outlet's probability given the path, 0.0 when it is pruned, and its |v|^2.
         v_mass = float(np.vdot(v, v).real)
-        p = clamp_probability(v_mass / mass, tol, what="branch probability")
+        p = clamp_probability(v_mass / mass, slack, what="branch probability")
         return (p if p > tol.prob_floor else 0.0), v_mass
 
     u = _ray(chain.preparation)
@@ -213,16 +213,16 @@ def _branch_tree(chain: Chain, tol: Tolerances) -> _Node:
         idx, mass = node.index, node.mass
         if node.kind == _FINAL:
             hits = float(np.vdot(u, final @ u).real)
-            node.p = clamp_probability(hits / mass, tol, what="final-outcome probability")
+            node.p = clamp_probability(hits / mass, slacks[idx], what="final-outcome probability")
         elif node.kind == RULE_COHERENT_JOIN:
             node.positive = _Node(idx + 1, kinds[idx + 1], mass)
             pending.append((node.positive, u))
         else:
             pu = apparatuses[idx].test_event.matrix @ u
-            node.p, p_mass = weigh(pu, mass)
+            node.p, p_mass = weigh(pu, mass, slacks[idx])
             if node.kind == RULE_INCOHERENT_SPLIT:
                 qu = u - pu
-                node.q, q_mass = weigh(qu, mass)
+                node.q, q_mass = weigh(qu, mass, slacks[idx])
                 if node.q:
                     node.negation = _Node(idx + 1, kinds[idx + 1], q_mass)
                     pending.append((node.negation, qu))
@@ -264,7 +264,8 @@ def _value(hits: float, survival: float, tol: Tolerances) -> float:
     """Final-outcome probability among survivors; the one refusal, when none survive."""
     if survival <= tol.prob_floor:
         raise UndefinedProbabilityError(f"no trial survives the chain: survival probability {survival!r}")
-    return clamp_probability(hits / survival, tol, what="chain probability")
+    # A mass-weighted mean of leaf probabilities clamped into [0, 1], summed alike: no slack.
+    return clamp_probability(hits / survival, 0.0, what="chain probability")
 
 
 def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluation:
@@ -336,16 +337,6 @@ class SampleReport:
     detector_counts: dict[str, int] = field(default_factory=dict)
 
 
-def _snap_unit(p: float, tol: Tolerances) -> float:
-    # Probabilities within tolerance of 0 or 1 are treated as exact so a
-    # certain branch can never lose a trial to a stray uniform draw.
-    if p <= tol.atol + tol.rtol:
-        return 0.0
-    if p >= 1.0 - (tol.atol + tol.rtol):
-        return 1.0
-    return p
-
-
 def sample_chain(
     chain: Chain,
     trials: int,
@@ -374,6 +365,7 @@ def sample_chain(
         raise ValidationError(f"trials per worker must fit in int64, got {trials!r} over {workers!r} workers")
     root = _branch_tree(chain, tol)
     value = _value(*_fold(root), tol)
+    edge = tol.budget()
 
     counts = {"positive": 0, "negation": 0, "blocked": 0}
     detector_counts: dict[str, int] = {}
@@ -389,7 +381,9 @@ def sample_chain(
                 pending.append((node.positive, n, None))
                 continue
             p = node.p / (node.p + node.q) if node.kind == RULE_INCOHERENT_SPLIT else node.p
-            k = int(rng.binomial(n, _snap_unit(p, tol)))
+            # Within ``edge`` (tol.budget()) of 0 or 1 counts as exact, so a
+            # certain branch can never lose a trial to a stray uniform draw.
+            k = int(rng.binomial(n, 0.0 if p <= edge else 1.0 if p >= 1.0 - edge else p))
             if node.kind == _FINAL:
                 counts["positive"] += k
                 counts["negation"] += n - k

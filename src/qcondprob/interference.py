@@ -24,7 +24,7 @@ classical mixture terms survive, the interference term is dropped.
 
 All four entry points read their terms from one kernel and one formula.
 It checks the split once, by the exclusion rule
-``|e1 @ e2|_F <= atol + rtol``, and forms ``b_i = e_i @ rho`` and ``c_i``:
+``|e1 @ e2|_F <= tol.budget()``, and forms ``b_i = e_i @ rho`` and ``c_i``:
 ``c_i = e_i`` for a density matrix, ``c_i = b_i`` for the ray ``v`` of a
 minimal preparation, which stands for ``rho = v @ adjoint(v)``.  Since
 
@@ -42,6 +42,7 @@ products, four in all with the two ``b_i``.  Only
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -50,7 +51,7 @@ import numpy as np
 from .conditioning import State, cond_prob
 from .errors import UndefinedProbabilityError, ValidationError
 from .events import Event, _ray, is_orthogonal
-from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
+from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,11 @@ def _decompose(
 
     ``rho`` is a density matrix, or the unit ray ``v`` of a minimal
     preparation.  Returns the normalizer and, for each outcome ``d``, the
-    triple ``(part1, part2, cross)`` by one formula:
-
-        vdot(b_1, d @ c_1) == trace(rho @ e1 @ d @ e1),
-        vdot(b_2, d @ c_2) == trace(rho @ e2 @ d @ e2),
-        vdot(b_1, d @ c_2) == trace(rho @ e1 @ d @ e2),
-
-    with ``b_i = e_i @ rho``, and ``c_i = e_i`` on a density matrix or
-    ``c_i = b_i`` on a ray, the only step that depends on the input.  Each
-    outcome costs the two products ``d @ c_i``, O(d^2) on a ray.  The
-    normalizer ``vdot(b_1, c_1) + vdot(b_2, c_2)`` is, like the conditioning
-    kernel's denominator, not clamped: for parts that are projections only
-    within tolerance it may exceed 1 by their defects.
+    triple ``(part1, part2, cross)`` = ``vdot(b_i, d @ c_j)`` for
+    ``(i, j)`` = (1, 1), (2, 2), (1, 2), by the module docstring's formula.
+    The normalizer ``vdot(b_1, c_1) + vdot(b_2, c_2)`` is, like the
+    conditioning kernel's denominator, not clamped: for parts that are
+    projections only within tolerance it may exceed 1 by their defects.
 
     Outcomes are checked before the weights, so an invalid outcome raises
     :class:`ValidationError` even where the decomposition is undefined.
@@ -128,14 +122,30 @@ def _decompose(
     return weights[0] + weights[1], terms
 
 
-def _coherent_total(normalizer: float, p1: float, p2: float, cross: complex, tol: Tolerances) -> float:
+def _exclusion_slack(normalizer: float, e1: Event, e2: Event, tol: Tolerances) -> float:
+    """Extra clamp slack of a coherent total on a unit ray ``v``: ``3 (budget() + b_1 + b_2) / sqrt(N)``.
+
+    With ``u_i = e_i @ v`` and ``N`` the normalizer, the total is a Rayleigh quotient of ``d``
+    times ``|u_1 + u_2|^2 / N = 1 + 2 Re<u_1, u_2> / N``, plus ``Re<u_1, (d - adjoint(d)) u_2> / N``.
+    Expanding ``u_i = e_i @ u_i - (e_i @ e_i - e_i) @ v`` bounds ``2 |<u_1, u_2>| / N`` by
+    ``x + b_1 + 2 (b_1 + b_2) / sqrt(N)`` to first order, for the exclusion slack
+    ``x = |e_1 @ e_2|_F <= budget()`` and the parts' budgets ``b_i = budget(sqrt(r_i))``;
+    ``N <= 1 + O(b)``.  A part mixing a direction of ``v`` outside both ranges into the
+    other's range attains the ``b / sqrt(N)``.
+    """
+    parts = tol.budget(math.sqrt(e1.rank)) + tol.budget(math.sqrt(e2.rank))
+    return 3.0 * (tol.budget() + parts) / math.sqrt(normalizer)
+
+
+def _coherent_total(normalizer: float, p1: float, p2: float, cross: complex, slack: float) -> float:
     """``(part1 + part2 + 2 Re cross) / normalizer``: the cross term kept."""
-    return clamp_probability((p1 + p2 + 2.0 * cross.real) / normalizer, tol, what="decomposed conditional probability")
+    total = (p1 + p2 + 2.0 * cross.real) / normalizer
+    return clamp_probability(total, slack, what="decomposed conditional probability")
 
 
-def _incoherent_total(normalizer: float, p1: float, p2: float, tol: Tolerances) -> float:
-    """``(part1 + part2) / normalizer``: the cross term dropped by a which-part record."""
-    return clamp_probability((p1 + p2) / normalizer, tol, what="incoherent combination")
+def _incoherent_total(normalizer: float, p1: float, p2: float, slack: float) -> float:
+    """``(part1 + part2) / normalizer``, a mean of Rayleigh quotients of the outcome: the cross term dropped."""
+    return clamp_probability((p1 + p2) / normalizer, slack, what="incoherent combination")
 
 
 def _prepared(f: Event) -> np.ndarray:
@@ -147,13 +157,7 @@ def _prepared(f: Event) -> np.ndarray:
     return _ray(f)
 
 
-def split_cond_prob(
-    mu: State,
-    d: Event,
-    e1: Event,
-    e2: Event,
-    tol: Tolerances = DEFAULT_TOL,
-) -> InterferenceReport:
+def split_cond_prob(mu: State, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
     """State-dependent decomposition of ``mu(d | e1 + e2)``.
 
     ``total`` is computed directly from the combined condition, the
@@ -174,19 +178,11 @@ def split_cond_prob(
     )
 
 
-def objective_split(
-    f: Event,
-    d: Event,
-    e1: Event,
-    e2: Event,
-    tol: Tolerances = DEFAULT_TOL,
-) -> InterferenceReport:
+def objective_split(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
     """State-independent decomposition after minimal preparation ``f``.
 
-    All terms are state-independent because ``f`` is minimal: they are
-    the terms of :func:`split_cond_prob` at the state ``f``, and the cross
-    scalar ``lam`` satisfies ``f @ e1 @ d @ e2 @ f == lam * f``.
-    ``total`` is assembled from the decomposition
+    The terms of :func:`split_cond_prob` at the state ``f`` (module
+    docstring); ``total`` is assembled from the decomposition
 
         total = (part1 + part2 + 2 Re lam) / normalizer
 
@@ -194,8 +190,9 @@ def objective_split(
     conditional probability of ``d`` given ``f`` then ``e1 + e2``.
     """
     normalizer, [(p1, p2, lam)] = _decompose(_prepared(f), e1, e2, [d], tol)
+    slack = probability_slack(d.rank, tol) + _exclusion_slack(normalizer, e1, e2, tol)
     return InterferenceReport(
-        total=_coherent_total(normalizer, p1, p2, lam, tol),
+        total=_coherent_total(normalizer, p1, p2, lam, slack),
         part1=p1,
         part2=p2,
         interference=2.0 * lam.real,
@@ -205,13 +202,7 @@ def objective_split(
     )
 
 
-def incoherent_combine(
-    f: Event,
-    d: Event,
-    e1: Event,
-    e2: Event,
-    tol: Tolerances = DEFAULT_TOL,
-) -> InterferenceReport:
+def incoherent_combine(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
     """Which-part combination: classical mixture of the branches, no cross term.
 
     Models a recorded branch: the outcome probability is the branch
@@ -220,7 +211,7 @@ def incoherent_combine(
     """
     normalizer, [(p1, p2, _)] = _decompose(_prepared(f), e1, e2, [d], tol)
     return InterferenceReport(
-        total=_incoherent_total(normalizer, p1, p2, tol),
+        total=_incoherent_total(normalizer, p1, p2, probability_slack(d.rank, tol)),
         part1=p1,
         part2=p2,
         interference=0.0,
@@ -241,11 +232,7 @@ class ScanPoint:
 
 
 def double_slit_scan(
-    f: Event,
-    e1: Event,
-    e2: Event,
-    detectors: Sequence[Event],
-    tol: Tolerances = DEFAULT_TOL,
+    f: Event, e1: Event, e2: Event, detectors: Sequence[Event], tol: Tolerances = DEFAULT_TOL
 ) -> list[ScanPoint]:
     """Coherent and incoherent detection profiles across a detector bank.
 
@@ -263,14 +250,16 @@ def double_slit_scan(
     except UndefinedProbabilityError:
         nan = float("nan")
         return [ScanPoint(index=i, coherent=nan, incoherent=nan, defined=False) for i in range(len(detectors))]
+    split = _exclusion_slack(normalizer, e1, e2, tol)
+    slacks = [probability_slack(d.rank, tol) for d in detectors]
     return [
         ScanPoint(
             index=i,
-            coherent=_coherent_total(normalizer, p1, p2, cross, tol),
-            incoherent=_incoherent_total(normalizer, p1, p2, tol),
+            coherent=_coherent_total(normalizer, p1, p2, cross, slack + split),
+            incoherent=_incoherent_total(normalizer, p1, p2, slack),
             defined=True,
         )
-        for i, (p1, p2, cross) in enumerate(terms)
+        for i, ((p1, p2, cross), slack) in enumerate(zip(terms, slacks))
     ]
 
 

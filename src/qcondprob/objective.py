@@ -46,7 +46,7 @@ import numpy as np
 from .conditioning import PureVector, State, _chain_events, _chain_product
 from .errors import UndefinedProbabilityError, ValidationError
 from .events import Event, _frobenius, _ray
-from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability
+from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ def _refuse_vanishing(weight: float, tol: Tolerances) -> None:
 
 
 def _refuse_zero_reference(reference_sq: float, tol: Tolerances) -> None:
-    """Second refusal of both fits: a reference whose squared Frobenius norm is numerically zero."""
-    if reference_sq <= (tol.atol + tol.rtol) ** 2:
+    """Second refusal of both fits: a reference whose squared Frobenius norm is within ``tol.budget() ** 2``."""
+    if reference_sq <= tol.budget() ** 2:
         raise ValidationError("cannot fit a scalar against a numerically zero matrix")
 
 
@@ -118,11 +118,8 @@ def _dense_fit(d: np.ndarray, events: list[Event], tol: Tolerances) -> tuple[com
 def _rank_one_fit(d: np.ndarray, events: list[Event], j: int, tol: Tolerances) -> tuple[complex, float, float]:
     """The fit of :func:`_dense_fit` when ``events[j]`` is minimal, in O(k d^2).
 
-    With ``events[j] = v @ adjoint(v)`` the product factors as
-    ``E = u @ adjoint(r)``, ``u = e1 ... e_{j-1} v`` and
-    ``adjoint(r) = adjoint(v) e_{j+1} ... e_n``, built by matrix-vector
-    products.  Then ``C = (adjoint(r) d r) u adjoint(u)`` and
-    ``G = |r|^2 u adjoint(u)``, so ``lam = adjoint(r) d r / |r|^2``,
+    By the module docstring's rank-one rule, with ``u`` and ``r`` built by
+    matrix-vector products: ``lam = adjoint(r) d r / |r|^2``,
     ``|G|_F = trace(G) = |u|^2 |r|^2`` and the residual is
     ``|u|^2 |adjoint(r) d r - lam |r|^2|``: G has rank one and the fit is
     exact up to round-off.
@@ -144,16 +141,18 @@ def _rank_one_fit(d: np.ndarray, events: list[Event], j: int, tol: Tolerances) -
     return lam, uu * abs(rdr - lam * rr), weight
 
 
-def _verdict(lam: complex, residual: float, reference_norm: float, chain_length: int, tol: Tolerances) -> CondProbResult:
-    """The accept step shared by both fits: residual threshold, imaginary-part check, clamp."""
+def _verdict(lam: complex, residual: float, reference_norm: float, chain_length: int, rank: int,
+             tol: Tolerances) -> CondProbResult:
+    """The accept step of both fits: residual threshold, imaginary-part check, clamp by the outcome's rank."""
     objective = residual <= tol.objectivity_tol * (1.0 + reference_norm)
     value = None
     if objective:
         # A certified fit of one self-adjoint operator against another
         # has a real scalar; a large imaginary part means the residual
         # threshold lied about the fit, so do not report a value.
-        if abs(lam.imag) <= tol.atol + tol.rtol * abs(lam):
-            value = clamp_probability(lam.real, tol, what="state-independent conditional probability")
+        if tol.close(lam, lam.real):
+            slack = probability_slack(rank, tol)
+            value = clamp_probability(lam.real, slack, what="state-independent conditional probability")
         else:
             objective = False
     return CondProbResult(
@@ -204,7 +203,7 @@ def objective_seq(d: Event, chain: Sequence[Event], tol: Tolerances = DEFAULT_TO
         lam, residual, reference_norm = _dense_fit(d.matrix, events, tol)
     else:
         lam, residual, reference_norm = _rank_one_fit(d.matrix, events, j, tol)
-    return _verdict(lam, residual, reference_norm, len(events), tol)
+    return _verdict(lam, residual, reference_norm, len(events), d.rank, tol)
 
 
 def pure_event_prob(psi: PureVector, d: Event, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -220,14 +219,14 @@ def pure_event_prob(psi: PureVector, d: Event, tol: Tolerances = DEFAULT_TOL) ->
         raise ValidationError(f"dimension mismatch: vector {psi.dim} vs event {d.dim}")
     v = psi._unit()
     value = float(np.real(np.vdot(v, d.matrix @ v)))
-    return clamp_probability(value, tol, what="pure-state probability")
+    return clamp_probability(value, probability_slack(d.rank, tol), what="pure-state probability")
 
 
 def transition_prob(psi: PureVector, xi: PureVector, tol: Tolerances = DEFAULT_TOL) -> float:
     """Squared overlap ``|<psi|xi>|^2`` of two normalised directions.
 
     Symmetric in its arguments; equals the state-independent probability
-    of one minimal event given the other.
+    of one minimal event given the other, and clamps as one.
     """
     if not isinstance(psi, PureVector):
         psi = PureVector(psi)
@@ -236,7 +235,7 @@ def transition_prob(psi: PureVector, xi: PureVector, tol: Tolerances = DEFAULT_T
     if psi.dim != xi.dim:
         raise ValidationError(f"dimension mismatch: {psi.dim} vs {xi.dim}")
     value = abs(complex(np.vdot(psi._unit(), xi._unit()))) ** 2
-    return clamp_probability(value, tol, what="transition probability")
+    return clamp_probability(value, probability_slack(1, tol), what="transition probability")
 
 
 def state_from_outcome(e: Event, tol: Tolerances = DEFAULT_TOL) -> State:

@@ -1,15 +1,15 @@
 """Shared numerical comparison policy.
 
-Every approximate comparison in the package goes through one rule:
-
-    close(x, y)  <=>  |x - y| <= atol + rtol * max(|x|, |y|)
-
-so that a single :class:`Tolerances` instance, threaded through as an
-optional argument, controls all cutoffs consistently.
+One :class:`Tolerances` instance, threaded through as an optional
+argument, sets every cutoff.  A comparison at Frobenius scale ``norm``
+takes the slack ``budget(norm) = atol + rtol * (1 + norm)``, a
+probability read from validated events the :func:`probability_slack`
+derived from it, and two scalars compare by :meth:`Tolerances.close`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvariantError, ValidationError
@@ -45,21 +45,43 @@ class Tolerances:
             if not (isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < 1):
                 raise ValidationError(f"tolerance {name!r} must be a number in (0, 1), got {value!r}")
 
+    def budget(self, norm: float = 0.0) -> float:
+        """``atol + rtol * (1 + norm)``: the slack of a comparison at Frobenius scale ``norm``."""
+        return self.atol + self.rtol * (1.0 + norm)
+
     def close(self, x: float, y: float) -> bool:
-        """True when x and y agree within atol + rtol * max(|x|, |y|)."""
+        """True when x and y agree within atol + rtol * max(|x|, |y|): two scalars, so no matrix norm."""
         return abs(x - y) <= self.atol + self.rtol * max(abs(x), abs(y))
 
 
 DEFAULT_TOL = Tolerances()
 
 
-def clamp_probability(value: float, tol: Tolerances = DEFAULT_TOL, what: str = "probability") -> float:
+def probability_slack(rank: int, tol: Tolerances = DEFAULT_TOL) -> float:
+    """``4 * budget(sqrt(rank))``: how far a probability read from a validated event may leave [0, 1].
+
+    Validation bounds ``A = e - adjoint(e)`` and ``D = e @ e - e`` by
+    ``b = budget(|e|_F)``, with ``|e|_F = sqrt(rank) + O(b)``.  Expanding
+    ``|e x|^2`` for a unit eigenvector x of ``h = (e + adjoint(e)) / 2``
+    directly and through ``adjoint(e) @ e = e + D - A @ e`` gives its
+    eigenvalue l ``l^2 - l = Re<x, D x> + |A x|^2 / 4``, so l, and every
+    Rayleigh quotient ``Re<u, e u> / |u|^2`` or mean of them such as
+    ``Re tr(s @ e) / tr(s)`` (``s >= 0``), lies in ``[-b, 1 + b] + O(b^2)``.
+    A branch weight ``|e u|^2 / |u|^2``, or one of ``I - e`` (same defects),
+    is at most ``(|h|_2 + |A|_2 / 2)^2 <= 1 + 3b + O(b^2)``.  ``4b`` bounds
+    both with ``b`` to spare for the second-order terms, and is never below
+    ``budget()``.
+    """
+    return 4.0 * tol.budget(math.sqrt(rank))
+
+
+def clamp_probability(value: float, slack: float, what: str = "probability") -> float:
     """Clamp a should-be-probability into [0, 1].
 
-    Values may leave [0, 1] by round-off only; anything further out
-    signals broken inputs and raises :class:`InvariantError`.
+    ``slack`` is the bound the value's derivation gives, usually
+    :func:`probability_slack`, so validated input stays within it; a
+    value further out signals broken arithmetic and raises :class:`InvariantError`.
     """
-    slack = tol.atol + tol.rtol
     if value < -slack or value > 1.0 + slack:
         raise InvariantError(f"{what} {value!r} lies outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)

@@ -25,6 +25,7 @@ from qcondprob import (
     ValidationError,
     clamp_probability,
     is_orthogonal,
+    probability_slack,
     validate_event,
 )
 from qcondprob.experiments import MODE_BLOCK
@@ -175,7 +176,7 @@ def dense_objective_seq(d: Event, chain, tol=DEFAULT_TOL):
     objective = residual <= tol.objectivity_tol * (1.0 + np.linalg.norm(reference))
     if objective and abs(lam.imag) > tol.atol + tol.rtol * abs(lam):
         objective = False
-    value = clamp_probability(lam.real, tol) if objective else None
+    value = clamp_probability(lam.real, probability_slack(d.rank, tol)) if objective else None
     return lam, residual, objective, value
 
 
@@ -352,7 +353,8 @@ def reference_decompose(rho, e1, e2, outcomes, tol=DEFAULT_TOL):
         def parts(d):
             flat = d.T.ravel()
             return (np.dot(x.ravel(), flat) for x in (a1, a2, c))
-    normalizer = clamp_probability(float(raw_normalizer), tol, what="probability of the condition")
+    slack = probability_slack(e.rank, tol)
+    normalizer = clamp_probability(float(raw_normalizer), slack, what="probability of the condition")
     if min(weights) <= tol.prob_floor:
         raise UndefinedProbabilityError("branch probability vanishes; decomposition is undefined")
     if normalizer <= tol.prob_floor:

@@ -209,6 +209,36 @@ def test_chain_block_after_detector_and_tiny_overlaps_exit_0(tmp_path):
         assert out.startswith(f"value  {printed}\n")
 
 
+def _slack_event(tmp_path):
+    # Its idempotence defect, 2.5e-10, is within validation's budget of 3e-10 for a rank-1 event.
+    path = tmp_path / "slack_event.json"
+    path.write_text(json.dumps(matrix_to_obj(np.diag([1.0 + 2.5e-10, 0.0]))))
+    return str(path)
+
+
+def test_condprob_on_an_event_within_its_validation_slack_exits_0(tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(matrix_to_obj(np.diag([1.0, 0.0]))))
+    event = _slack_event(tmp_path)
+    assert run_main("condprob", "--state", str(state), "--outcome", event, "--event", event) == (0, "value  1\n", "")
+
+
+def test_objective_on_an_event_within_its_validation_slack_exits_0(tmp_path):
+    event = _slack_event(tmp_path)
+    code, out, err = run_main("objective", "--outcome", event, "--event", event, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == 1.0
+
+
+def test_chain_blocking_on_an_event_within_its_validation_slack_exits_0(tmp_path):
+    plus = np.full((2, 2), 0.5)
+    event = np.diag([1.0 + 2.5e-10, 0.0])
+    path = write_chain(tmp_path / "chain.json", np.diag([1.0, 0.0]), [(event, "block_on_negation", None)], plus)
+    code, out, err = run_main("chain", "--scenario", path)
+    assert (code, err) == (0, "")
+    assert out.startswith("value  0.5\n")
+
+
 def test_slit_csv_matches_library():
     result = run_cli("slit", "--model", fixture("double_slit_dim8.json"))
     assert result.returncode == 0

@@ -475,8 +475,6 @@ def test_cross_check_agrees_with_the_closed_form_on_every_valid_chain():
     assert min(seen["exact"], seen["rounded"], seen["antisymmetric"]) >= 40
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantError,
-                   reason="ROADMAP item 7: the clamp's slack (2e-10) is tighter than the idempotence slack validation grants")
 def test_conditioning_on_an_event_within_its_validation_slack_is_defined():
     e = validate_event(np.diag([1.0 + 2.5e-10, 0.0]))
     assert cond_prob(State(np.diag([1.0, 0.0])), e, e) == 1.0

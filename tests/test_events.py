@@ -400,5 +400,21 @@ def test_meet_at_the_resolution_limit_is_not_an_input_error():
                 assert validate_event(m.matrix).rank == m.rank == shared_rank + (theta < 1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="two resolution limits: minimal events are the same within |e - f|_F <= budget(), "
+                          "other pairs share directions below sqrt(2) tau; one limit moves the sameness rule")
+def test_meet_has_one_resolution_limit():
+    # At theta = 5e-10 two rays in d = 3 meet in zero, while two planes in
+    # d = 4 that share one axis and whose second directions are theta
+    # apart meet in the whole plane.  Directions theta apart should count
+    # as shared in both meets or in neither.
+    theta = 5e-10
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([np.cos(theta), np.sin(theta), 0.0])
+    rays = lattice_meet(validate_event(np.outer(a, a)), validate_event(np.outer(b, b)))
+    c = np.array([[1.0, 0.0], [0.0, np.cos(theta)], [0.0, np.sin(theta)], [0.0, 0.0]])
+    planes = lattice_meet(validate_event(np.diag([1.0, 1.0, 0.0, 0.0])), validate_event(c @ c.T))
+    assert planes.rank == rays.rank + 1, (rays.rank, planes.rank)
+
+
 def test_event_repr():
     assert repr(identity_event(2)) == "Event(dim=2, rank=2)"
