@@ -297,11 +297,12 @@ def _chain_product(events: list[Event]) -> np.ndarray:
     return product
 
 
-def _closed_form(mu: State, d, chain: Sequence[Event], tol: Tolerances) -> float:
-    """``trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))`` for the ordered product ``E``.
+def _closed_form(mu: State, d, chain: Sequence[Event], tol: Tolerances) -> tuple[float, np.ndarray]:
+    """``trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))`` for the ordered product ``E``, and d's matrix.
 
     The one conditioning kernel: :func:`cond_prob` is it on a one-element
-    chain, and :func:`repeated_cond_prob` cross-checks it.
+    chain, and :func:`repeated_cond_prob` cross-checks it on the operand
+    matrix validated here.
     """
     product = _chain_product(_chain_events(chain, mu.dim))
     dm = _operand_matrix(d, "conditioned operand", tol)
@@ -314,8 +315,8 @@ def _closed_form(mu: State, d, chain: Sequence[Event], tol: Tolerances) -> float
         raise UndefinedProbabilityError(f"cannot condition on a chain of probability {den!r}")
     value = float(np.vdot(product, weighted @ dm).real) / den
     if isinstance(d, Event):
-        return clamp_probability(value, probability_slack(d.rank, tol), what="conditional probability")
-    return value
+        value = clamp_probability(value, probability_slack(d.rank, tol), what="conditional probability")
+    return value, dm
 
 
 def cond_prob(mu: State, d, e: Event, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -328,7 +329,7 @@ def cond_prob(mu: State, d, e: Event, tol: Tolerances = DEFAULT_TOL) -> float:
     clamped).  Raises :class:`UndefinedProbabilityError` when ``mu(e)``
     is at or below the probability floor.
     """
-    return _closed_form(mu, d, [e], tol)
+    return _closed_form(mu, d, [e], tol)[0]
 
 
 def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = DEFAULT_TOL) -> float:
@@ -352,8 +353,7 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
     are genuinely different observations and give different values.
     """
     events = list(chain)
-    value = _closed_form(mu, d, events, tol)
-    dm = _operand_matrix(d, "conditioned operand", tol)
+    value, dm = _closed_form(mu, d, events, tol)
     compressed = mu.rho
     for e in events:
         compressed = _compress(compressed, e)

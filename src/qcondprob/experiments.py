@@ -30,10 +30,12 @@ An outlet's probability given its path is |P u|^2 / |u|^2 (or
 pruned.  Over the leaves, value = sum <u|D|u> / sum |u|^2 for the final
 outcome D: Bayes' rule, each record's branch weighted by its chance of
 surviving later blocks.  The one refusal is a survival sum |u|^2 at or
-below ``prob_floor``.  :func:`evaluate_chain` folds the tree and records
-a derivation trace, whose ``weight`` on a detector entry is the outlet's
-probability given its path (0.0 if unreachable); :func:`conditioned_on_record`
-folds the recorded branch; :func:`sample_chain` splits trials down the tree.
+below ``prob_floor``.  One depth-first walk visits the tree without
+storing it and serves all three entry points: :func:`evaluate_chain`
+reads its total and its derivation trace, whose ``weight`` on a detector
+entry is the outlet's probability given its path (0.0 if unreachable);
+:func:`conditioned_on_record` reads the leaves below the recorded outlet;
+:func:`sample_chain` reads the trials it splits down the tree.
 """
 
 from __future__ import annotations
@@ -160,44 +162,39 @@ _NOTES = {
                 "branches combine as a classical mixture",
     "unreachable": "outlet unreachable from this preparation; contributes nothing",
 }
-_FINAL = "final"
 
 
-@dataclass(slots=True)
-class _Node:
-    """Apparatus ``index`` (trace rule ``kind``) or the final test, reached by a branch with |u|^2 = ``mass``.
+def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=()) -> tuple[dict, list[tuple], dict, dict]:
+    """The one depth-first, positive-first pass over the Lüders branch tree (module docstring).
 
-    ``p`` and ``q`` are the positive and negation outlets' probabilities
-    given the path, ``p`` the final outcome's on a leaf; a pruned outlet
-    has 0.0 and child None.  A rejoin's one child is ``positive``.
-    """
+    The tree is never stored.  Each entry of an explicit stack, so a chain
+    of any length needs no recursion, is one branch: the trace entry that
+    leads to it, the next apparatus, its vector u (None for a pruned
+    outlet, which only adds its "unreachable" entry), |u|^2, the outlet
+    taken at the last detector (None before any) and each worker's trials
+    there.  Probabilities clamp within their event's :func:`probability_slack`,
+    taken once per event.  At a block, detector or leaf every worker with
+    m > 0 trials draws k ~ Binomial(m, p) from its own generator in
+    ``rngs``, for the positive outlet's or outcome's share p; a worker
+    with none draws nothing, so each generator sees the draws of walking
+    its trials alone.  A detector whose outlets are both pruned has no
+    share, and no trial goes on from it.
 
-    index: int
-    kind: str
-    mass: float
-    p: float = 1.0
-    q: float = 0.0
-    positive: _Node | None = None
-    negation: _Node | None = None
-
-
-def _branch_tree(chain: Chain, tol: Tolerances) -> _Node:
-    """The Lüders branch tree of ``chain`` (module docstring); one matrix-vector product per node.
-
-    Grown from an explicit stack of (node, its vector), depth first and
-    positive first, so a chain of any length needs no recursion.  A node
-    is made, with its rule and mass, when its parent passes an outlet on
-    to it, and is expanded when it leaves the stack.  Probabilities clamp
-    within their event's :func:`probability_slack`, taken once per event.
+    Returns, per outlet, the leaf sums [<u|D|u>, |u|^2] (each leaf's
+    outcome probability is clamped before it is weighted), the trace as
+    :class:`TraceStep` fields, the outcome counts and the record counts.
     """
     apparatuses = chain.apparatuses
+    last = len(apparatuses)
     final = chain.final_outcome.matrix
     kinds = [
         RULE_BLOCK if app.mode == MODE_BLOCK else RULE_INCOHERENT_SPLIT if app.has_detector else RULE_COHERENT_JOIN
         for app in apparatuses
-    ] + [_FINAL]
+    ]
+    rules = [(idx, kind, None, None, _NOTES.get(kind)) for idx, kind in enumerate(kinds)]
     slacks = [probability_slack(app.test_event.rank, tol) for app in apparatuses]
     slacks.append(probability_slack(chain.final_outcome.rank, tol))
+    edge = tol.budget()
 
     def weigh(v: np.ndarray, mass: float, slack: float) -> tuple[float, float]:
         # The outlet's probability given the path, 0.0 when it is pruned, and its |v|^2.
@@ -205,63 +202,72 @@ def _branch_tree(chain: Chain, tol: Tolerances) -> _Node:
         p = clamp_probability(v_mass / mass, slack, what="branch probability")
         return (p if p > tol.prob_floor else 0.0), v_mass
 
+    def draw(ms: list[int], p: float) -> list[int]:
+        # Within ``edge`` (tol.budget()) of 0 or 1 counts as exact, so a
+        # certain branch can never lose a trial to a stray uniform draw.
+        p = 0.0 if p <= edge else 1.0 if p >= 1.0 - edge else p
+        return [int(rng.binomial(m, p)) if m else 0 for rng, m in zip(rngs, ms)]
+
+    sums = {None: [0.0, 0.0], "positive": [0.0, 0.0], "negation": [0.0, 0.0]}
+    steps: list[tuple] = []
+    counts = {"positive": 0, "negation": 0, "blocked": 0}
+    records: dict[str, int] = {}
     u = _ray(chain.preparation)
-    root = _Node(0, kinds[0], float(np.vdot(u, u).real))
-    pending = [(root, u)]
+    pending = [(None, 0, u, float(np.vdot(u, u).real), None, list(shares))]
     while pending:
-        node, u = pending.pop()
-        idx, mass = node.index, node.mass
-        if node.kind == _FINAL:
-            hits = float(np.vdot(u, final @ u).real)
-            node.p = clamp_probability(hits / mass, slacks[idx], what="final-outcome probability")
-        elif node.kind == RULE_COHERENT_JOIN:
-            node.positive = _Node(idx + 1, kinds[idx + 1], mass)
-            pending.append((node.positive, u))
-        else:
-            pu = apparatuses[idx].test_event.matrix @ u
-            node.p, p_mass = weigh(pu, mass, slacks[idx])
-            if node.kind == RULE_INCOHERENT_SPLIT:
-                qu = u - pu
-                node.q, q_mass = weigh(qu, mass, slacks[idx])
-                if node.q:
-                    node.negation = _Node(idx + 1, kinds[idx + 1], q_mass)
-                    pending.append((node.negation, qu))
-            if node.p:
-                node.positive = _Node(idx + 1, kinds[idx + 1], p_mass)
-                pending.append((node.positive, pu))
-    return root
-
-
-def _fold(node: _Node | None) -> tuple[float, float]:
-    """Sums of <u|D|u> and |u|^2 over the leaves below ``node``: final-outcome hits and survivors.
-
-    Each node adds its positive child's sums to its negation child's, a
-    pruned child counting as zeros.  The nodes are listed in preorder,
-    positive first, and summed in reverse, so a node's children have put
-    their sums on the stack, positive on top, when it takes them.
-    """
-    order = []
-    pending = [] if node is None else [node]
-    while pending:
-        node = pending.pop()
-        order.append(node)
-        if node.negation is not None:
-            pending.append(node.negation)
-        if node.positive is not None:
-            pending.append(node.positive)
-    sums = [(0.0, 0.0)]  # the sums of an empty tree
-    for node in reversed(order):
-        if node.kind == _FINAL:
-            sums.append((node.p * node.mass, node.mass))
+        step, idx, u, mass, outlet, ms = pending.pop()
+        if step is not None:
+            steps.append(step)
+        if u is None:
             continue
-        hits_p, mass_p = sums.pop() if node.positive is not None else (0.0, 0.0)
-        hits_n, mass_n = sums.pop() if node.negation is not None else (0.0, 0.0)
-        sums.append((hits_p + hits_n, mass_p + mass_n))
-    return sums[-1]
+        if idx == last:
+            hits = float(np.vdot(u, final @ u).real)
+            p = clamp_probability(hits / mass, slacks[idx], what="final-outcome probability")
+            leaf = sums[outlet]
+            leaf[0] += p * mass
+            leaf[1] += mass
+            if ms:
+                k = sum(draw(ms, p))
+                counts["positive"] += k
+                counts["negation"] += sum(ms) - k
+            continue
+        kind = kinds[idx]
+        if kind == RULE_COHERENT_JOIN:
+            steps.append(rules[idx])
+            pending.append((None, idx + 1, u, mass, outlet, ms))
+            continue
+        pu = apparatuses[idx].test_event.matrix @ u
+        p, p_mass = weigh(pu, mass, slacks[idx])
+        if kind == RULE_BLOCK:
+            steps.append(rules[idx])
+            ks = ms
+            if ms:
+                ks = draw(ms, p)
+                counts["blocked"] += sum(ms) - sum(ks)
+            if p:
+                pending.append((None, idx + 1, pu, p_mass, outlet, ks))
+            continue
+        qu = u - pu
+        q, q_mass = weigh(qu, mass, slacks[idx])
+        ks = rest = []
+        if ms and (p or q):  # with both outlets pruned there is no share, and no trial goes on
+            ks = draw(ms, p / (p + q))
+            rest = [m - k for m, k in zip(ms, ks)]
+            for branch, m in (("positive", ks), ("negation", rest)):
+                if n := sum(m):
+                    key = f"apparatus{idx}:{branch}"
+                    records[key] = records.get(key, 0) + n
+        pending.append(((idx, kind, "negation", q, _NOTES["recorded" if q else "unreachable"]),
+                        idx + 1, qu if q else None, q_mass, "negation", rest))
+        pending.append(((idx, kind, "positive", p, _NOTES["recorded" if p else "unreachable"]),
+                        idx + 1, pu if p else None, p_mass, "positive", ks))
+    return sums, steps, counts, records
 
 
-def _value(hits: float, survival: float, tol: Tolerances) -> float:
-    """Final-outcome probability among survivors; the one refusal, when none survive."""
+def _value(sums, tol: Tolerances) -> float:
+    """Final-outcome probability among survivors, from the outlets' leaf sums; the one refusal, when none survive."""
+    hits = sum(h for h, _ in sums)
+    survival = sum(s for _, s in sums)
     if survival <= tol.prob_floor:
         raise UndefinedProbabilityError(f"no trial survives the chain: survival probability {survival!r}")
     # A mass-weighted mean of leaf probabilities clamped into [0, 1], summed alike: no slack.
@@ -276,25 +282,8 @@ def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluati
     Because the preparation is minimal, the result is the same for every
     state that can be prepared this way.
     """
-    root = _branch_tree(chain, tol)
-    steps: list[TraceStep] = []
-    # Depth first, positive first: a node to trace, or a detector entry to record before its outlet's subtree.
-    pending: list[_Node | TraceStep | None] = [root]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, TraceStep):
-            steps.append(item)
-        elif item is None or item.kind == _FINAL:
-            continue
-        elif item.kind != RULE_INCOHERENT_SPLIT:
-            steps.append(TraceStep(item.index, item.kind, note=_NOTES[item.kind]))
-            pending.append(item.positive)
-        else:
-            for branch, weight, child in (("negation", item.q, item.negation), ("positive", item.p, item.positive)):
-                note = _NOTES["unreachable" if child is None else "recorded"]
-                pending.append(child)
-                pending.append(TraceStep(item.index, RULE_INCOHERENT_SPLIT, branch, weight, note))
-    return ChainEvaluation(value=_value(*_fold(root), tol), steps=tuple(steps))
+    sums, steps, _, _ = _walk(chain, tol)
+    return ChainEvaluation(value=_value(sums.values(), tol), steps=tuple(TraceStep(*step) for step in steps))
 
 
 def conditioned_on_record(chain: Chain, record: str, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -302,17 +291,15 @@ def conditioned_on_record(chain: Chain, record: str, tol: Tolerances = DEFAULT_T
 
     The chain must contain exactly one detector apparatus.  ``record``
     selects which outlet its record shows ("positive" or "negation"),
-    and only that outlet's branch of the tree is folded.
+    and only the leaves below that outlet count.
     """
     if record not in ("positive", "negation"):
         raise ValidationError(f"unknown record value {record!r}")
     detector_count = sum(1 for app in chain.apparatuses if app.has_detector)
     if detector_count != 1:
         raise ValidationError(f"conditioning on a record needs exactly one detector apparatus, found {detector_count}")
-    node = _branch_tree(chain, tol)
-    while node is not None and node.kind != RULE_INCOHERENT_SPLIT:
-        node = node.positive
-    return _value(*_fold(node and getattr(node, record)), tol)
+    sums, _, _, _ = _walk(chain, tol)
+    return _value([sums[record]], tol)
 
 
 @dataclass(frozen=True)
@@ -348,14 +335,17 @@ def sample_chain(
 
     The trials are dealt out as evenly as possible over ``workers``
     substreams of numpy's PCG64 generator, each seeded by
-    ``SeedSequence((seed, worker_index))``.  A worker's trials start at
-    the root of the branch tree.  Of the n reaching a block, detector or
-    leaf, k ~ Binomial(n, p) take the positive outlet or outcome, where a
-    detector's p is its positive share p / (p + q); nodes are visited
-    depth first, positive first.  The counts have the joint law of walking
-    each trial alone, the cost does not grow with ``trials``, and results
-    are bit-for-bit reproducible for a given (seed, trials, workers).
-    Blocked trials are excluded from the frequency denominator.
+    ``SeedSequence((seed, worker_index))``.  Every worker's trials start
+    at the root of the branch tree, and one walk of the tree, depth first
+    and positive first, carries all workers' counts.  Of a worker's n > 0
+    trials reaching a block, detector or leaf, k ~ Binomial(n, p) take the
+    positive outlet or outcome, where a detector's p is its positive share
+    p / (p + q); a worker with no trials at a node draws nothing there, so
+    its substream sees the draws of walking its trials alone.  The counts
+    have the joint law of walking each trial alone, the cost does not grow
+    with ``trials``, and results are bit-for-bit reproducible for a given
+    (seed, trials, workers).  Blocked trials are excluded from the
+    frequency denominator.
     """
     for name, value, low in (("trials", trials, 1), ("workers", workers, 1), ("seed", seed, 0)):
         if not _is_integer(value) or value < low:
@@ -363,44 +353,12 @@ def sample_chain(
             raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
     if -(-int(trials) // int(workers)) > np.iinfo(np.int64).max:  # Generator.binomial takes an int64 n
         raise ValidationError(f"trials per worker must fit in int64, got {trials!r} over {workers!r} workers")
-    root = _branch_tree(chain, tol)
-    value = _value(*_fold(root), tol)
-    edge = tol.budget()
-
-    counts = {"positive": 0, "negation": 0, "blocked": 0}
-    detector_counts: dict[str, int] = {}
-
-    def split(root: _Node, n: int) -> None:
-        # Depth first, positive first: (node, trials reaching it, detector record key or None).
-        pending: list[tuple[_Node, int, str | None]] = [(root, n, None)]
-        while pending:
-            node, n, key = pending.pop()
-            if key is not None:
-                detector_counts[key] = detector_counts.get(key, 0) + n
-            if node.kind == RULE_COHERENT_JOIN:
-                pending.append((node.positive, n, None))
-                continue
-            p = node.p / (node.p + node.q) if node.kind == RULE_INCOHERENT_SPLIT else node.p
-            # Within ``edge`` (tol.budget()) of 0 or 1 counts as exact, so a
-            # certain branch can never lose a trial to a stray uniform draw.
-            k = int(rng.binomial(n, 0.0 if p <= edge else 1.0 if p >= 1.0 - edge else p))
-            if node.kind == _FINAL:
-                counts["positive"] += k
-                counts["negation"] += n - k
-            elif node.kind == RULE_BLOCK:
-                counts["blocked"] += n - k
-                if k:
-                    pending.append((node.positive, k, None))
-            else:
-                for branch, child, m in (("negation", node.negation, n - k), ("positive", node.positive, k)):
-                    if m:
-                        pending.append((child, m, f"apparatus{node.index}:{branch}"))
-
     base, extra = divmod(int(trials), int(workers))
     # Workers past the trial count would receive no trials.
-    for w in range(min(int(workers), int(trials))):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), w))))
-        split(root, base + (1 if w < extra else 0))
+    shares = [base + (1 if w < extra else 0) for w in range(min(int(workers), int(trials)))]
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), w)))) for w in range(len(shares))]
+    sums, _, counts, detector_counts = _walk(chain, tol, shares, rngs)
+    value = _value(sums.values(), tol)
 
     survivors = counts["positive"] + counts["negation"]
     if survivors == 0:

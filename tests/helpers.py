@@ -28,6 +28,7 @@ from qcondprob import (
     probability_slack,
     validate_event,
 )
+from qcondprob.events import _ray
 from qcondprob.experiments import MODE_BLOCK
 
 
@@ -143,6 +144,74 @@ def chain_forward_pass(chain: Chain, record=None):
     if survival <= DEFAULT_TOL.prob_floor:
         return survival, None, reach
     return survival, np.trace(rho @ chain.final_outcome.matrix).real / survival, reach
+
+
+def reference_sample_counts(chain: Chain, trials, seed, workers=1, tol=DEFAULT_TOL):
+    """``sample_chain``'s counts by two passes: grow the Lueders branch tree, then walk each worker alone.
+
+    The tree is stored as nested dicts, grown by recursion, so keep chains
+    short.  Worker w takes its share of ``trials`` (dealt as the package
+    deals them) down the tree with its own generator, seeded by
+    ``SeedSequence((seed, w))``: one Binomial(n, p) draw at each block,
+    detector or leaf that its n > 0 trials reach, depth first and positive
+    first, where a detector's p is its positive share p / (p + q).  The
+    branch probabilities are those of the package (same ray, clamps and
+    pruning), so the counts must match bit for bit.  Only for chains that
+    ``sample_chain`` does not refuse.  Returns (outcome_counts, detector_counts).
+    """
+    apparatuses = chain.apparatuses
+    edge = tol.budget()
+
+    def weight(v, mass, rank):
+        p = clamp_probability(float(np.vdot(v, v).real) / mass, probability_slack(rank, tol))
+        return p if p > tol.prob_floor else 0.0
+
+    def grow(idx, u):
+        mass = float(np.vdot(u, u).real)
+        if idx == len(apparatuses):
+            hits = float(np.vdot(u, chain.final_outcome.matrix @ u).real)
+            slack = probability_slack(chain.final_outcome.rank, tol)
+            return {"kind": "final", "p": clamp_probability(hits / mass, slack)}
+        app = apparatuses[idx]
+        if app.mode != MODE_BLOCK and not app.has_detector:
+            return grow(idx + 1, u)
+        node = {"kind": "block" if app.mode == MODE_BLOCK else "detector", "index": idx, "q": 0.0}
+        pu = app.test_event.matrix @ u
+        node["p"] = weight(pu, mass, app.test_event.rank)
+        if node["p"]:
+            node["positive"] = grow(idx + 1, pu)
+        if app.has_detector:
+            node["q"] = weight(u - pu, mass, app.test_event.rank)
+            if node["q"]:
+                node["negation"] = grow(idx + 1, u - pu)
+        return node
+
+    counts = {"positive": 0, "negation": 0, "blocked": 0}
+    records = {}
+
+    def split(node, n, rng):
+        p = node["p"] / (node["p"] + node["q"]) if node["kind"] == "detector" else node["p"]
+        k = int(rng.binomial(n, 0.0 if p <= edge else 1.0 if p >= 1.0 - edge else p))
+        if node["kind"] == "final":
+            counts["positive"] += k
+            counts["negation"] += n - k
+        elif node["kind"] == "block":
+            counts["blocked"] += n - k
+            if k:
+                split(node["positive"], k, rng)
+        else:
+            for branch, m in (("positive", k), ("negation", n - k)):
+                if m:
+                    key = f"apparatus{node['index']}:{branch}"
+                    records[key] = records.get(key, 0) + m
+                    split(node[branch], m, rng)
+
+    root = grow(0, _ray(chain.preparation))
+    base, extra = divmod(trials, workers)
+    for w in range(min(workers, trials)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, w))))
+        split(root, base + (1 if w < extra else 0), rng)
+    return {k: v for k, v in counts.items() if not (k == "blocked" and v == 0)}, records
 
 
 def within_sigmas(count, n, p, sigmas=5.0):

@@ -164,6 +164,13 @@ def test_chain_sampling_is_reproducible():
     assert shuffled.stdout != first.stdout
 
 
+def test_chain_with_both_detector_outlets_pruned_exits_3():
+    # At prob-floor 0.6 both outlets of the fixture's one detector are pruned.
+    result = run_cli("chain", "--scenario", fixture("chain_detector.json"), "--sample", "--prob-floor", "0.6")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error:")
+
+
 def test_chain_json_format():
     result = run_cli(
         "chain", "--scenario", fixture("chain_detector.json"),

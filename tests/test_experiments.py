@@ -6,6 +6,7 @@ import pytest
 from qcondprob import (
     Apparatus,
     Chain,
+    Tolerances,
     UndefinedProbabilityError,
     ValidationError,
     complement,
@@ -27,7 +28,14 @@ from qcondprob.experiments import (
 )
 from qcondprob.fixtures import blocked_chain, detector_chain, rejoined_chain
 
-from helpers import chain_forward_pass, random_chain, random_projection, random_rank1, within_sigmas
+from helpers import (
+    chain_forward_pass,
+    random_chain,
+    random_projection,
+    random_rank1,
+    reference_sample_counts,
+    within_sigmas,
+)
 
 
 def test_spin_projector_conventions():
@@ -292,6 +300,21 @@ def test_sample_chain_with_nothing_surviving():
         sample_chain(chain, trials=50, seed=3)
 
 
+def test_a_detector_with_both_outlets_pruned_is_refused_everywhere():
+    # At prob_floor 0.6 both x outlets from z+ (1/2 each) are pruned, so
+    # nothing survives.  The sampler must neither draw nor divide by p + q
+    # = 0 there: every entry point refuses instead.
+    chain, tol = detector_chain(), Tolerances(prob_floor=0.6)
+    for call in (
+        lambda: evaluate_chain(chain, tol),
+        lambda: conditioned_on_record(chain, "positive", tol),
+        lambda: conditioned_on_record(chain, "negation", tol),
+        lambda: sample_chain(chain, trials=1000, seed=1, workers=2, tol=tol),
+    ):
+        with pytest.raises(UndefinedProbabilityError):
+            call()
+
+
 def test_sample_chain_refuses_bools():
     chain = detector_chain()
     for kwargs in (
@@ -365,6 +388,28 @@ def test_sample_chain_matches_forward_pass_oracle():
             else:
                 assert reached[k + 1] == reached[k]
     assert blocks_after_detectors >= 10
+
+
+def test_one_walk_samples_as_each_worker_walking_alone():
+    # One walk carries every worker's trials; each worker's substream must
+    # see the draws it saw walking its trials alone down a stored tree, so
+    # the counts equal that reference's bit for bit.  Few trials over many
+    # workers leave some workers with none at a node that others reach.
+    rng = np.random.default_rng(1919)
+    seen = {"compared": 0, "many_detectors_and_workers": 0}
+    for _ in range(300):
+        chain = random_chain(rng, int(rng.integers(2, 7)), int(rng.integers(2, 9)))
+        trials = int(rng.choice([1, 5, 1000, 10**6]))
+        seed, workers = int(rng.integers(2**32)), int(rng.integers(1, 6))
+        try:
+            report = sample_chain(chain, trials, seed, workers)
+        except UndefinedProbabilityError:
+            continue
+        assert (report.outcome_counts, report.detector_counts) == reference_sample_counts(chain, trials, seed, workers)
+        seen["compared"] += 1
+        detectors = sum(app.has_detector for app in chain.apparatuses)
+        seen["many_detectors_and_workers"] += detectors >= 2 and workers >= 2
+    assert seen["compared"] >= 200 and seen["many_detectors_and_workers"] >= 50
 
 
 def dim3_block_after_detector_chain():
@@ -464,9 +509,8 @@ def test_one_tree_matches_the_forward_pass_on_random_chains():
 def test_long_chains_do_not_recurse(blocks):
     # One x detector, then z blocks: each record survives the first block
     # with probability 1/2 and every later one with certainty, and the final
-    # x test sees z+ on both branches.  Growing, folding, tracing and
-    # sampling walk the tree with explicit stacks, so no length hits
-    # Python's recursion limit.
+    # x test sees z+ on both branches.  The one walk of the tree keeps an
+    # explicit stack, so no length hits Python's recursion limit.
     apparatuses = [Apparatus(spin_projector("x", "+"), detector="positive")]
     apparatuses += [Apparatus(spin_projector("z", "+"), mode=MODE_BLOCK)] * blocks
     chain = Chain(spin_projector("z", "+"), apparatuses, spin_projector("x", "+"))

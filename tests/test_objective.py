@@ -235,6 +235,23 @@ def _ray_at_overlap(rng, v, s):
     return validate_event(np.outer(w, w.conj()))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: the dense fit's absolute slack certifies away state dependence "
+                          "in a direction whose weight is below about 1e-9")
+@pytest.mark.parametrize("s", [3e-5, 1e-5])
+def test_objective_seq_does_not_certify_a_state_dependent_value(s):
+    # After e1 = diag(1, 1, 0, 0) and e2 onto {e0, (0, s, 0, sqrt(1 - s^2))},
+    # d = |0><0| has probability 1 from |0> and 0 from |1>, whose weight
+    # s^2 is far above prob_floor; no single value holds for every state.
+    e1 = validate_event(np.diag([1.0, 1.0, 0.0, 0.0]))
+    b = np.array([[1.0, 0.0], [0.0, s], [0.0, 0.0], [0.0, np.sqrt(1.0 - s * s)]])
+    e2 = validate_event(b @ b.T)
+    d = validate_event(np.diag([1.0, 0.0, 0.0, 0.0]))
+    values = [repeated_cond_prob(State(np.diag(v)), d, [e1, e2]) for v in ([1.0, 0, 0, 0], [0, 1.0, 0, 0])]
+    assert values == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert not objective_seq(d, [e1, e2]).objective
+
+
 def test_rank_one_path_matches_the_dense_fit():
     # A sequence with a minimal event factors through its ray; against the
     # fit from dense products: d 2-16, 1-4 events, the minimal event at the
