@@ -207,9 +207,9 @@ class State:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "State":
-        """The uniform state, identity divided by dimension."""
+        """The uniform state, identity divided by dimension: a state by construction, so not checked again."""
         dim = _dimension(dim)
-        return cls(np.eye(dim, dtype=np.complex128) / dim)
+        return cls._trusted(np.eye(dim, dtype=np.complex128) / dim)
 
     @property
     def rho(self) -> np.ndarray:

@@ -13,9 +13,10 @@ events.  The logical structure lives in the matrix algebra:
 
 This module also holds the package's one input check for matrices,
 which events, states and operands all pass, its one index and one
-dimension rule, the one sameness and one exclusion rule, and the ray of
-a minimal event, which the event keeps once derived.  Every comparison
-here is at Frobenius scale, within a :meth:`Tolerances.budget`.
+dimension rule, the event lattice's one resolution limit, the one
+sameness and one exclusion rule, and the ray of a minimal event, which
+the event keeps once derived.  Every comparison here is at Frobenius
+scale, within a :meth:`Tolerances.budget`.
 """
 
 from __future__ import annotations
@@ -174,17 +175,43 @@ def complement(e: Event) -> Event:
     return Event(np.eye(e.dim, dtype=np.complex128) - e.matrix, e.dim - e.rank)
 
 
-# The sameness and exclusion rules, on Frobenius norms given as scalars or
-# arrays: e and f are the same event when |e - f|_F is within tol.budget(),
-# and exclude each other when |e @ f|_F is.  lattice_meet on two minimal
-# events and the valuation problems' deduplication decide by _same;
-# is_orthogonal and their exclusion relation decide by _excludes.
-def _same(distance, tol: Tolerances):
-    return distance <= tol.budget()
+def _resolution(rank, tol: Tolerances):
+    """``sqrt(2) * tol.budget(sqrt(rank))``: the event lattice's one resolution limit, the meet's cut.
+
+    A validated event of rank ``r`` has ``|e|_F = sqrt(r)`` to first
+    order and defects within its budget ``b = tol.budget(sqrt(r))``, so
+    each of the two stacked complements ``[I - e; I - f]`` of
+    :func:`lattice_meet` may miss a shared direction by ``b``, which puts
+    that direction's singular value within ``sqrt(2) b``.  ``rank`` is the
+    larger of the pair's ranks, a scalar or an array; the limit grows with
+    it, so the limit at the larger rank is the larger of the two limits.
+
+    A direction at principal angle theta to the other range has singular
+    value ``sqrt(2) sin(theta / 2)``, adds ``sin theta`` to
+    ``|e @ f - f|_F`` and ``sqrt(2) sin theta`` to ``|e - f|_F``, so the
+    meet's cut ``tau``, implication at ``sqrt(2) tau`` and sameness at
+    ``2 tau`` all cut one angle at about ``sqrt(2) tau`` (relative gap
+    theta^2 / 8); with several angles the two Frobenius relations are
+    only stricter than the meet.  Exclusion is implication into the
+    complement, ``|(I - e) @ f - f|_F = |e @ f|_F``, so it reads
+    ``sqrt(2) tau`` too.
+    """
+    return math.sqrt(2.0) * tol.budget(np.sqrt(rank))
 
 
-def _excludes(overlap, tol: Tolerances):
-    return overlap <= tol.budget()
+# The sameness and exclusion rules, on Frobenius norms and the resolution
+# limit tau at the pair's larger rank, given as scalars or arrays:
+# |e - f|_F within 2 tau, and |e @ f|_F within sqrt(2) tau.  Sameness at
+# 2 tau puts e within sqrt(2) tau of f's range, so a copy merged into a kept
+# event still excludes its complement.  lattice_meet on two minimal events
+# and the valuation problems' deduplication decide by _same; implies,
+# is_orthogonal and the valuation problems' exclusion relation by _excludes.
+def _same(distance, tau):
+    return distance <= 2.0 * tau
+
+
+def _excludes(overlap, tau):
+    return overlap <= math.sqrt(2.0) * tau
 
 
 def _ray(e: Event) -> np.ndarray:
@@ -209,50 +236,54 @@ def _ray(e: Event) -> np.ndarray:
 def is_orthogonal(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Mutual exclusion: the product e @ f vanishes.
 
-    Symmetric for events, since ``f @ e`` is the adjoint of ``e @ f``.
+    Decided by :func:`_excludes`.  Symmetric for events, since ``f @ e``
+    is the adjoint of ``e @ f``.
     """
     _check_same_space(e, f)
-    return bool(_excludes(_frobenius(e.matrix @ f.matrix), tol))
+    return bool(_excludes(_frobenius(e.matrix @ f.matrix), _resolution(max(e.rank, f.rank), tol)))
 
 
 def implies(f: Event, e: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when f is contained in e (f <= e), i.e. e absorbs f: e @ f == f."""
+    """True when f is contained in e (f <= e), i.e. e absorbs f: e @ f == f.
+
+    Decided as f excluding e's complement, ``|e @ f - f|_F`` by
+    :func:`_excludes`, so it holds where :func:`lattice_meet` finds f in e.
+    """
     _check_same_space(f, e)
-    diff = e.matrix @ f.matrix - f.matrix
-    return float(np.linalg.norm(diff, "fro")) <= tol.budget(float(np.linalg.norm(f.matrix, "fro")))
+    return bool(_excludes(_frobenius(e.matrix @ f.matrix - f.matrix), _resolution(max(e.rank, f.rank), tol)))
 
 
 def commutes(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when e @ f == f @ e within tolerance."""
     _check_same_space(e, f)
-    scale = float(np.linalg.norm(e.matrix, "fro")) * float(np.linalg.norm(f.matrix, "fro"))
-    return float(np.linalg.norm(e.matrix @ f.matrix - f.matrix @ e.matrix, "fro")) <= tol.budget(scale)
+    scale = _frobenius(e.matrix) * _frobenius(f.matrix)
+    return _frobenius(e.matrix @ f.matrix - f.matrix @ e.matrix) <= tol.budget(scale)
 
 
 def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
     """Conjunction: the projection onto range(e) intersected with range(f).
 
     Two minimal events meet in ``e`` when they coincide by :func:`_same`
-    and in zero otherwise.  For every other pair the meet is the null
-    space of the stacked complements ``[I - e; I - f]`` (2d x d): a vector
-    lies in both ranges exactly when both complements kill it.  One SVD
-    gives it with no iteration, after Bjorck & Golub (1973), who read
-    principal angles from sines: a direction at principal angle theta to
-    the other range has singular value sqrt(2) sin(theta / 2), so the gap
-    seen is about theta, not theta^2, and the result is accurate to about
-    eps / theta.  The meet basis is the right singular vectors whose
-    singular value is at most ``tau = sqrt(2) * tol.budget(sqrt(r))``,
-    ``r`` the larger rank: sqrt(2) times the validation budget of the
-    larger event, which each complement may miss a shared direction by.
-    Resolution limit: two directions at an angle below sqrt(2) tau, about
-    1e-9 at the default tolerances, count as shared.  An orthonormal basis
-    gives a projection by construction, so the result is not revalidated.
+    (a closed form that spares them the SVD) and in zero otherwise.  For
+    every other pair the meet is the null space of the stacked complements
+    ``[I - e; I - f]`` (2d x d): a vector lies in both ranges exactly when
+    both complements kill it.  One SVD gives it with no iteration, after
+    Bjorck & Golub (1973), who read principal angles from sines: a
+    direction at principal angle theta to the other range has singular
+    value sqrt(2) sin(theta / 2), so the gap seen is about theta, not
+    theta^2, and the result is accurate to about eps / theta.  The meet
+    basis is the right singular vectors whose singular value is at most
+    ``tau = _resolution(r, tol)``, ``r`` the larger rank: the lattice's
+    one resolution limit, which sameness and :func:`_excludes` read too.
+    Two directions at an angle below ``sqrt(2) tau = 2 tol.budget(sqrt(r))``,
+    6e-10 for two rays at the default tolerances, count as shared.  An
+    orthonormal basis gives a projection by construction, so the result is
+    not revalidated.
     """
     _check_same_space(e, f)
     if e.is_minimal() and f.is_minimal():
-        return e if _same(np.linalg.norm(e.matrix - f.matrix, "fro"), tol) else zero_event(e.dim)
+        return e if _same(_frobenius(e.matrix - f.matrix), _resolution(1, tol)) else zero_event(e.dim)
     eye = np.eye(e.dim, dtype=np.complex128)
     _, s, vh = np.linalg.svd(np.vstack([eye - e.matrix, eye - f.matrix]), full_matrices=False)
-    tau = math.sqrt(2.0) * tol.budget(math.sqrt(max(e.rank, f.rank)))
-    basis = vh[s <= tau]
+    basis = vh[s <= _resolution(max(e.rank, f.rank), tol)]
     return Event(basis.conj().T @ basis, len(basis))

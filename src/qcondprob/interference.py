@@ -24,7 +24,7 @@ classical mixture terms survive, the interference term is dropped.
 
 All four entry points read their terms from one kernel and one formula.
 It checks the split once, by the exclusion rule
-``|e1 @ e2|_F <= tol.budget()``, and forms ``b_i = e_i @ rho`` and ``c_i``:
+``|e1 @ e2|_F <= 2 tol.budget(sqrt(r))``, r the larger rank, and forms ``b_i = e_i @ rho`` and ``c_i``:
 ``c_i = e_i`` for a density matrix, ``c_i = b_i`` for the ray ``v`` of a
 minimal preparation, which stands for ``rho = v @ adjoint(v)``.  Since
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from .conditioning import State, cond_prob
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _ray, is_orthogonal
+from .events import Event, _ray, _resolution, is_orthogonal
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 
@@ -123,18 +123,19 @@ def _decompose(
 
 
 def _exclusion_slack(normalizer: float, e1: Event, e2: Event, tol: Tolerances) -> float:
-    """Extra clamp slack of a coherent total on a unit ray ``v``: ``3 (budget() + b_1 + b_2) / sqrt(N)``.
+    """Extra clamp slack of a coherent total on a unit ray ``v``: ``3 (x + b_1 + b_2) / sqrt(N)``.
 
     With ``u_i = e_i @ v`` and ``N`` the normalizer, the total is a Rayleigh quotient of ``d``
     times ``|u_1 + u_2|^2 / N = 1 + 2 Re<u_1, u_2> / N``, plus ``Re<u_1, (d - adjoint(d)) u_2> / N``.
     Expanding ``u_i = e_i @ u_i - (e_i @ e_i - e_i) @ v`` bounds ``2 |<u_1, u_2>| / N`` by
     ``x + b_1 + 2 (b_1 + b_2) / sqrt(N)`` to first order, for the exclusion slack
-    ``x = |e_1 @ e_2|_F <= budget()`` and the parts' budgets ``b_i = budget(sqrt(r_i))``;
-    ``N <= 1 + O(b)``.  A part mixing a direction of ``v`` outside both ranges into the
-    other's range attains the ``b / sqrt(N)``.
+    ``x = |e_1 @ e_2|_F <= sqrt(2) _resolution(r) = 2 budget(sqrt(r))``, r the larger rank,
+    and the parts' budgets ``b_i = budget(sqrt(r_i))``; ``N <= 1 + O(b)``.  A part mixing a
+    direction of ``v`` outside both ranges into the other's range attains the ``b / sqrt(N)``.
     """
     parts = tol.budget(math.sqrt(e1.rank)) + tol.budget(math.sqrt(e2.rank))
-    return 3.0 * (tol.budget() + parts) / math.sqrt(normalizer)
+    x = math.sqrt(2.0) * _resolution(max(e1.rank, e2.rank), tol)
+    return 3.0 * (x + parts) / math.sqrt(normalizer)
 
 
 def _coherent_total(normalizer: float, p1: float, p2: float, cross: complex, slack: float) -> float:

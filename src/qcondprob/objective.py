@@ -112,7 +112,7 @@ def _dense_fit(d: np.ndarray, events: list[Event], tol: Tolerances) -> tuple[com
     adjoint = product.conj().T
     reference = product @ adjoint
     lam, residual = _fit(product @ d @ adjoint, reference, tol)
-    return lam, residual, float(np.linalg.norm(reference, "fro"))
+    return lam, residual, _frobenius(reference)
 
 
 def _rank_one_fit(d: np.ndarray, events: list[Event], j: int, tol: Tolerances) -> tuple[complex, float, float]:
@@ -242,9 +242,10 @@ def state_from_outcome(e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     """The unique state determined by a minimal outcome.
 
     Observing a minimal event fixes the post-outcome state completely:
-    it is the normalised projector itself.  Non-minimal outcomes leave
-    the state underdetermined, so they raise
-    :class:`UndefinedProbabilityError`.
+    it is the normalised projector ``|v><v|`` of the event's ray ``v``, a
+    state by construction, so it is not checked again and ``tol`` is not
+    read.  Non-minimal outcomes leave the state underdetermined, so they
+    raise :class:`UndefinedProbabilityError`.
     """
     if not isinstance(e, Event):
         raise ValidationError("state_from_outcome expects an Event")
@@ -252,4 +253,6 @@ def state_from_outcome(e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
         raise UndefinedProbabilityError(
             f"outcome of rank {e.rank} does not determine a state; only minimal outcomes do"
         )
-    return State(e.matrix, tol=tol)
+    v = _ray(e)
+    rho = np.outer(v, v.conj())
+    return State._trusted((rho + rho.conj().T) / 2.0)

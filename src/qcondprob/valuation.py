@@ -30,7 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InvariantError, ValidationError
-from .events import Event, _excludes, _index, _same
+from .events import Event, _excludes, _index, _resolution, _same
 from .tolerances import DEFAULT_TOL, Tolerances
 
 # The search is exhaustive, so cap the instance size well below where
@@ -76,13 +76,14 @@ def _rows_per_block(stack: np.ndarray) -> int:
     return max(1, _PASS_ENTRIES // (n * d * d))
 
 
-def _deduplicate(stack: np.ndarray, tol: Tolerances) -> tuple[list[int], list[int]]:
+def _deduplicate(stack: np.ndarray, limits: np.ndarray) -> tuple[list[int], list[int]]:
     """``(kept, remap)``: the stack indices of the distinct events, and each event's position in ``kept``.
 
     Each event maps to the first kept event that the sameness rule of
-    :func:`lattice_meet`, ``|e - f|_F``, matches, or is kept itself.  One
-    batched pass per block of rows compares the block with the events
-    kept before it and with itself.
+    :func:`lattice_meet`, ``|e - f|_F`` at the larger of the pair's
+    resolution limits in ``limits``, matches, or is kept itself.  One
+    batched pass per block of rows compares the block with the events kept
+    before it and with itself.
     """
     step = _rows_per_block(stack)
     kept: list[int] = []
@@ -91,7 +92,9 @@ def _deduplicate(stack: np.ndarray, tol: Tolerances) -> tuple[list[int], list[in
         block = stack[start:start + step]
         before = len(kept)
         candidates = np.concatenate([stack[kept], block])
-        same = _same(np.linalg.norm(block[:, None] - candidates[None], axis=(-2, -1)), tol).tolist()
+        block_limits = limits[start:start + step]
+        tau = np.maximum(block_limits[:, None], np.concatenate([limits[kept], block_limits]))
+        same = _same(np.linalg.norm(block[:, None] - candidates[None], axis=(-2, -1)), tau).tolist()
         # Column of each kept event in ``same``: kept before the block, then block rows.
         columns = list(range(before))
         for r, row in enumerate(same):
@@ -104,8 +107,8 @@ def _deduplicate(stack: np.ndarray, tol: Tolerances) -> tuple[list[int], list[in
     return kept, remap
 
 
-def _exclusion_relation(stack: np.ndarray, tol: Tolerances) -> list[int]:
-    """Symmetric mutual exclusion by :func:`is_orthogonal`'s rule, ``|e_i @ e_j|_F``, as one mask per event.
+def _exclusion_relation(stack: np.ndarray, limits: np.ndarray) -> list[int]:
+    """Symmetric mutual exclusion by :func:`is_orthogonal`'s rule, at the larger of the pair's ``limits``.
 
     One matrix product per block of rows: the block's events stacked as
     rows times the events from the block's first on, side by side, has
@@ -123,7 +126,7 @@ def _exclusion_relation(stack: np.ndarray, tol: Tolerances) -> list[int]:
         parts = products.view(np.float64).reshape(len(products), n - start, 2 * d)
         rows = np.einsum("ijk,ijk->ij", parts, parts).reshape(-1, d, n - start)
         norms[start:start + step, start:] = np.sqrt(rows.sum(axis=1))
-    relation = np.triu(_excludes(norms, tol), 1)
+    relation = np.triu(_excludes(norms, np.maximum(limits[:, None], limits[None])), 1)
     rows = np.packbits(relation | relation.T, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
@@ -157,8 +160,9 @@ def build_resolutions(events: Sequence[Event], tol: Tolerances = DEFAULT_TOL) ->
     events = list(events)
     if not events:
         return []
-    relation = _exclusion_relation(_stack(events), tol)
-    return _enumerate_resolutions([e.rank for e in events], events[0].dim, relation)
+    ranks = [e.rank for e in events]
+    relation = _exclusion_relation(_stack(events), _resolution(np.array(ranks), tol))
+    return _enumerate_resolutions(ranks, events[0].dim, relation)
 
 
 class ValuationProblem:
@@ -168,7 +172,8 @@ class ValuationProblem:
     the duplicates (each event maps to the first kept event the sameness
     rule of :func:`lattice_meet` matches) and then build the exclusion
     relation between the kept events, which the resolutions and the
-    search both read.  When ``resolutions`` is omitted they are
+    search both read; both rules read the lattice's one resolution limit,
+    so a merged copy's complement excludes the kept event.  When ``resolutions`` is omitted they are
     enumerated; explicit families pass the enumerator's rule: integer
     indices naming distinct events, members pairwise exclusive, ranks
     summing to the dimension.  At most ``MAX_EVENTS`` distinct events
@@ -192,11 +197,12 @@ class ValuationProblem:
         if any(e.is_zero() for e in raw):
             raise ValidationError("the zero event cannot carry a truth value")
 
-        kept, remap = _deduplicate(stack, tol)
+        limits = _resolution(np.array([e.rank for e in raw]), tol)
+        kept, remap = _deduplicate(stack, limits)
         if len(kept) > MAX_EVENTS:
             raise ValidationError(f"at most {MAX_EVENTS} distinct events are supported, got {len(kept)}")
 
-        exclusive = _exclusion_relation(stack[kept], tol)
+        exclusive = _exclusion_relation(stack[kept], limits[kept])
         ranks, dim = [raw[i].rank for i in kept], raw[0].dim
         if resolutions is None:
             families = _enumerate_resolutions(ranks, dim, exclusive)

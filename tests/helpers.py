@@ -61,6 +61,19 @@ def random_state(rng, dim):
     return random_full_rank_state(rng, dim)
 
 
+def cut_angle(rank, tol=DEFAULT_TOL):
+    """The angle ``2 (atol + rtol (1 + sqrt(r)))`` below which the event lattice counts a direction as shared.
+
+    At rank r the meet's cut is ``tau = sqrt(2) (atol + rtol (1 + sqrt(r)))``.
+    A direction at principal angle theta has meet singular value
+    ``sqrt(2) sin(theta / 2)``, adds ``sin(theta)`` to ``|e f - f|_F``
+    (implication, and exclusion of the complement, at ``sqrt(2) tau``) and
+    ``sqrt(2) sin(theta)`` to ``|e - f|_F`` (sameness at ``2 tau``), so all
+    of them cut at ``sqrt(2) tau``, read as an angle or as its sine.
+    """
+    return 2.0 * (tol.atol + tol.rtol * (1.0 + np.sqrt(rank)))
+
+
 # Singular values of the stacked complements at or below this count as
 # zero.  The cutoff is absolute: when both events are numerically the
 # identity the stack is pure round-off, and a cutoff relative to its

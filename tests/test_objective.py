@@ -383,3 +383,17 @@ def test_state_from_outcome():
         state_from_outcome(validate_event(np.diag([1.0, 1.0, 0.0])))
     with pytest.raises(UndefinedProbabilityError):
         state_from_outcome(complement(validate_event(np.eye(2))))
+
+
+def test_state_from_outcome_builds_the_state_from_the_ray():
+    # diag(1 + 2.5e-10, 0) is a minimal event within its validation budget;
+    # its state is |v><v| for its ray v, not the event's matrix checked again
+    # as a state, whose trace would miss 1 beyond tolerance.
+    s = state_from_outcome(validate_event(np.diag([1.0 + 2.5e-10, 0.0])))
+    assert np.array_equal(s.rho, np.diag([1.0, 0.0]))
+    rng = np.random.default_rng(1811)
+    for dim in (2, 5, 16):
+        e = random_rank1(rng, dim)
+        rho = state_from_outcome(e).rho
+        assert np.array_equal(rho, rho.conj().T) and not rho.flags.writeable
+        assert abs(np.trace(rho) - 1.0) < 1e-15 and np.linalg.norm(rho - e.matrix) < 1e-15

@@ -25,7 +25,9 @@ from qcondprob import (
     conditioned_on_record,
     double_slit_scan,
     evaluate_chain,
+    identity_event,
     incoherent_combine,
+    is_orthogonal,
     objective_seq,
     objective_split,
     pure_event_prob,
@@ -36,7 +38,7 @@ from qcondprob import (
     validate_event,
 )
 
-from helpers import random_unitary
+from helpers import cut_angle, random_unitary
 
 
 def _pushed(q, members, x_value):
@@ -64,8 +66,8 @@ def _split(rng, q, s):
     """Exclusive parts and a ray that reaches both.
 
     e1 holds q[:, 0] pushed to 1 + s b1; e2 holds other columns and is
-    pushed along q[:, 0] by +/- s times the exclusion slack ``budget()``,
-    so ``|e1 @ e2|_F`` stays within it.  The ray mixes q[:, 0] with a
+    pushed along q[:, 0] by +/- s times ``budget()``, within e2's
+    validation budget, so ``|e1 @ e2|_F`` stays within the exclusion rule.  The ray mixes q[:, 0] with a
     column of e2, since one along q[:, 0] alone leaves e2 no weight.
     """
     n = q.shape[0]
@@ -135,6 +137,34 @@ def test_probabilities_from_events_at_the_edge_of_validation_stay_within_their_c
              "pure_event_prob", "split_cond_prob", "objective_split", "incoherent_combine", "double_slit_scan",
              "evaluate_chain", "conditioned_on_record", "sample_chain"]
     assert all(seen[name] >= 100 for name in named), seen
+
+
+def test_a_split_at_the_edge_of_exclusion_is_accepted_within_its_clamp():
+    # Exact parts whose ranges overlap by s times the exclusion cut at the
+    # larger rank: the split is exclusive, and a ray that reaches both reads
+    # |u_1 + u_2|^2 / N up to 1 + |e1 @ e2|_F, which the clamp absorbs.
+    rng = np.random.default_rng(2020)
+    for _ in range(100):
+        n = int(rng.integers(3, 7))
+        q = random_unitary(rng, n)
+        s = float(rng.uniform(0.9, 0.99))
+        r1 = int(rng.integers(1, n))
+        r2 = int(rng.integers(1, n - r1 + 1))
+        tilt = s * cut_angle(max(r1, r2))
+        c1 = q[:, :r1]
+        c2 = q[:, r1:r1 + r2].copy()
+        c2[:, 0] = math.sqrt(1.0 - tilt * tilt) * q[:, r1] + tilt * q[:, 0]
+        e1, e2 = validate_event(c1 @ c1.conj().T), validate_event(c2 @ c2.conj().T)
+        assert is_orthogonal(e1, e2)
+        t = rng.uniform(0.2, 1.4)
+        ray = math.cos(t) * q[:, 0] + math.sin(t) * c2[:, 0]
+        ray /= np.linalg.norm(ray)
+        g = validate_event(np.outer(ray, ray.conj()))
+        for d in (_edge_event(rng, q, s), identity_event(n)):
+            split_cond_prob(State.from_pure(PureVector(ray)), d, e1, e2)
+            assert objective_split(g, d, e1, e2).total <= 1.0
+            incoherent_combine(g, d, e1, e2)
+            double_slit_scan(g, e1, e2, [d, e1])
 
 
 def test_coherent_total_near_the_branch_floor_keeps_its_derived_slack():

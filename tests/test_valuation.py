@@ -20,7 +20,7 @@ from qcondprob import (
 from qcondprob import valuation
 from qcondprob.fixtures import classical_valuation, kochen_specker_18, qubit_valuation
 
-from helpers import peres33_rays, random_projection, random_unitary, reference_valuation
+from helpers import cut_angle, peres33_rays, random_projection, random_unitary, reference_valuation
 
 
 def diag_event(pattern):
@@ -151,9 +151,9 @@ def _planted_problem(rng, tol):
     dim = int(rng.integers(2, 7))
     q = random_unitary(rng, dim)
     factor = 0.5 if rng.random() < 0.5 else 2.0
-    s = factor * (tol.atol + tol.rtol)
     extra_e = int(rng.integers(0, dim - 1))
     extra_f = int(rng.integers(0, dim - 1 - extra_e))
+    s = factor * cut_angle(1 + max(extra_e, extra_f), tol)
     v = np.sqrt(1.0 - s * s) * q[:, 1] + s * q[:, 0]
     cols_e = np.column_stack([q[:, 0], q[:, 2:2 + extra_e]])
     cols_f = np.column_stack([v, q[:, 2 + extra_e:2 + extra_e + extra_f]])
@@ -285,11 +285,15 @@ def _rotated(q, rank, t):
 
 
 def _first_match(events, tol):
-    """Brute-force deduplication: each event maps to the first kept event within atol + rtol."""
+    """Brute-force deduplication: each event maps to the first kept event within the sameness cut of the pair."""
     kept, remap = [], []
     for e in events:
         match = next(
-            (k for k, f in enumerate(kept) if np.linalg.norm(e.matrix - f.matrix, "fro") <= tol.atol + tol.rtol),
+            (
+                k
+                for k, f in enumerate(kept)
+                if np.linalg.norm(e.matrix - f.matrix, "fro") <= np.sqrt(2.0) * cut_angle(max(e.rank, f.rank), tol)
+            ),
             None,
         )
         if match is None:
@@ -301,20 +305,22 @@ def _first_match(events, tol):
 
 def test_deduplication_matches_a_first_match_oracle():
     # Copies of each base projection turned by u * threshold / sqrt(2), so
-    # copies sit 0.5x, 1.5x, 2x, 2.5x ... the sameness threshold apart, never
-    # at it.  Complements ride along, so that pairs of raw indices form
-    # resolutions whose mapped families reveal the first-match mapping.
+    # copies sit 0.5x, 1.5x, 2x, 2.5x ... the sameness threshold at their
+    # rank apart, never at it; their complements, whose threshold is that of
+    # the complementary rank, sit at least 6 % off it.  Complements ride
+    # along, so that pairs of raw indices form resolutions whose mapped
+    # families reveal the first-match mapping.
     rng = np.random.default_rng(2209)
     loose = Tolerances(atol=1e-6, rtol=1e-6)
     merged = distinct = 0
     for k in range(120):
         tol = loose if k % 4 == 3 else DEFAULT_TOL
-        step = (tol.atol + tol.rtol) / np.sqrt(2.0)
         dim = int(rng.integers(2, 7))
         raw = []
         for _ in range(int(rng.integers(1, 3))):
             q = random_unitary(rng, dim)
             rank = int(rng.integers(1, dim))
+            step = cut_angle(rank, tol)
             for u in rng.choice([0.0, 0.5, 2.0, 2.5, -2.0], size=int(rng.integers(2, 5)), replace=False):
                 copy = _rotated(q, rank, u * step)
                 raw += [copy, complement(copy)]
@@ -340,7 +346,7 @@ def test_deduplication_maps_to_the_first_of_several_matches():
     # Copies at 0 and 1.5 thresholds are both kept; one at 0.75 matches
     # both and maps to the first kept, wherever the copies sit in the stack.
     q = random_unitary(np.random.default_rng(2211), 4)
-    step = (DEFAULT_TOL.atol + DEFAULT_TOL.rtol) / np.sqrt(2.0)
+    step = cut_angle(2, DEFAULT_TOL)
     low, high, middle = (_rotated(q, 2, u * step) for u in (0.0, 1.5, 0.75))
     for raw, want in (([low, high, middle], (low, high)), ([high, low, middle], (high, low))):
         problem = ValuationProblem(raw + [complement(middle)], resolutions=[(2, 3)])
@@ -356,7 +362,7 @@ def test_meet_of_rays_and_deduplication_share_the_sameness_rule():
         q = random_unitary(rng, int(rng.integers(2, 7)))
         for factor in (0.5, 2.0):
             e = _rotated(q, 1, 0.0)
-            f = _rotated(q, 1, np.arcsin(factor * (tol.atol + tol.rtol) / np.sqrt(2.0)))
+            f = _rotated(q, 1, np.arcsin(factor * cut_angle(1, tol)))
             same = len(ValuationProblem([e, f], tol=tol).events) == 1
             assert same == (factor < 1.0)
             assert lattice_meet(e, f, tol).rank == (1 if same else 0)
