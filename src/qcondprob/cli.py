@@ -15,6 +15,9 @@ Exit codes: 0 on success, 2 for input or validation problems, 3 when the
 requested quantity is mathematically undefined, 4 when an internal
 invariant breaks.  All numeric output is printed to 12 significant
 digits and depends only on the inputs, so reruns are byte-identical.
+
+Each ``cmd_*`` handler imports the library modules it calls, so a run
+loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -23,14 +26,8 @@ import argparse
 import json
 import sys
 
-from .conditioning import repeated_cond_prob
 from .errors import QcpError, UndefinedProbabilityError, ValidationError
-from .experiments import conditioned_on_record, evaluate_chain, sample_chain
-from .interference import double_slit_scan, scan_to_csv
-from .io import load_chain, load_event, load_slit_model, load_state, load_valuation
-from .objective import objective_seq
 from .tolerances import DEFAULT_TOL, Tolerances
-from .valuation import search_valuation
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -69,6 +66,9 @@ def _emit(fmt: str, pairs: list[tuple[str, str]], obj: dict) -> None:
 
 
 def cmd_condprob(args) -> int:
+    from .conditioning import repeated_cond_prob
+    from .io import load_event, load_state
+
     tol = _tol(args)
     state = load_state(args.state, tol)
     outcome = load_event(args.outcome, tol)
@@ -79,6 +79,9 @@ def cmd_condprob(args) -> int:
 
 
 def cmd_objective(args) -> int:
+    from .io import load_event
+    from .objective import objective_seq
+
     tol = _tol(args)
     outcome = load_event(args.outcome, tol)
     events = [load_event(path, tol) for path in args.event]
@@ -114,6 +117,9 @@ def _step_line(step) -> str:
 
 
 def cmd_chain(args) -> int:
+    from .experiments import conditioned_on_record, evaluate_chain, sample_chain
+    from .io import load_chain
+
     tol = _tol(args)
     chain = load_chain(args.scenario, tol)
     evaluation = evaluate_chain(chain, tol)
@@ -173,6 +179,9 @@ def cmd_chain(args) -> int:
 
 
 def cmd_slit(args) -> int:
+    from .interference import double_slit_scan, scan_to_csv
+    from .io import load_slit_model
+
     tol = _tol(args)
     model = load_slit_model(args.model, tol)
     points = double_slit_scan(model.preparation, model.slit1, model.slit2, model.detectors, tol)
@@ -188,6 +197,9 @@ def cmd_slit(args) -> int:
 
 
 def cmd_valuation(args) -> int:
+    from .io import load_valuation
+    from .valuation import search_valuation
+
     problem = load_valuation(args.problem, _tol(args))
     result = search_valuation(problem)
     verdict = "SAT" if result.satisfiable else "UNSAT"

@@ -164,13 +164,14 @@ _NOTES = {
 }
 
 
-def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=()) -> tuple[dict, list[tuple], dict, dict]:
+def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tuple[dict, list[tuple], dict, dict]:
     """The one depth-first, positive-first pass over the Lüders branch tree (module docstring).
 
     The tree is never stored.  Each entry of an explicit stack, so a chain
     of any length needs no recursion, is one branch: the trace entry that
-    leads to it, the next apparatus, its vector u (None for a pruned
-    outlet, which only adds its "unreachable" entry), |u|^2, the outlet
+    leads to it (None when ``trace`` is false), the next apparatus, its
+    vector u (None for a pruned outlet, which only adds its "unreachable"
+    entry, and is not stacked when ``trace`` is false), |u|^2, the outlet
     taken at the last detector (None before any) and each worker's trials
     there.  Probabilities clamp within their event's :func:`probability_slack`,
     taken once per event.  At a block, detector or leaf every worker with
@@ -182,7 +183,8 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=()) -> tuple[dict, list
 
     Returns, per outlet, the leaf sums [<u|D|u>, |u|^2] (each leaf's
     outcome probability is clamped before it is weighted), the trace as
-    :class:`TraceStep` fields, the outcome counts and the record counts.
+    :class:`TraceStep` fields (empty unless ``trace``), the outcome counts
+    and the record counts.  The trace changes none of the others.
     """
     apparatuses = chain.apparatuses
     last = len(apparatuses)
@@ -232,14 +234,14 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=()) -> tuple[dict, list
                 counts["negation"] += sum(ms) - k
             continue
         kind = kinds[idx]
-        if kind == RULE_COHERENT_JOIN:
+        if trace and kind != RULE_INCOHERENT_SPLIT:
             steps.append(rules[idx])
+        if kind == RULE_COHERENT_JOIN:
             pending.append((None, idx + 1, u, mass, outlet, ms))
             continue
         pu = apparatuses[idx].test_event.matrix @ u
         p, p_mass = weigh(pu, mass, slacks[idx])
         if kind == RULE_BLOCK:
-            steps.append(rules[idx])
             ks = ms
             if ms:
                 ks = draw(ms, p)
@@ -257,10 +259,16 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=()) -> tuple[dict, list
                 if n := sum(m):
                     key = f"apparatus{idx}:{branch}"
                     records[key] = records.get(key, 0) + n
-        pending.append(((idx, kind, "negation", q, _NOTES["recorded" if q else "unreachable"]),
-                        idx + 1, qu if q else None, q_mass, "negation", rest))
-        pending.append(((idx, kind, "positive", p, _NOTES["recorded" if p else "unreachable"]),
-                        idx + 1, pu if p else None, p_mass, "positive", ks))
+        if trace:
+            pending.append(((idx, kind, "negation", q, _NOTES["recorded" if q else "unreachable"]),
+                            idx + 1, qu if q else None, q_mass, "negation", rest))
+            pending.append(((idx, kind, "positive", p, _NOTES["recorded" if p else "unreachable"]),
+                            idx + 1, pu if p else None, p_mass, "positive", ks))
+            continue
+        if q:
+            pending.append((None, idx + 1, qu, q_mass, "negation", rest))
+        if p:
+            pending.append((None, idx + 1, pu, p_mass, "positive", ks))
     return sums, steps, counts, records
 
 
@@ -282,7 +290,7 @@ def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluati
     Because the preparation is minimal, the result is the same for every
     state that can be prepared this way.
     """
-    sums, steps, _, _ = _walk(chain, tol)
+    sums, steps, _, _ = _walk(chain, tol, trace=True)
     return ChainEvaluation(value=_value(sums.values(), tol), steps=tuple(TraceStep(*step) for step in steps))
 
 

@@ -26,6 +26,10 @@ finds the first bad entry and names it.
 All loaders raise :class:`ValidationError` on malformed input, so the
 command line maps every file problem to its input-error exit code.
 Integers beyond float range are refused as well.
+
+Loading this module loads only the event and state layers; a loader
+imports ``experiments``, ``valuation`` or ``classical`` when it first
+builds one of their objects.
 """
 
 from __future__ import annotations
@@ -33,16 +37,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classical import ClassicalEvent, ClassicalSpace
 from .conditioning import PureVector, State
 from .errors import ValidationError
 from .events import Event, validate_event
-from .experiments import Apparatus, Chain, spin_projector
 from .tolerances import DEFAULT_TOL, Tolerances
-from .valuation import ValuationProblem
+
+if TYPE_CHECKING:
+    from .classical import ClassicalEvent, ClassicalSpace
+    from .experiments import Chain
+    from .valuation import ValuationProblem
 
 
 def load_json(path: str):
@@ -149,6 +156,8 @@ def event_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "event") -> 
         spec = obj["spin"]
         if not isinstance(spec, dict):
             raise ValidationError(f"{where}: 'spin' must be an object with 'axis' and 'sign'")
+        from .experiments import spin_projector
+
         return spin_projector(spec.get("axis"), spec.get("sign"))
     return validate_event(matrix_from_obj(obj, where), tol)
 
@@ -172,6 +181,8 @@ def state_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "state") -> 
 
 
 def chain_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> Chain:
+    from .experiments import Apparatus, Chain
+
     if not isinstance(obj, dict):
         raise ValidationError("scenario: expected a JSON object")
     for key in ("preparation", "apparatuses", "final"):
@@ -222,6 +233,8 @@ def slit_model_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> SlitModel:
 
 
 def valuation_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ValuationProblem:
+    from .valuation import ValuationProblem
+
     if not isinstance(obj, dict) or "events" not in obj:
         raise ValidationError("valuation problem: expected an object with 'events'")
     if not isinstance(obj["events"], list) or not obj["events"]:
@@ -237,6 +250,8 @@ def valuation_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ValuationProblem:
 
 
 def classical_space_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ClassicalSpace:
+    from .classical import ClassicalSpace
+
     if not isinstance(obj, dict) or "weights" not in obj or not isinstance(obj["weights"], list):
         raise ValidationError("classical space: expected an object with a 'weights' list")
     if not all(_is_number(w) for w in obj["weights"]):
@@ -246,6 +261,8 @@ def classical_space_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> ClassicalSpa
 
 
 def classical_event_from_obj(obj, n_outcomes: int) -> ClassicalEvent:
+    from .classical import ClassicalEvent
+
     if not isinstance(obj, dict) or "indices" not in obj or not isinstance(obj["indices"], list):
         raise ValidationError("classical event: expected an object with an 'indices' list")
     if not all(_is_number(i, int) for i in obj["indices"]):

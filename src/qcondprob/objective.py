@@ -238,14 +238,14 @@ def transition_prob(psi: PureVector, xi: PureVector, tol: Tolerances = DEFAULT_T
     return clamp_probability(value, probability_slack(1, tol), what="transition probability")
 
 
-def state_from_outcome(e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
+def state_from_outcome(e: Event) -> State:
     """The unique state determined by a minimal outcome.
 
     Observing a minimal event fixes the post-outcome state completely:
     it is the normalised projector ``|v><v|`` of the event's ray ``v``, a
-    state by construction, so it is not checked again and ``tol`` is not
-    read.  Non-minimal outcomes leave the state underdetermined, so they
-    raise :class:`UndefinedProbabilityError`.
+    state by construction, so it is not checked again.  Non-minimal
+    outcomes leave the state underdetermined, so they raise
+    :class:`UndefinedProbabilityError`.
     """
     if not isinstance(e, Event):
         raise ValidationError("state_from_outcome expects an Event")

@@ -25,6 +25,8 @@ from qcondprob.experiments import (
     RULE_BLOCK,
     RULE_COHERENT_JOIN,
     RULE_INCOHERENT_SPLIT,
+    TraceStep,
+    _walk,
 )
 from qcondprob.fixtures import blocked_chain, detector_chain, rejoined_chain
 
@@ -410,6 +412,26 @@ def test_one_walk_samples_as_each_worker_walking_alone():
         detectors = sum(app.has_detector for app in chain.apparatuses)
         seen["many_detectors_and_workers"] += detectors >= 2 and workers >= 2
     assert seen["compared"] >= 200 and seen["many_detectors_and_workers"] >= 50
+
+
+def test_the_walk_builds_its_trace_only_when_asked_and_changes_nothing_else():
+    # sample_chain and conditioned_on_record walk without a trace; their leaf
+    # sums, counts and records must be those of the traced walk bit for bit.
+    rng = np.random.default_rng(2121)
+    tol = Tolerances()
+    for _ in range(200):
+        chain = random_chain(rng, int(rng.integers(2, 7)), int(rng.integers(1, 9)))
+        seed = int(rng.integers(2**32))
+        shares = [int(m) for m in rng.integers(0, 1000, size=int(rng.integers(0, 4)))]
+
+        def walk(trace):
+            rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, w)))) for w in range(len(shares))]
+            return _walk(chain, tol, shares, rngs, trace=trace)
+
+        sums, steps, counts, records = walk(False)
+        traced_sums, traced_steps, traced_counts, traced_records = walk(True)
+        assert (sums, counts, records) == (traced_sums, traced_counts, traced_records)
+        assert steps == [] and [TraceStep(*s) for s in traced_steps] == list(evaluate_chain(chain, tol).steps)
 
 
 def dim3_block_after_detector_chain():
