@@ -22,35 +22,42 @@ term ``lam = trace(f @ e1 @ d @ e2)`` is the scalar with
 The incoherent variant models the presence of a which-part record: the
 classical mixture terms survive, the interference term is dropped.
 
-All four entry points read their terms from one kernel and one formula.
-It checks the split once, by the exclusion rule
-``|e1 @ e2|_F <= 2 tol.budget(sqrt(r))``, r the larger rank, and forms ``b_i = e_i @ rho`` and ``c_i``:
-``c_i = e_i`` for a density matrix, ``c_i = b_i`` for the ray ``v`` of a
-minimal preparation, which stands for ``rho = v @ adjoint(v)``.  Since
+All four entry points read their terms and totals from one kernel and
+one formula.  It checks the split once, by the exclusion rule
+``|e1 @ e2|_F <= 2 tol.budget(sqrt(r))``, r the larger rank, and forms
+``b_i = e_i @ rho`` and ``c_i``: ``c_i = e_i`` for a density matrix,
+``c_i = b_i`` for the ray ``v`` of a minimal preparation, which stands
+for ``rho = v @ adjoint(v)``.  Since
 
     trace(rho @ e_i @ d @ e_j) == vdot(e_i @ rho, d @ e_j)   and
     adjoint(v) @ e_i @ d @ e_j @ v == vdot(e_i @ v, d @ e_j @ v),
 
 every term is ``vdot(b_i, d @ c_j)``, the branch weights are
-``vdot(b_i, c_i)`` and the normalizer is their sum.  Each outcome costs
+``vdot(b_i, c_i)`` and the normalizer is their sum.  The coherent total
+is the Lüders value of the single condition ``e1 + e2``,
+
+    Re vdot(b_1 + b_2, d @ (c_1 + c_2)) / Re vdot(b_1 + b_2, c_1 + c_2),
+
+a Rayleigh quotient of ``d`` on a ray and a mean of them on a density
+matrix, read from the same products; the incoherent total is
+``(part1 + part2) / normalizer``.  Both are clamped by the outcome's
+:func:`~qcondprob.tolerances.probability_slack`.  Each outcome costs
 the two products ``d @ c_i``: matrix-vector products in O(d^2) on a ray,
 so no d x d product is formed at all, and on a density matrix d x d
-products, four in all with the two ``b_i``.  Only
-:func:`split_cond_prob` forms ``e1 + e2``, as the event of rank
-``r1 + r2``, without revalidating the sum.
+products, four in all with the two ``b_i``.  No entry point forms
+``e1 + e2`` as a matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
-from .conditioning import State, cond_prob
+from .conditioning import State
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _ray, _resolution, is_orthogonal
+from .events import Event, _ray, is_orthogonal
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 
@@ -61,14 +68,16 @@ class InterferenceReport:
     ``total`` is the conditional probability of the outcome given the
     combined condition.  ``part1``/``part2`` are the unnormalised
     classical contributions of the two branches, ``interference`` the
-    cross contribution, and ``normalizer`` the probability mass of the
-    combined condition, so that
+    cross contribution, and ``normalizer = w1 + w2`` the sum of the branch
+    weights.  The identity
 
         total * normalizer == part1 + part2 + interference
 
-    up to round-off.  ``coherent`` records whether the cross term was
-    kept; ``lambda_complex`` is the complex cross-term scalar when one
-    was computed (its doubled real part is ``interference``), else None.
+    holds up to the split's overlap ``2 Re vdot(b_1, c_2) * total`` (module
+    docstring), and so, up to round-off, exactly for exclusive parts.
+    ``coherent`` records whether the cross term was kept;
+    ``lambda_complex`` is the complex cross-term scalar when one was
+    computed (its doubled real part is ``interference``), else None.
     """
 
     total: float
@@ -82,16 +91,18 @@ class InterferenceReport:
 
 def _decompose(
     rho: np.ndarray, e1: Event, e2: Event, outcomes: Sequence[Event], tol: Tolerances
-) -> tuple[float, list[tuple[float, float, complex]]]:
-    """Terms of ``trace(rho @ e @ d @ e)`` over the split ``e = e1 + e2``.
+) -> tuple[float, list[tuple[float, float, complex, float, float]]]:
+    """Terms and totals of ``trace(rho @ e @ d @ e)`` over the split ``e = e1 + e2``.
 
     ``rho`` is a density matrix, or the unit ray ``v`` of a minimal
     preparation.  Returns the normalizer and, for each outcome ``d``, the
-    triple ``(part1, part2, cross)`` = ``vdot(b_i, d @ c_j)`` for
-    ``(i, j)`` = (1, 1), (2, 2), (1, 2), by the module docstring's formula.
-    The normalizer ``vdot(b_1, c_1) + vdot(b_2, c_2)`` is, like the
-    conditioning kernel's denominator, not clamped: for parts that are
-    projections only within tolerance it may exceed 1 by their defects.
+    tuple ``(part1, part2, cross, coherent, incoherent)``: the terms
+    ``vdot(b_i, d @ c_j)`` for ``(i, j)`` = (1, 1), (2, 2), (1, 2) and the
+    two totals, clamped by ``probability_slack(d.rank)``, by the module
+    docstring's formulas.  The normalizer ``vdot(b_1, c_1) + vdot(b_2, c_2)``
+    is, like the conditioning kernel's denominator, not clamped: for parts
+    that are projections only within tolerance it may exceed 1 by their
+    defects.
 
     Outcomes are checked before the weights, so an invalid outcome raises
     :class:`ValidationError` even where the decomposition is undefined.
@@ -111,42 +122,27 @@ def _decompose(
         raise ValidationError("state, outcome and branch dimensions must agree")
     b1, b2 = e1.matrix @ rho, e2.matrix @ rho
     c1, c2 = (b1, b2) if rho.ndim == 1 else (e1.matrix, e2.matrix)
-    weights = (float(np.vdot(b1, c1).real), float(np.vdot(b2, c2).real))
-    if min(weights) <= tol.prob_floor:
+    w1, w2 = float(np.vdot(b1, c1).real), float(np.vdot(b2, c2).real)
+    if min(w1, w2) <= tol.prob_floor:
         raise UndefinedProbabilityError("branch probability vanishes; decomposition is undefined")
+    normalizer = w1 + w2
+    # Re vdot(b_1 + b_2, c_1 + c_2): the weight of the single condition e1 + e2.
+    combined = normalizer + float(np.vdot(b1, c2).real + np.vdot(b2, c1).real)
     terms = []
     for d in outcomes:
-        dc2 = d.matrix @ c2
-        p1, p2 = np.vdot(b1, d.matrix @ c1).real, np.vdot(b2, dc2).real
-        terms.append((float(p1), float(p2), complex(np.vdot(b1, dc2))))
-    return weights[0] + weights[1], terms
-
-
-def _exclusion_slack(normalizer: float, e1: Event, e2: Event, tol: Tolerances) -> float:
-    """Extra clamp slack of a coherent total on a unit ray ``v``: ``3 (x + b_1 + b_2) / sqrt(N)``.
-
-    With ``u_i = e_i @ v`` and ``N`` the normalizer, the total is a Rayleigh quotient of ``d``
-    times ``|u_1 + u_2|^2 / N = 1 + 2 Re<u_1, u_2> / N``, plus ``Re<u_1, (d - adjoint(d)) u_2> / N``.
-    Expanding ``u_i = e_i @ u_i - (e_i @ e_i - e_i) @ v`` bounds ``2 |<u_1, u_2>| / N`` by
-    ``x + b_1 + 2 (b_1 + b_2) / sqrt(N)`` to first order, for the exclusion slack
-    ``x = |e_1 @ e_2|_F <= sqrt(2) _resolution(r) = 2 budget(sqrt(r))``, r the larger rank,
-    and the parts' budgets ``b_i = budget(sqrt(r_i))``; ``N <= 1 + O(b)``.  A part mixing a
-    direction of ``v`` outside both ranges into the other's range attains the ``b / sqrt(N)``.
-    """
-    parts = tol.budget(math.sqrt(e1.rank)) + tol.budget(math.sqrt(e2.rank))
-    x = math.sqrt(2.0) * _resolution(max(e1.rank, e2.rank), tol)
-    return 3.0 * (x + parts) / math.sqrt(normalizer)
-
-
-def _coherent_total(normalizer: float, p1: float, p2: float, cross: complex, slack: float) -> float:
-    """``(part1 + part2 + 2 Re cross) / normalizer``: the cross term kept."""
-    total = (p1 + p2 + 2.0 * cross.real) / normalizer
-    return clamp_probability(total, slack, what="decomposed conditional probability")
-
-
-def _incoherent_total(normalizer: float, p1: float, p2: float, slack: float) -> float:
-    """``(part1 + part2) / normalizer``, a mean of Rayleigh quotients of the outcome: the cross term dropped."""
-    return clamp_probability((p1 + p2) / normalizer, slack, what="incoherent combination")
+        dc1, dc2 = d.matrix @ c1, d.matrix @ c2
+        p1, p2 = float(np.vdot(b1, dc1).real), float(np.vdot(b2, dc2).real)
+        cross = complex(np.vdot(b1, dc2))
+        slack = probability_slack(d.rank, tol)
+        coherent = (p1 + p2 + cross.real + float(np.vdot(b2, dc1).real)) / combined
+        terms.append((
+            p1,
+            p2,
+            cross,
+            clamp_probability(coherent, slack, what="decomposed conditional probability"),
+            clamp_probability((p1 + p2) / normalizer, slack, what="incoherent combination"),
+        ))
+    return normalizer, terms
 
 
 def _prepared(f: Event) -> np.ndarray:
@@ -161,15 +157,16 @@ def _prepared(f: Event) -> np.ndarray:
 def split_cond_prob(mu: State, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
     """State-dependent decomposition of ``mu(d | e1 + e2)``.
 
-    ``total`` is computed directly from the combined condition, the
-    parts and cross term from the branches, so the report's identity is
-    a genuine consistency statement rather than a tautology.  Raises
+    ``total`` is the Lüders value of the single condition ``e1 + e2``,
+    read from the same products as the parts and cross term (module
+    docstring) without forming the sum; for self-adjoint parts it equals
+    ``cond_prob(mu, d, e1 + e2)`` up to round-off.  Raises
     :class:`UndefinedProbabilityError` if either branch carries
     probability at or below the floor.
     """
-    normalizer, [(p1, p2, cross)] = _decompose(mu.rho, e1, e2, [d], tol)
+    normalizer, [(p1, p2, cross, total, _)] = _decompose(mu.rho, e1, e2, [d], tol)
     return InterferenceReport(
-        total=cond_prob(mu, d, Event(e1.matrix + e2.matrix, e1.rank + e2.rank), tol),
+        total=total,
         part1=p1,
         part2=p2,
         interference=2.0 * cross.real,
@@ -182,18 +179,14 @@ def split_cond_prob(mu: State, d: Event, e1: Event, e2: Event, tol: Tolerances =
 def objective_split(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
     """State-independent decomposition after minimal preparation ``f``.
 
-    The terms of :func:`split_cond_prob` at the state ``f`` (module
-    docstring); ``total`` is assembled from the decomposition
-
-        total = (part1 + part2 + 2 Re lam) / normalizer
-
-    so it can be checked independently against the direct sequential
-    conditional probability of ``d`` given ``f`` then ``e1 + e2``.
+    The terms and total of :func:`split_cond_prob` at the state ``f``
+    (module docstring), read on the ray of ``f``: ``total`` is the
+    Rayleigh quotient of ``d`` at ``(e1 + e2) @ v``, the value of the
+    chain that prepares ``f`` and blocks on the negation of ``e1 + e2``.
     """
-    normalizer, [(p1, p2, lam)] = _decompose(_prepared(f), e1, e2, [d], tol)
-    slack = probability_slack(d.rank, tol) + _exclusion_slack(normalizer, e1, e2, tol)
+    normalizer, [(p1, p2, lam, total, _)] = _decompose(_prepared(f), e1, e2, [d], tol)
     return InterferenceReport(
-        total=_coherent_total(normalizer, p1, p2, lam, slack),
+        total=total,
         part1=p1,
         part2=p2,
         interference=2.0 * lam.real,
@@ -210,9 +203,9 @@ def incoherent_combine(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances
     mixture renormalised by the same combined mass as the coherent case,
     so the two variants are directly comparable.
     """
-    normalizer, [(p1, p2, _)] = _decompose(_prepared(f), e1, e2, [d], tol)
+    normalizer, [(p1, p2, _, _, total)] = _decompose(_prepared(f), e1, e2, [d], tol)
     return InterferenceReport(
-        total=_incoherent_total(normalizer, p1, p2, probability_slack(d.rank, tol)),
+        total=total,
         part1=p1,
         part2=p2,
         interference=0.0,
@@ -247,20 +240,13 @@ def double_slit_scan(
     if not detectors:
         raise ValidationError("detector bank must contain at least one event")
     try:
-        normalizer, terms = _decompose(_prepared(f), e1, e2, detectors, tol)
+        _, terms = _decompose(_prepared(f), e1, e2, detectors, tol)
     except UndefinedProbabilityError:
         nan = float("nan")
         return [ScanPoint(index=i, coherent=nan, incoherent=nan, defined=False) for i in range(len(detectors))]
-    split = _exclusion_slack(normalizer, e1, e2, tol)
-    slacks = [probability_slack(d.rank, tol) for d in detectors]
     return [
-        ScanPoint(
-            index=i,
-            coherent=_coherent_total(normalizer, p1, p2, cross, slack + split),
-            incoherent=_incoherent_total(normalizer, p1, p2, slack),
-            defined=True,
-        )
-        for i, ((p1, p2, cross), slack) in enumerate(zip(terms, slacks))
+        ScanPoint(index=i, coherent=coherent, incoherent=incoherent, defined=True)
+        for i, (_, _, _, coherent, incoherent) in enumerate(terms)
     ]
 
 

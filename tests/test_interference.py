@@ -7,12 +7,15 @@ import pytest
 
 from qcondprob import (
     DEFAULT_TOL,
+    Apparatus,
+    Chain,
     QcpError,
     ScanPoint,
     State,
     UndefinedProbabilityError,
     ValidationError,
     double_slit_scan,
+    evaluate_chain,
     identity_event,
     incoherent_combine,
     objective_seq,
@@ -126,6 +129,58 @@ def test_objective_split_agrees_with_prepared_state_route():
         assert abs(objective.part2 - stateful.part2) < 1e-10
         assert abs(objective.normalizer - stateful.normalizer) < 1e-10
         assert abs(objective.lambda_complex - stateful.lambda_complex) < 1e-10
+
+
+def _coupled_split(rng, dim):
+    """A split whose first part couples a direction ``a`` of the second's range to a direction ``k`` of neither.
+
+    ``e1 = P1 + eps (|a><k| + |k><a|)`` with eps in [3e-11, 2e-10] validates,
+    and ``|e1 @ e2|_F = eps`` passes the exclusion rule.  The preparation's
+    ray ``k + amp (q0 + a)``, q0 in range(P1) and amp log-uniform in
+    [1e-6, 1e-4], leaves both branches weights of about amp^2, down to the
+    probability floor, where the split's overlap is largest against them.
+    """
+    q = random_unitary(rng, dim)
+    r1 = int(rng.integers(1, dim - 1))
+    r2 = int(rng.integers(1, dim - r1))
+    a, k = q[:, r1], q[:, r1 + r2]
+    eps = float(rng.uniform(3e-11, 2e-10))
+    amp = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e-4))))
+    p1 = q[:, :r1] @ q[:, :r1].conj().T
+    e1 = validate_event(p1 + eps * (np.outer(a, k.conj()) + np.outer(k, a.conj())))
+    e2 = validate_event(q[:, r1:r1 + r2] @ q[:, r1:r1 + r2].conj().T)
+    v = k + amp * (q[:, 0] + a)
+    v /= np.linalg.norm(v)
+    return validate_event(np.outer(v, v.conj())), e1, e2
+
+
+def test_coherent_totals_are_the_block_chain_value_of_the_sum():
+    # With no record the two parts act as the single condition e1 + e2: the
+    # coherent total of objective_split and of the scan is the value of the
+    # chain that prepares f and blocks on the negation of e1 + e2.  The
+    # incoherent total is not compared with a block-then-detector chain:
+    # that is a different instrument.
+    rng = np.random.default_rng(11)
+    seen = collections.Counter()
+    for trial in range(400):
+        dim = int(rng.integers(3, 7))
+        if trial < 300:
+            f, e1, e2 = _coupled_split(rng, dim)
+        else:
+            f, (e1, e2) = random_rank1(rng, dim), orthogonal_split(rng, dim)
+        d = random_rank1(rng, dim)
+        try:
+            report = objective_split(f, d, e1, e2)
+        except UndefinedProbabilityError:
+            seen["undefined"] += 1
+            continue
+        block = Apparatus(validate_event(e1.matrix + e2.matrix), "block_on_negation")
+        luders = evaluate_chain(Chain(f, (block,), d)).value
+        [point] = double_slit_scan(f, e1, e2, [d])
+        assert abs(report.total - luders) <= 1e-9
+        assert point.defined and abs(point.coherent - luders) <= 1e-9
+        seen["coupled" if trial < 300 else "exact"] += 1
+    assert seen["coupled"] == 300 and seen["exact"] >= 80, seen
 
 
 def test_incoherent_combination_drops_the_cross_term():

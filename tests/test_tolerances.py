@@ -5,7 +5,7 @@ validation accepts: eigenvalue 1 + s b inside its range, -s b outside,
 for its budget b and s up to 0.99.  A state or preparation along x
 reads those eigenvalues, so every public function that clamps sees a
 value outside [0, 1] by up to about 2 s b, which ``probability_slack``
-(and, for coherent totals, the split's exclusion slack) must absorb.
+must absorb.
 """
 
 import collections
@@ -141,8 +141,9 @@ def test_probabilities_from_events_at_the_edge_of_validation_stay_within_their_c
 
 def test_a_split_at_the_edge_of_exclusion_is_accepted_within_its_clamp():
     # Exact parts whose ranges overlap by s times the exclusion cut at the
-    # larger rank: the split is exclusive, and a ray that reaches both reads
-    # |u_1 + u_2|^2 / N up to 1 + |e1 @ e2|_F, which the clamp absorbs.
+    # larger rank: the split is exclusive, and on a ray that reaches both the
+    # coherent total, a Rayleigh quotient of d at (e1 + e2) v, stays within
+    # d's clamp.
     rng = np.random.default_rng(2020)
     for _ in range(100):
         n = int(rng.integers(3, 7))
@@ -167,21 +168,26 @@ def test_a_split_at_the_edge_of_exclusion_is_accepted_within_its_clamp():
             double_slit_scan(g, e1, e2, [d, e1])
 
 
-def test_coherent_total_near_the_branch_floor_keeps_its_derived_slack():
+def test_coherent_total_near_the_branch_floor_is_the_block_chains_value():
     # e1 couples two directions outside its range by eps = 2e-10, one of
     # them e2's: both parts validate and |e1 @ e2|_F = eps passes the
-    # exclusion rule.  On branch weights of about 1.2e-12 the coherent
-    # total then reads 1 + eps / sqrt(weight), about 1 + 1.8e-4: the
-    # b / sqrt(N) term of the exclusion slack, far beyond any fixed slack.
+    # exclusion rule.  On branch weights of about 1.2e-12 the split's
+    # overlap then moves (part1 + part2 + interference) / normalizer to
+    # about 1 + 1.8e-4, while the Lüders value of e1 + e2, a Rayleigh
+    # quotient of d, stays inside [0, 1]: the coherent total is that value,
+    # the chain that prepares f and blocks on the negation of e1 + e2.
     eps, amp = 2e-10, 1.1e-6
     e1 = np.zeros((3, 3))
     e1[0, 0], e1[1, 2], e1[2, 1] = 1.0, eps, eps
     v = np.array([amp, amp, 1.0]) / math.sqrt(1.0 + 2.0 * amp * amp)
     u = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     e1, e2, f, d = (validate_event(m) for m in (e1, np.diag([0.0, 1.0, 0.0]), np.outer(v, v), np.outer(u, u)))
+    block = Apparatus(validate_event(e1.matrix + e2.matrix), "block_on_negation")
+    luders = evaluate_chain(Chain(f, (block,), d)).value
+    assert abs(luders - 0.99999999174) < 1e-11
     report = objective_split(f, d, e1, e2)
     assert (report.part1 + report.part2 + report.interference) / report.normalizer > 1.0 + 1e-4
-    assert report.total == 1.0
+    assert abs(report.total - luders) <= 1e-12
     assert incoherent_combine(f, d, e1, e2).total < 1.0
     [point] = double_slit_scan(f, e1, e2, [d])
-    assert (point.coherent, point.defined) == (1.0, True)
+    assert point.defined and abs(point.coherent - luders) <= 1e-12
