@@ -35,12 +35,15 @@ storing it and serves all three entry points: :func:`evaluate_chain`
 reads its total and its derivation trace, whose ``weight`` on a detector
 entry is the outlet's probability given its path (0.0 if unreachable);
 :func:`conditioned_on_record` reads the leaves below the recorded outlet;
-:func:`sample_chain` reads the trials it splits down the tree.
+:func:`sample_chain` reads the trials it splits down the tree.  A chain
+is compiled once, at construction, into the plan the walk reads; only
+the slacks derived from the tolerances are taken per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +123,7 @@ class Chain:
     preparation: Event
     apparatuses: tuple[Apparatus, ...]
     final_outcome: Event
+    _plan: tuple = field(init=False, repr=False, compare=False)  # compiled once for the walk: _compile
 
     def __post_init__(self):
         if not isinstance(self.preparation, Event):
@@ -130,14 +134,14 @@ class Chain:
         if not all(isinstance(app, Apparatus) for app in self.apparatuses):
             raise ValidationError("chain apparatuses must be Apparatus instances")
         _chain_events([app.test_event for app in self.apparatuses] + [self.final_outcome], self.preparation.dim)
+        object.__setattr__(self, "_plan", _compile(self))
 
     @property
     def dim(self) -> int:
         return self.preparation.dim
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One derivation-trace entry: which rule fired at which apparatus, with a detector outlet's ``weight``."""
 
     apparatus_index: int
@@ -164,45 +168,53 @@ _NOTES = {
 }
 
 
-def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tuple[dict, list[tuple], dict, dict]:
+def _compile(chain: Chain) -> tuple[tuple[tuple, ...], int, frozenset[int]]:
+    """The plan :func:`_walk` reads, built once per chain; nothing in it depends on the tolerances.
+
+    Per apparatus: its kind, matrix and rank, then a block's or rejoin's shared trace entry, or a detector's
+    two shared "unreachable" outlet entries and record keys.  Then the detector count and the ranks to take slacks for.
+    """
+    plan = []
+    for idx, app in enumerate(chain.apparatuses):
+        outlets = ("positive", "negation") if app.has_detector else ()
+        kind = RULE_INCOHERENT_SPLIT if outlets else RULE_BLOCK if app.mode == MODE_BLOCK else RULE_COHERENT_JOIN
+        dead = [TraceStep(idx, kind, b, 0.0, _NOTES["unreachable"]) for b in outlets] or [None, None]
+        keys = [f"apparatus{idx}:{b}" for b in outlets] or [None, None]
+        step = None if outlets else TraceStep(idx, kind, note=_NOTES[kind])
+        plan.append((kind, app.test_event.matrix, app.test_event.rank, step, *dead, *keys))
+    ranks = frozenset(entry[2] for entry in plan) | {chain.final_outcome.rank}
+    return tuple(plan), sum(app.has_detector for app in chain.apparatuses), ranks
+
+
+def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tuple[dict, list[TraceStep], dict, dict]:
     """The one depth-first, positive-first pass over the Lüders branch tree (module docstring).
 
-    The tree is never stored.  Each entry of an explicit stack, so a chain
-    of any length needs no recursion, is one branch: the trace entry that
-    leads to it (None when ``trace`` is false), the next apparatus, its
+    It reads the plan the chain compiled once, at construction
+    (:func:`_compile`); only the tolerance-derived slacks are per call, one
+    :func:`probability_slack` per rank.  Each entry of an explicit stack, so
+    a chain of any length needs no recursion, is one branch: the trace entry
+    that leads to it (None when ``trace`` is false), the next apparatus, its
     vector u (None for a pruned outlet, which only adds its "unreachable"
     entry, and is not stacked when ``trace`` is false), |u|^2, the outlet
     taken at the last detector (None before any) and each worker's trials
-    there.  Probabilities clamp within their event's :func:`probability_slack`,
-    taken once per event.  At a block, detector or leaf every worker with
-    m > 0 trials draws k ~ Binomial(m, p) from its own generator in
-    ``rngs``, for the positive outlet's or outcome's share p; a worker
-    with none draws nothing, so each generator sees the draws of walking
-    its trials alone.  A detector whose outlets are both pruned has no
-    share, and no trial goes on from it.
+    there.  A branch advances in place through rejoins and blocks until a
+    detector stacks its outlets or the leaf ends it.  At a block, detector or
+    leaf every worker with m > 0 trials draws k ~ Binomial(m, p) from its
+    own generator in ``rngs``, for the positive outlet's or outcome's share
+    p; a worker with none draws nothing, so each generator sees the draws of
+    walking its trials alone.  A detector whose outlets are both pruned has
+    no share, and no trial goes on from it.
 
     Returns, per outlet, the leaf sums [<u|D|u>, |u|^2] (each leaf's
     outcome probability is clamped before it is weighted), the trace as
-    :class:`TraceStep` fields (empty unless ``trace``), the outcome counts
-    and the record counts.  The trace changes none of the others.
+    :class:`TraceStep` records (empty unless ``trace``), the outcome
+    counts and the record counts.  The trace changes none of the others.
     """
-    apparatuses = chain.apparatuses
-    last = len(apparatuses)
-    final = chain.final_outcome.matrix
-    kinds = [
-        RULE_BLOCK if app.mode == MODE_BLOCK else RULE_INCOHERENT_SPLIT if app.has_detector else RULE_COHERENT_JOIN
-        for app in apparatuses
-    ]
-    rules = [(idx, kind, None, None, _NOTES.get(kind)) for idx, kind in enumerate(kinds)]
-    slacks = [probability_slack(app.test_event.rank, tol) for app in apparatuses]
-    slacks.append(probability_slack(chain.final_outcome.rank, tol))
-    edge = tol.budget()
-
-    def weigh(v: np.ndarray, mass: float, slack: float) -> tuple[float, float]:
-        # The outlet's probability given the path, 0.0 when it is pruned, and its |v|^2.
-        v_mass = float(np.vdot(v, v).real)
-        p = clamp_probability(v_mass / mass, slack, what="branch probability")
-        return (p if p > tol.prob_floor else 0.0), v_mass
+    plan, _, ranks = chain._plan
+    last = len(plan)
+    slacks = {rank: probability_slack(rank, tol) for rank in ranks}
+    final, final_slack = chain.final_outcome.matrix, slacks[chain.final_outcome.rank]
+    floor, edge, recorded = tol.prob_floor, tol.budget(), _NOTES["recorded"]
 
     def draw(ms: list[int], p: float) -> list[int]:
         # Within ``edge`` (tol.budget()) of 0 or 1 counts as exact, so a
@@ -211,7 +223,7 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
         return [int(rng.binomial(m, p)) if m else 0 for rng, m in zip(rngs, ms)]
 
     sums = {None: [0.0, 0.0], "positive": [0.0, 0.0], "negation": [0.0, 0.0]}
-    steps: list[tuple] = []
+    steps: list[TraceStep] = []
     counts = {"positive": 0, "negation": 0, "blocked": 0}
     records: dict[str, int] = {}
     u = _ray(chain.preparation)
@@ -222,9 +234,52 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
             steps.append(step)
         if u is None:
             continue
-        if idx == last:
-            hits = float(np.vdot(u, final @ u).real)
-            p = clamp_probability(hits / mass, slacks[idx], what="final-outcome probability")
+        while idx < last:
+            kind, matrix, rank, rule_step, dead_positive, dead_negation, key_positive, key_negation = plan[idx]
+            if trace and rule_step is not None:
+                steps.append(rule_step)
+            if kind == RULE_COHERENT_JOIN:
+                idx += 1
+                continue
+            # Each outlet's probability given the path, 0.0 when it is pruned, and its |v|^2.
+            pu = matrix.dot(u)
+            p_mass = float(np.vdot(pu, pu).real)
+            p = clamp_probability(p_mass / mass, slacks[rank], what="branch probability")
+            p = p if p > floor else 0.0
+            if kind == RULE_BLOCK:
+                if ms:
+                    ks = draw(ms, p)
+                    counts["blocked"] += sum(ms) - sum(ks)
+                    ms = ks
+                if not p:
+                    break
+                idx, u, mass = idx + 1, pu, p_mass
+                continue
+            qu = u - pu
+            q_mass = float(np.vdot(qu, qu).real)
+            q = clamp_probability(q_mass / mass, slacks[rank], what="branch probability")
+            q = q if q > floor else 0.0
+            ks = rest = []
+            if ms and (p or q):  # with both outlets pruned there is no share, and no trial goes on
+                ks = draw(ms, p / (p + q))
+                rest = [m - k for m, k in zip(ms, ks)]
+                for key, m in ((key_positive, ks), (key_negation, rest)):
+                    if n := sum(m):
+                        records[key] = records.get(key, 0) + n
+            if trace:
+                pending.append((TraceStep(idx, kind, "negation", q, recorded) if q else dead_negation,
+                                idx + 1, qu if q else None, q_mass, "negation", rest))
+                pending.append((TraceStep(idx, kind, "positive", p, recorded) if p else dead_positive,
+                                idx + 1, pu if p else None, p_mass, "positive", ks))
+                break
+            if q:
+                pending.append((None, idx + 1, qu, q_mass, "negation", rest))
+            if p:
+                pending.append((None, idx + 1, pu, p_mass, "positive", ks))
+            break
+        else:  # the leaf
+            hits = float(np.vdot(u, final.dot(u)).real)
+            p = clamp_probability(hits / mass, final_slack, what="final-outcome probability")
             leaf = sums[outlet]
             leaf[0] += p * mass
             leaf[1] += mass
@@ -232,43 +287,6 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
                 k = sum(draw(ms, p))
                 counts["positive"] += k
                 counts["negation"] += sum(ms) - k
-            continue
-        kind = kinds[idx]
-        if trace and kind != RULE_INCOHERENT_SPLIT:
-            steps.append(rules[idx])
-        if kind == RULE_COHERENT_JOIN:
-            pending.append((None, idx + 1, u, mass, outlet, ms))
-            continue
-        pu = apparatuses[idx].test_event.matrix @ u
-        p, p_mass = weigh(pu, mass, slacks[idx])
-        if kind == RULE_BLOCK:
-            ks = ms
-            if ms:
-                ks = draw(ms, p)
-                counts["blocked"] += sum(ms) - sum(ks)
-            if p:
-                pending.append((None, idx + 1, pu, p_mass, outlet, ks))
-            continue
-        qu = u - pu
-        q, q_mass = weigh(qu, mass, slacks[idx])
-        ks = rest = []
-        if ms and (p or q):  # with both outlets pruned there is no share, and no trial goes on
-            ks = draw(ms, p / (p + q))
-            rest = [m - k for m, k in zip(ms, ks)]
-            for branch, m in (("positive", ks), ("negation", rest)):
-                if n := sum(m):
-                    key = f"apparatus{idx}:{branch}"
-                    records[key] = records.get(key, 0) + n
-        if trace:
-            pending.append(((idx, kind, "negation", q, _NOTES["recorded" if q else "unreachable"]),
-                            idx + 1, qu if q else None, q_mass, "negation", rest))
-            pending.append(((idx, kind, "positive", p, _NOTES["recorded" if p else "unreachable"]),
-                            idx + 1, pu if p else None, p_mass, "positive", ks))
-            continue
-        if q:
-            pending.append((None, idx + 1, qu, q_mass, "negation", rest))
-        if p:
-            pending.append((None, idx + 1, pu, p_mass, "positive", ks))
     return sums, steps, counts, records
 
 
@@ -291,7 +309,7 @@ def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluati
     state that can be prepared this way.
     """
     sums, steps, _, _ = _walk(chain, tol, trace=True)
-    return ChainEvaluation(value=_value(sums.values(), tol), steps=tuple(TraceStep(*step) for step in steps))
+    return ChainEvaluation(value=_value(sums.values(), tol), steps=tuple(steps))
 
 
 def conditioned_on_record(chain: Chain, record: str, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -303,7 +321,7 @@ def conditioned_on_record(chain: Chain, record: str, tol: Tolerances = DEFAULT_T
     """
     if record not in ("positive", "negation"):
         raise ValidationError(f"unknown record value {record!r}")
-    detector_count = sum(1 for app in chain.apparatuses if app.has_detector)
+    detector_count = chain._plan[1]
     if detector_count != 1:
         raise ValidationError(f"conditioning on a record needs exactly one detector apparatus, found {detector_count}")
     sums, _, _, _ = _walk(chain, tol)

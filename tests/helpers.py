@@ -29,7 +29,7 @@ from qcondprob import (
     validate_event,
 )
 from qcondprob.events import _ray
-from qcondprob.experiments import MODE_BLOCK
+from qcondprob.experiments import _NOTES, MODE_BLOCK, RULE_BLOCK, RULE_COHERENT_JOIN, RULE_INCOHERENT_SPLIT
 
 
 def random_unitary(rng, dim):
@@ -159,21 +159,19 @@ def chain_forward_pass(chain: Chain, record=None):
     return survival, np.trace(rho @ chain.final_outcome.matrix).real / survival, reach
 
 
-def reference_sample_counts(chain: Chain, trials, seed, workers=1, tol=DEFAULT_TOL):
-    """``sample_chain``'s counts by two passes: grow the Lueders branch tree, then walk each worker alone.
+def _reference_tree(chain: Chain, tol=DEFAULT_TOL):
+    """The Lueders branch tree of ``chain``, stored as nested dicts and grown by recursion, so keep chains short.
 
-    The tree is stored as nested dicts, grown by recursion, so keep chains
-    short.  Worker w takes its share of ``trials`` (dealt as the package
-    deals them) down the tree with its own generator, seeded by
-    ``SeedSequence((seed, w))``: one Binomial(n, p) draw at each block,
-    detector or leaf that its n > 0 trials reach, depth first and positive
-    first, where a detector's p is its positive share p / (p + q).  The
-    branch probabilities are those of the package (same ray, clamps and
-    pruning), so the counts must match bit for bit.  Only for chains that
-    ``sample_chain`` does not refuse.  Returns (outcome_counts, detector_counts).
+    Every node holds its ``kind`` ("rejoin", "block", "detector" or
+    "final") and, but for the leaf, the apparatus ``index``.  A block or
+    detector holds its outlets' probabilities given the path, ``p`` and
+    ``q`` (the package's ray, clamps and pruning: 0.0 when at or below
+    ``prob_floor``, and ``q`` 0.0 at a block), and a child per reachable
+    outlet under "positive" and "negation"; a rejoin passes its vector on
+    to its one child under "positive".  The leaf holds the final
+    outcome's probability ``p``.
     """
     apparatuses = chain.apparatuses
-    edge = tol.budget()
 
     def weight(v, mass, rank):
         p = clamp_probability(float(np.vdot(v, v).real) / mass, probability_slack(rank, tol))
@@ -187,7 +185,7 @@ def reference_sample_counts(chain: Chain, trials, seed, workers=1, tol=DEFAULT_T
             return {"kind": "final", "p": clamp_probability(hits / mass, slack)}
         app = apparatuses[idx]
         if app.mode != MODE_BLOCK and not app.has_detector:
-            return grow(idx + 1, u)
+            return {"kind": "rejoin", "index": idx, "positive": grow(idx + 1, u)}
         node = {"kind": "block" if app.mode == MODE_BLOCK else "detector", "index": idx, "q": 0.0}
         pu = app.test_event.matrix @ u
         node["p"] = weight(pu, mass, app.test_event.rank)
@@ -199,10 +197,60 @@ def reference_sample_counts(chain: Chain, trials, seed, workers=1, tol=DEFAULT_T
                 node["negation"] = grow(idx + 1, u - pu)
         return node
 
+    return grow(0, _ray(chain.preparation))
+
+
+def reference_trace(chain: Chain, tol=DEFAULT_TOL):
+    """``evaluate_chain``'s trace read off the stored tree of :func:`_reference_tree`.
+
+    Depth first and positive first: a rejoin or block gives one entry with
+    its rule's note, a detector one entry per outlet with the outlet's
+    probability given its path as ``weight``; a pruned outlet has weight
+    0.0 and the "unreachable" note, and nothing below it.  Returns
+    ``(apparatus_index, rule, branch, weight, note)`` tuples.
+    """
+    rules = {"rejoin": RULE_COHERENT_JOIN, "block": RULE_BLOCK, "detector": RULE_INCOHERENT_SPLIT}
+    steps = []
+
+    def emit(node):
+        if node["kind"] == "final":
+            return
+        rule = rules[node["kind"]]
+        if node["kind"] != "detector":
+            steps.append((node["index"], rule, None, None, _NOTES[rule]))
+            if "positive" in node:
+                emit(node["positive"])
+            return
+        for branch, w in (("positive", node["p"]), ("negation", node["q"])):
+            steps.append((node["index"], rule, branch, w, _NOTES["recorded" if w else "unreachable"]))
+            if w:
+                emit(node[branch])
+
+    emit(_reference_tree(chain, tol))
+    return steps
+
+
+def reference_sample_counts(chain: Chain, trials, seed, workers=1, tol=DEFAULT_TOL):
+    """``sample_chain``'s counts by two passes: grow the Lueders branch tree, then walk each worker alone.
+
+    The tree is :func:`_reference_tree`'s.  Worker w takes its share of
+    ``trials`` (dealt as the package deals them) down the tree with its
+    own generator, seeded by ``SeedSequence((seed, w))``: one
+    Binomial(n, p) draw at each block, detector or leaf that its n > 0
+    trials reach, depth first and positive first, where a detector's p is
+    its positive share p / (p + q).  The branch probabilities are those
+    of the package, so the counts must match bit for bit.  Only for
+    chains that ``sample_chain`` does not refuse.  Returns
+    (outcome_counts, detector_counts).
+    """
+    edge = tol.budget()
     counts = {"positive": 0, "negation": 0, "blocked": 0}
     records = {}
 
     def split(node, n, rng):
+        if node["kind"] == "rejoin":
+            split(node["positive"], n, rng)
+            return
         p = node["p"] / (node["p"] + node["q"]) if node["kind"] == "detector" else node["p"]
         k = int(rng.binomial(n, 0.0 if p <= edge else 1.0 if p >= 1.0 - edge else p))
         if node["kind"] == "final":
@@ -219,7 +267,7 @@ def reference_sample_counts(chain: Chain, trials, seed, workers=1, tol=DEFAULT_T
                     records[key] = records.get(key, 0) + m
                     split(node[branch], m, rng)
 
-    root = grow(0, _ray(chain.preparation))
+    root = _reference_tree(chain, tol)
     base, extra = divmod(trials, workers)
     for w in range(min(workers, trials)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, w))))

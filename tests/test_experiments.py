@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcondprob import (
+    DEFAULT_TOL,
     Apparatus,
     Chain,
     Tolerances,
@@ -36,6 +37,7 @@ from helpers import (
     random_projection,
     random_rank1,
     reference_sample_counts,
+    reference_trace,
     within_sigmas,
 )
 
@@ -434,6 +436,19 @@ def test_the_walk_builds_its_trace_only_when_asked_and_changes_nothing_else():
         assert steps == [] and [TraceStep(*s) for s in traced_steps] == list(evaluate_chain(chain, tol).steps)
 
 
+def test_trace_step_is_an_immutable_named_tuple():
+    assert TraceStep._fields == ("apparatus_index", "rule", "branch", "weight", "note")
+    assert TraceStep._field_defaults == {"branch": None, "weight": None, "note": ""}
+    step = TraceStep(0, RULE_BLOCK)
+    assert step == (0, RULE_BLOCK, None, None, "") and isinstance(step, tuple)
+    with pytest.raises(AttributeError):
+        step.weight = 0.5
+    assert step._replace(weight=0.5) == (0, RULE_BLOCK, None, 0.5, "") and step.weight is None
+    first = evaluate_chain(detector_chain()).steps[0]
+    assert first._asdict() == {"apparatus_index": 0, "rule": RULE_INCOHERENT_SPLIT, "branch": "positive",
+                               "weight": first.weight, "note": first.note}
+
+
 def dim3_block_after_detector_chain():
     """Detector on e1, then a block on e1 + e2, from (1, 1, 1)/sqrt(3); Bayes gives 1/2 for e1."""
     u = np.ones(3) / np.sqrt(3.0)
@@ -471,6 +486,33 @@ def test_block_after_detector_weighs_each_record_by_its_survival():
     assert within_sigmas(report.outcome_counts["positive"], survivors, 0.5)
 
 
+def test_a_chain_answers_alike_under_any_tolerances_in_turn():
+    # A chain is compiled once, at construction, and only the slacks derived
+    # from the tolerances are taken per call.  One chain object, asked under
+    # the defaults, then under a floor of 0.6 that prunes both outlets of its
+    # detector (every entry point refuses), then under the defaults again,
+    # must answer each time as a freshly built identical chain does.
+    def answers(chain, tol):
+        calls = (lambda: evaluate_chain(chain, tol),
+                 lambda: conditioned_on_record(chain, "positive", tol),
+                 lambda: conditioned_on_record(chain, "negation", tol),
+                 lambda: sample_chain(chain, trials=1000, seed=5, workers=2, tol=tol))
+        out = []
+        for call in calls:
+            try:
+                out.append(call())
+            except UndefinedProbabilityError as exc:
+                out.append(str(exc))
+        return out
+
+    strict = Tolerances(prob_floor=0.6)
+    for chain in (detector_chain(), dim3_block_after_detector_chain()):
+        for tol in (DEFAULT_TOL, strict, DEFAULT_TOL):
+            got = answers(chain, tol)
+            assert got == answers(Chain(chain.preparation, chain.apparatuses, chain.final_outcome), tol)
+            assert all(isinstance(a, str) for a in got) == (tol is strict)
+
+
 @pytest.mark.parametrize("overlap", [1e-5, 1e-6])
 def test_tiny_detector_overlap_is_evaluated_not_refused(overlap):
     # The leaf recorded at r and then at |0> has absolute weight overlap**2,
@@ -479,6 +521,38 @@ def test_tiny_detector_overlap_is_evaluated_not_refused(overlap):
     expected = overlap ** 2 + (1.0 - overlap) ** 2
     assert abs(evaluate_chain(chain).value - expected) < 1e-12
     assert abs(sample_chain(chain, trials=1000, seed=7).analytic["positive"] - expected) < 1e-12
+
+
+def test_the_trace_is_the_stored_trees_read_depth_first():
+    # reference_trace grows the whole branch tree before it reads a single
+    # entry off it; the walk emits its entries as it goes.  Every field must
+    # agree, each weight bit for bit.  Some chains get a detector on e
+    # followed by a block or a detector on complement(e), which prunes an
+    # outlet below each of its records.
+    rng = np.random.default_rng(2323)
+    chains = [tiny_overlap_chain(1e-5), tiny_overlap_chain(1e-6)]
+    for n in range(360):
+        dim = int(rng.integers(2, 7))
+        chain = random_chain(rng, dim, int(rng.integers(1, 10)))
+        if n % 3 == 1:
+            apparatuses = list(chain.apparatuses)
+            at = int(rng.integers(0, len(apparatuses) + 1))
+            e = random_projection(rng, dim, int(rng.integers(1, dim)))
+            after = Apparatus(complement(e), **({"mode": MODE_BLOCK} if n % 2 else {"detector": "positive"}))
+            apparatuses[at:at] = [Apparatus(e, detector="negation"), after]
+            chain = Chain(chain.preparation, apparatuses, chain.final_outcome)
+        chains.append(chain)
+    seen = {"compared": 0, "three_detectors": 0, "unreachable": 0}
+    for chain in chains:
+        try:
+            steps = evaluate_chain(chain).steps
+        except UndefinedProbabilityError:
+            continue
+        assert [(s.apparatus_index, s.rule, s.branch, s.weight, s.note) for s in steps] == reference_trace(chain)
+        seen["compared"] += 1
+        seen["three_detectors"] += sum(app.has_detector for app in chain.apparatuses) >= 3
+        seen["unreachable"] += any(s.weight == 0.0 for s in steps)
+    assert seen["compared"] >= 300 and seen["three_detectors"] >= 50 and seen["unreachable"] >= 30
 
 
 def test_one_tree_matches_the_forward_pass_on_random_chains():
