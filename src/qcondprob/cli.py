@@ -17,7 +17,8 @@ invariant breaks.  All numeric output is printed to 12 significant
 digits and depends only on the inputs, so reruns are byte-identical.
 
 Each ``cmd_*`` handler imports the library modules it calls, so a run
-loads only what its subcommand uses.
+loads only what its subcommand uses, and builds one record of the run
+from the library's result types, which ``_emit`` prints as JSON or a table.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import QcpError, UndefinedProbabilityError, ValidationError
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -52,17 +54,62 @@ def _tol(args) -> Tolerances:
     return Tolerances(**{name: value for name, value in vars(args).items() if name in _TOL_HELP})
 
 
-def _print_pairs(pairs: list[tuple[str, str]]) -> None:
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        print(f"{key.ljust(width)}  {value}")
+def _cell(value) -> str:
+    """A table cell: floats by ``_fmt``, booleans in lower case, None as ``undefined``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    return "undefined" if value is None else str(value)
 
 
-def _emit(fmt: str, pairs: list[tuple[str, str]], obj: dict) -> None:
+def _print_rows(rows: dict) -> None:
+    width = max(map(len, rows), default=0)
+    for key, value in rows.items():
+        print(f"{key.ljust(width)}  {_cell(value)}")
+
+
+def _step_line(step: dict) -> str:
+    line = f"[{step['apparatus_index']}] {step['rule']}"
+    if step["branch"] is not None:
+        line += f" ({step['branch']}, weight {_fmt(step['weight'])})"
+    return line + (f": {step['note']}" if step["note"] else "")
+
+
+# The table's row prefix for each tally of a chain's sample, as in ``count_positive``.
+_TALLY_PREFIX = {"outcome_counts": "count_", "frequencies": "freq_", "analytic": "analytic_", "detector_counts": "records_"}
+
+
+def _sample_rows(sample: dict) -> dict:
+    """A sample's table block: its integer fields, each tally flattened in key order, then its float fields."""
+    rows = {key: value for key, value in sample.items() if isinstance(value, int)}
+    rows |= {prefix + key: sample[name][key] for name, prefix in _TALLY_PREFIX.items() for key in sorted(sample[name])}
+    return rows | {key: value for key, value in sample.items() if isinstance(value, float)}
+
+
+def _emit(fmt: str, record: dict | list) -> None:
+    """Print a run's record: as one JSON value, or as the table's aligned ``key  value`` blocks.
+
+    In a table, a list (a chain's trace) prints one indented line per step
+    after the rows before it, and a dict (a chain's sample) prints as a
+    block of its own.
+    """
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        _print_pairs(pairs)
+        print(json.dumps(record, sort_keys=True, indent=2))
+        return
+    rows: dict = {}
+    for key, value in record.items():
+        if isinstance(value, list):
+            _print_rows(rows)
+            rows = {}
+            for step in value:
+                print(f"  {_step_line(step)}")
+        elif isinstance(value, dict):
+            _print_rows(rows)
+            rows = _sample_rows(value)
+        else:
+            rows[key] = value
+    _print_rows(rows)
 
 
 def cmd_condprob(args) -> int:
@@ -73,8 +120,7 @@ def cmd_condprob(args) -> int:
     state = load_state(args.state, tol)
     outcome = load_event(args.outcome, tol)
     events = [load_event(path, tol) for path in args.event]
-    value = repeated_cond_prob(state, outcome, events, tol)
-    _emit(args.format, [("value", _fmt(value))], {"value": value})
+    _emit(args.format, {"value": repeated_cond_prob(state, outcome, events, tol)})
     return EXIT_OK
 
 
@@ -86,34 +132,15 @@ def cmd_objective(args) -> int:
     outcome = load_event(args.outcome, tol)
     events = [load_event(path, tol) for path in args.event]
     result = objective_seq(outcome, events, tol)
-    pairs = [
-        ("value", _fmt(result.value) if result.value is not None else "undefined"),
-        ("lambda_re", _fmt(result.lam.real)),
-        ("lambda_im", _fmt(result.lam.imag)),
-        ("residual", _fmt(result.residual)),
-        ("objective", str(result.objective).lower()),
-        ("chain_length", str(result.chain_length)),
-    ]
-    obj = {
+    _emit(args.format, {
         "value": result.value,
         "lambda_re": result.lam.real,
         "lambda_im": result.lam.imag,
         "residual": result.residual,
         "objective": result.objective,
         "chain_length": result.chain_length,
-    }
-    _emit(args.format, pairs, obj)
+    })
     return EXIT_OK
-
-
-def _step_line(step) -> str:
-    parts = [f"[{step.apparatus_index}] {step.rule}"]
-    if step.branch is not None:
-        parts.append(f"({step.branch}, weight {_fmt(step.weight)})")
-    line = " ".join(parts)
-    if step.note:
-        line += f": {step.note}"
-    return line
 
 
 def cmd_chain(args) -> int:
@@ -123,58 +150,13 @@ def cmd_chain(args) -> int:
     tol = _tol(args)
     chain = load_chain(args.scenario, tol)
     evaluation = evaluate_chain(chain, tol)
-    record_value = conditioned_on_record(chain, args.record, tol) if args.record is not None else None
-    report = sample_chain(chain, args.trials, args.seed, workers=args.workers, tol=tol) if args.sample else None
-    pairs = [("value", _fmt(evaluation.value))]
-    obj: dict = {
-        "value": evaluation.value,
-        "steps": [
-            {
-                "apparatus_index": s.apparatus_index,
-                "rule": s.rule,
-                "branch": s.branch,
-                "weight": s.weight,
-                "note": s.note,
-            }
-            for s in evaluation.steps
-        ],
-    }
-    if record_value is not None:
-        pairs.append((f"value_given_{args.record}", _fmt(record_value)))
-        obj[f"value_given_{args.record}"] = record_value
-    if args.format == "table":
-        _print_pairs(pairs)
-        for step in evaluation.steps:
-            print(f"  {_step_line(step)}")
-    if report is not None:
-        sample_pairs = [
-            ("trials", str(report.trials)),
-            ("seed", str(report.seed)),
-            ("workers", str(report.workers)),
-        ]
-        for key in sorted(report.outcome_counts):
-            sample_pairs.append((f"count_{key}", str(report.outcome_counts[key])))
-        for key in sorted(report.frequencies):
-            sample_pairs.append((f"freq_{key}", _fmt(report.frequencies[key])))
-        for key in sorted(report.analytic):
-            sample_pairs.append((f"analytic_{key}", _fmt(report.analytic[key])))
-        for key in sorted(report.detector_counts):
-            sample_pairs.append((f"records_{key}", str(report.detector_counts[key])))
-        sample_pairs.append(("max_abs_deviation", _fmt(report.max_abs_deviation)))
-        obj["sample"] = {
-            "trials": report.trials,
-            "seed": report.seed,
-            "workers": report.workers,
-            "outcome_counts": report.outcome_counts,
-            "frequencies": report.frequencies,
-            "analytic": report.analytic,
-            "detector_counts": report.detector_counts,
-            "max_abs_deviation": report.max_abs_deviation,
-        }
-        if args.format == "table":
-            _print_pairs(sample_pairs)
-    if args.format == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
+    record: dict = {"value": evaluation.value}
+    if args.record is not None:
+        record[f"value_given_{args.record}"] = conditioned_on_record(chain, args.record, tol)
+    record["steps"] = [step._asdict() for step in evaluation.steps]
+    if args.sample:
+        record["sample"] = asdict(sample_chain(chain, args.trials, args.seed, workers=args.workers, tol=tol))
+    _emit(args.format, record)
     return EXIT_OK
 
 
@@ -185,14 +167,10 @@ def cmd_slit(args) -> int:
     tol = _tol(args)
     model = load_slit_model(args.model, tol)
     points = double_slit_scan(model.preparation, model.slit1, model.slit2, model.detectors, tol)
-    if args.format == "json":
-        rows = [
-            {"index": p.index, "coherent": p.coherent, "incoherent": p.incoherent, "defined": p.defined}
-            for p in points
-        ]
-        print(json.dumps(rows, sort_keys=True, indent=2))
-    else:
+    if args.format == "table":
         sys.stdout.write(scan_to_csv(points))
+    else:
+        _emit(args.format, [asdict(point) for point in points])
     return EXIT_OK
 
 
@@ -200,19 +178,13 @@ def cmd_valuation(args) -> int:
     from .io import load_valuation
     from .valuation import search_valuation
 
-    problem = load_valuation(args.problem, _tol(args))
-    result = search_valuation(problem)
-    verdict = "SAT" if result.satisfiable else "UNSAT"
-    pairs = [("result", verdict), ("nodes_explored", str(result.nodes_explored))]
-    if result.satisfiable:
-        pairs.append(("true_indices", " ".join(str(i) for i in result.true_indices()) or "-"))
-    obj = {
-        "satisfiable": result.satisfiable,
-        "nodes_explored": result.nodes_explored,
-        "assignment": list(result.assignment) if result.assignment is not None else None,
-        "true_indices": list(result.true_indices()),
-    }
-    _emit(args.format, pairs, obj)
+    result = search_valuation(load_valuation(args.problem, _tol(args)))
+    record = asdict(result) | {"true_indices": list(result.true_indices())}
+    if args.format == "table":  # the verdict by name, and a SAT assignment by its true indices
+        record = {"result": "SAT" if result.satisfiable else "UNSAT", "nodes_explored": result.nodes_explored}
+        if result.satisfiable:
+            record["true_indices"] = " ".join(map(str, result.true_indices())) or "-"
+    _emit(args.format, record)
     return EXIT_OK
 
 
@@ -253,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", action="store_true", help="also run a sampling comparison")
     p.add_argument("--seed", type=int, default=42, help="pseudorandom seed for sampling")
     p.add_argument("--trials", type=int, default=100000, help="number of sampling trials")
-    p.add_argument("--workers", type=int, default=1, help="independent sampling substreams")
+    p.add_argument("--workers", type=int, default=1, help="independent sampling substreams; each builds its own "
+                   "seeded generator, so set-up grows with min(workers, trials)")
     _add_common(p, "prob_floor")
     p.set_defaults(func=cmd_chain)
 
@@ -275,15 +248,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except QcpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UndefinedProbabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
-    except QcpError as exc:  # InvariantError, the one other subtype raised
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        if isinstance(exc, ValidationError):
+            return EXIT_INPUT
+        return EXIT_UNDEFINED if isinstance(exc, UndefinedProbabilityError) else EXIT_INTERNAL  # InvariantError
 
 
 if __name__ == "__main__":

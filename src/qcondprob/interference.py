@@ -154,6 +154,20 @@ def _prepared(f: Event) -> np.ndarray:
     return _ray(f)
 
 
+def _report(rho: np.ndarray, d: Event, e1: Event, e2: Event, tol: Tolerances, coherent: bool) -> InterferenceReport:
+    """The report of one outcome over the split, with the cross term kept (``coherent``) or dropped."""
+    normalizer, [(p1, p2, cross, total, incoherent)] = _decompose(rho, e1, e2, [d], tol)
+    return InterferenceReport(
+        total=total if coherent else incoherent,
+        part1=p1,
+        part2=p2,
+        interference=2.0 * cross.real if coherent else 0.0,
+        normalizer=normalizer,
+        coherent=coherent,
+        lambda_complex=cross if coherent else None,
+    )
+
+
 def split_cond_prob(mu: State, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
     """State-dependent decomposition of ``mu(d | e1 + e2)``.
 
@@ -164,16 +178,7 @@ def split_cond_prob(mu: State, d: Event, e1: Event, e2: Event, tol: Tolerances =
     :class:`UndefinedProbabilityError` if either branch carries
     probability at or below the floor.
     """
-    normalizer, [(p1, p2, cross, total, _)] = _decompose(mu.rho, e1, e2, [d], tol)
-    return InterferenceReport(
-        total=total,
-        part1=p1,
-        part2=p2,
-        interference=2.0 * cross.real,
-        normalizer=normalizer,
-        coherent=True,
-        lambda_complex=cross,
-    )
+    return _report(mu.rho, d, e1, e2, tol, coherent=True)
 
 
 def objective_split(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
@@ -184,16 +189,7 @@ def objective_split(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances = 
     Rayleigh quotient of ``d`` at ``(e1 + e2) @ v``, the value of the
     chain that prepares ``f`` and blocks on the negation of ``e1 + e2``.
     """
-    normalizer, [(p1, p2, lam, total, _)] = _decompose(_prepared(f), e1, e2, [d], tol)
-    return InterferenceReport(
-        total=total,
-        part1=p1,
-        part2=p2,
-        interference=2.0 * lam.real,
-        normalizer=normalizer,
-        coherent=True,
-        lambda_complex=lam,
-    )
+    return _report(_prepared(f), d, e1, e2, tol, coherent=True)
 
 
 def incoherent_combine(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
@@ -203,16 +199,7 @@ def incoherent_combine(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances
     mixture renormalised by the same combined mass as the coherent case,
     so the two variants are directly comparable.
     """
-    normalizer, [(p1, p2, _, _, total)] = _decompose(_prepared(f), e1, e2, [d], tol)
-    return InterferenceReport(
-        total=total,
-        part1=p1,
-        part2=p2,
-        interference=0.0,
-        normalizer=normalizer,
-        coherent=False,
-        lambda_complex=None,
-    )
+    return _report(_prepared(f), d, e1, e2, tol, coherent=False)
 
 
 @dataclass(frozen=True)

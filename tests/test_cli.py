@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from qcondprob import DEFAULT_TOL, cli, repeated_cond_prob
+from qcondprob import DEFAULT_TOL, InvariantError, cli, conditioning, repeated_cond_prob
 from qcondprob.fixtures import double_slit_model
 from qcondprob.interference import double_slit_scan, scan_to_csv
 from qcondprob.io import load_event, load_state, matrix_to_obj
@@ -76,6 +76,17 @@ def test_condprob_undefined_exits_3():
     assert result.returncode == 3
     assert result.stdout == ""
     assert result.stderr.startswith("error:")
+
+
+def test_an_internal_invariant_failure_exits_4(monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantError("the two routes disagree")
+
+    monkeypatch.setattr(conditioning, "repeated_cond_prob", broken)
+    code, out, err = run_main("condprob", "--state", fixture("state_mixed_dim4.json"),
+                              "--outcome", fixture("objective_pair_d.json"), "--event", fixture("objective_pair_e.json"))
+    assert (code, out) == (4, "")
+    assert err == "error: the two routes disagree\n"
 
 
 def test_objective_reference_pair():

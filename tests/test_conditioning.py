@@ -174,8 +174,14 @@ def test_state_value_on_events_and_observables():
 
 
 def test_state_value_dimension_mismatch():
+    mixed, wide = State.maximally_mixed(2), validate_event(np.eye(3))
     with pytest.raises(ValidationError):
-        state_value(State.maximally_mixed(2), validate_event(np.eye(3)))
+        state_value(mixed, wide)
+    # Conditioning refuses the same mismatch, in the event and in the conditioned operand.
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        cond_state(mixed, wide)
+    with pytest.raises(ValidationError, match="dimensions must agree"):
+        cond_prob(mixed, wide, validate_event(np.eye(2)))
 
 
 def test_cond_state_is_projection_update():

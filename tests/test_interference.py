@@ -66,6 +66,10 @@ def test_split_validation_and_undefined():
         split_cond_prob(mu, d, e1, overlapping)
     with pytest.raises(ValidationError):
         split_cond_prob(mu, d.matrix, e1, e2)
+    with pytest.raises(ValidationError, match="must be Events"):
+        split_cond_prob(mu, d, e1, e2.matrix)
+    with pytest.raises(ValidationError, match="branch events live in different dimensions"):
+        split_cond_prob(mu, d, e1, validate_event(np.diag([0.0, 1.0])))
     concentrated = State(np.diag([1.0, 0.0, 0.0]))
     with pytest.raises(UndefinedProbabilityError):
         split_cond_prob(concentrated, d, e2, validate_event(np.diag([0.0, 0.0, 1.0])))

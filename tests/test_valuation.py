@@ -93,6 +93,8 @@ def test_explicit_resolutions_are_checked():
         ValuationProblem([a, b, c], resolutions=[(0, 1)])
     with pytest.raises(ValidationError):
         ValuationProblem([a, wide, c], resolutions=[(0, 1, 1)])
+    with pytest.raises(ValidationError, match="pairwise exclusive"):
+        ValuationProblem([a, wide, c], resolutions=[(0, 1, 2)])
     with pytest.raises(ValidationError):
         ValuationProblem([a, b, c], resolutions=[(0, 1, 7)])
     # One event listed twice, by its index or by a copy's, is not a family
