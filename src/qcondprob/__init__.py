@@ -36,10 +36,10 @@ _EXPORTS = {
     "objective": ("CondProbResult", "objective_cond_prob", "objective_seq", "pure_event_prob",
                   "state_from_outcome", "transition_prob"),
     "interference": ("InterferenceReport", "ScanPoint", "double_slit_scan", "incoherent_combine",
-                     "objective_split", "scan_to_csv", "split_cond_prob"),
+                     "objective_split", "split_cond_prob"),
     "experiments": ("Apparatus", "Chain", "ChainEvaluation", "SampleReport", "TraceStep", "conditioned_on_record",
                     "evaluate_chain", "sample_chain", "spin_projector", "spin_vector"),
-    "valuation": ("MAX_EVENTS", "ValuationProblem", "ValuationResult", "build_resolutions", "search_valuation"),
+    "valuation": ("MAX_EVENTS", "ValuationProblem", "ValuationResult", "search_valuation"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

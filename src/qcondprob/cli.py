@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -92,10 +93,17 @@ def _emit(fmt: str, record: dict | list) -> None:
 
     In a table, a list (a chain's trace) prints one indented line per step
     after the rows before it, and a dict (a chain's sample) prints as a
-    block of its own.
+    block of its own.  A record that is itself a list of rows (the slit
+    scan) prints as CSV: a header from the first row's keys, then each
+    row's cells.
     """
     if fmt == "json":
         print(json.dumps(record, sort_keys=True, indent=2))
+        return
+    if isinstance(record, list):
+        print(",".join(record[0]))
+        for row in record:
+            print(",".join(map(_cell, row.values())))
         return
     rows: dict = {}
     for key, value in record.items():
@@ -161,16 +169,16 @@ def cmd_chain(args) -> int:
 
 
 def cmd_slit(args) -> int:
-    from .interference import double_slit_scan, scan_to_csv
+    from .interference import double_slit_scan
     from .io import load_slit_model
 
     tol = _tol(args)
     model = load_slit_model(args.model, tol)
     points = double_slit_scan(model.preparation, model.slit1, model.slit2, model.detectors, tol)
-    if args.format == "table":
-        sys.stdout.write(scan_to_csv(points))
-    else:
-        _emit(args.format, [asdict(point) for point in points])
+    rows = [asdict(point) for point in points]
+    if args.format == "json":  # JSON has no NaN: an undefined scan prints null in JSON, nan in the CSV
+        rows = [{key: None if math.isnan(value) else value for key, value in row.items()} for row in rows]
+    _emit(args.format, rows)
     return EXIT_OK
 
 

@@ -111,9 +111,6 @@ class PureVector:
         s, n = _scaled_norm(self._amplitudes)
         return self._amplitudes / s / n
 
-    def normalized(self) -> "PureVector":
-        return PureVector(self._unit())
-
     def projector(self) -> Event:
         """The minimal event whose range is the line spanned by this vector."""
         v = self._unit()
@@ -199,11 +196,6 @@ class State:
             u = v._unit()
             rho += (w / top / total) * np.outer(u, u.conj())
         return cls._trusted((rho + rho.conj().T) / 2.0)
-
-    @classmethod
-    def from_pure(cls, v: PureVector) -> "State":
-        """The state concentrated on a single vector."""
-        return cls.from_ensemble([(1.0, v)])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "State":

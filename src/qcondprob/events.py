@@ -62,9 +62,6 @@ class Event:
     def is_zero(self) -> bool:
         return self._rank == 0
 
-    def is_identity(self) -> bool:
-        return self._rank == self.dim
-
     def is_minimal(self) -> bool:
         """True for rank-1 events, the atoms of the event lattice."""
         return self._rank == 1

@@ -13,7 +13,9 @@ Everything here is small enough to check by hand:
   noncontextual truth assignment, plus two small satisfiable instances.
 
 ``write_fixture_files`` renders them all to JSON; the checked-in
-``fixtures/`` directory is its output.
+``fixtures/`` directory is its output.  The spin chains and the
+lower-block ensemble are described once, as the JSON their files hold,
+and their objects are parsed from it.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import os
 
 import numpy as np
 
-from .conditioning import PureVector, State
+from .conditioning import State
 from .events import Event, validate_event
-from .experiments import Apparatus, Chain, spin_projector
-from .io import SlitModel, event_to_obj, state_to_obj, write_json
+from .experiments import Chain, spin_projector
+from .io import SlitModel, chain_from_obj, matrix_to_obj, state_from_obj, write_json
 from .valuation import ValuationProblem
 
 
@@ -58,43 +60,50 @@ def mixed_state_dim4() -> State:
     return State.maximally_mixed(4)
 
 
+# The lower-block ensemble as its fixture file writes it.
+_LOWER_BLOCK = {
+    "ensemble": [
+        {"weight": 0.5, "vector": [[0, 0], [0, 0], [1, 0], [0, 0]]},
+        {"weight": 0.5, "vector": [[0, 0], [0, 0], [0, 0], [1, 0]]},
+    ]
+}
+
+
 def lower_block_state_dim4() -> State:
     """A state supported entirely outside the objective pair's ``e``."""
-    return State.from_ensemble([
-        (0.5, PureVector([0, 0, 1, 0])),
-        (0.5, PureVector([0, 0, 0, 1])),
-    ])
+    return state_from_obj(_LOWER_BLOCK)
 
 
-def _spin_apparatus(mode: str, detector: str | None = None) -> Apparatus:
-    return Apparatus(test_event=spin_projector("x", "+"), mode=mode, detector=detector)
+def _spin_obj(axis: str, sign: str) -> dict:
+    return {"spin": {"axis": axis, "sign": sign}}
+
+
+def _chain_obj(apparatus_mode: str, detector: str | None) -> dict:
+    """A spin chain from z+ to z+ through one x+ apparatus, as its fixture file writes it."""
+    apparatus: dict = {"event": _spin_obj("x", "+"), "mode": apparatus_mode}
+    if detector is not None:
+        apparatus["detector"] = detector
+    return {
+        "dim": 2,
+        "preparation": _spin_obj("z", "+"),
+        "apparatuses": [apparatus],
+        "final": _spin_obj("z", "+"),
+    }
 
 
 def rejoined_chain() -> Chain:
     """Spin chain whose middle apparatus passes both outlets with no record."""
-    return Chain(
-        preparation=spin_projector("z", "+"),
-        apparatuses=(_spin_apparatus("pass_both"),),
-        final_outcome=spin_projector("z", "+"),
-    )
+    return chain_from_obj(_chain_obj("pass_both", None))
 
 
 def blocked_chain() -> Chain:
     """Spin chain whose middle apparatus absorbs the negation outlet."""
-    return Chain(
-        preparation=spin_projector("z", "+"),
-        apparatuses=(_spin_apparatus("block_on_negation"),),
-        final_outcome=spin_projector("z", "+"),
-    )
+    return chain_from_obj(_chain_obj("block_on_negation", None))
 
 
 def detector_chain() -> Chain:
     """Spin chain whose middle apparatus records the outlet taken."""
-    return Chain(
-        preparation=spin_projector("z", "+"),
-        apparatuses=(_spin_apparatus("pass_both", detector="positive"),),
-        final_outcome=spin_projector("z", "+"),
-    )
+    return chain_from_obj(_chain_obj("pass_both", "positive"))
 
 
 def _fourier_mode(dim: int, k: int) -> np.ndarray:
@@ -186,60 +195,39 @@ def classical_valuation() -> ValuationProblem:
     return ValuationProblem(events)
 
 
-def _spin_obj(axis: str, sign: str) -> dict:
-    return {"spin": {"axis": axis, "sign": sign}}
-
-
-def _chain_obj(apparatus_mode: str, detector: str | None) -> dict:
-    apparatus: dict = {"event": _spin_obj("x", "+"), "mode": apparatus_mode}
-    if detector is not None:
-        apparatus["detector"] = detector
-    return {
-        "dim": 2,
-        "preparation": _spin_obj("z", "+"),
-        "apparatuses": [apparatus],
-        "final": _spin_obj("z", "+"),
-    }
-
-
 def write_fixture_files(outdir: str) -> list[str]:
     """Write every fixture to ``outdir`` and return the file names."""
     os.makedirs(outdir, exist_ok=True)
     e, d = objective_pair()
     slit = double_slit_model()
     files = {
-        "objective_pair_e.json": event_to_obj(e),
-        "objective_pair_d.json": event_to_obj(d),
-        "proj_first_axis_dim4.json": event_to_obj(first_axis_projector_dim4()),
-        "state_mixed_dim4.json": state_to_obj(mixed_state_dim4()),
-        "state_lower_block_dim4.json": {
-            "ensemble": [
-                {"weight": 0.5, "vector": [[0, 0], [0, 0], [1, 0], [0, 0]]},
-                {"weight": 0.5, "vector": [[0, 0], [0, 0], [0, 0], [1, 0]]},
-            ]
-        },
+        "objective_pair_e.json": matrix_to_obj(e.matrix),
+        "objective_pair_d.json": matrix_to_obj(d.matrix),
+        "proj_first_axis_dim4.json": matrix_to_obj(first_axis_projector_dim4().matrix),
+        "state_mixed_dim4.json": matrix_to_obj(mixed_state_dim4().rho),
+        "state_lower_block_dim4.json": _LOWER_BLOCK,
         "chain_rejoined.json": _chain_obj("pass_both", None),
         "chain_blocked.json": _chain_obj("block_on_negation", None),
         "chain_detector.json": _chain_obj("pass_both", "positive"),
         "double_slit_dim8.json": {
             "dim": 8,
-            "preparation": event_to_obj(slit.preparation),
-            "slit1": event_to_obj(slit.slit1),
-            "slit2": event_to_obj(slit.slit2),
-            "detectors": [event_to_obj(det) for det in slit.detectors],
+            "preparation": matrix_to_obj(slit.preparation.matrix),
+            "slit1": matrix_to_obj(slit.slit1.matrix),
+            "slit2": matrix_to_obj(slit.slit2.matrix),
+            "detectors": [matrix_to_obj(det.matrix) for det in slit.detectors],
         },
         "kochen_specker_18.json": {
             "dim": 4,
-            "events": [event_to_obj(ev) for ev in kochen_specker_18().events],
+            "events": [matrix_to_obj(ev.matrix) for ev in kochen_specker_18().events],
             "resolutions": [list(fam) for fam in _KS18_RESOLUTIONS],
         },
         "valuation_qubit_sat.json": {
             "dim": 2,
-            "events": [event_to_obj(ev) for ev in qubit_valuation().events],
+            "events": [matrix_to_obj(ev.matrix) for ev in qubit_valuation().events],
         },
         "valuation_classical_sat.json": {
             "dim": 4,
-            "events": [event_to_obj(ev) for ev in classical_valuation().events],
+            "events": [matrix_to_obj(ev.matrix) for ev in classical_valuation().events],
         },
     }
     for name, obj in files.items():

@@ -236,10 +236,3 @@ def double_slit_scan(
         for i, (_, _, _, coherent, incoherent) in enumerate(terms)
     ]
 
-
-def scan_to_csv(points: Sequence[ScanPoint]) -> str:
-    """Render scan points as CSV with a fixed header."""
-    lines = ["index,coherent,incoherent,defined"]
-    for p in points:
-        lines.append(f"{p.index},{p.coherent:.12g},{p.incoherent:.12g},{str(p.defined).lower()}")
-    return "\n".join(lines) + "\n"

@@ -197,8 +197,7 @@ def chain_from_obj(obj, tol: Tolerances = DEFAULT_TOL) -> Chain:
             raise ValidationError(f"scenario: apparatus {k} needs an 'event'")
         apparatuses.append(Apparatus(
             test_event=event_from_obj(spec["event"], tol, f"scenario.apparatuses[{k}].event"),
-            mode=spec.get("mode", "pass_both"),
-            detector=spec.get("detector"),
+            **{key: spec[key] for key in ("mode", "detector") if key in spec},
         ))
     final = event_from_obj(obj["final"], tol, "scenario.final")
     return Chain(preparation=preparation, apparatuses=tuple(apparatuses), final_outcome=final)
@@ -273,14 +272,6 @@ def classical_event_from_obj(obj, n_outcomes: int) -> ClassicalEvent:
 def matrix_to_obj(matrix: np.ndarray) -> dict:
     m = np.ascontiguousarray(matrix, dtype=np.complex128)
     return {"dim": int(m.shape[0]), "entries": m.view(np.float64).reshape(*m.shape, 2).tolist()}
-
-
-def event_to_obj(e: Event) -> dict:
-    return matrix_to_obj(e.matrix)
-
-
-def state_to_obj(state: State) -> dict:
-    return matrix_to_obj(state.rho)
 
 
 def load_event(path: str, tol: Tolerances = DEFAULT_TOL) -> Event:

@@ -58,13 +58,6 @@ class ValuationResult:
         return tuple(i for i, v in enumerate(self.assignment) if v)
 
 
-def _stack(events: Sequence[Event]) -> np.ndarray:
-    """The events' matrices as one stack, after the shared-dimension check."""
-    if any(e.dim != events[0].dim for e in events):
-        raise ValidationError("all events must share one dimension")
-    return np.stack([e.matrix for e in events])
-
-
 # Entries of complex128 (4 MiB) that one block of rows of a batched pass may
 # hold, so that the passes stay bounded in memory at d = 128.
 _PASS_ENTRIES = 1 << 18
@@ -132,7 +125,12 @@ def _exclusion_relation(stack: np.ndarray, limits: np.ndarray) -> list[int]:
 
 
 def _enumerate_resolutions(ranks: list[int], dim: int, exclusive: list[int]) -> list[tuple[int, ...]]:
-    """Cliques of the exclusion graph whose ranks total ``dim``, in lexicographic order."""
+    """Cliques of the exclusion graph whose ranks total ``dim``, in lexicographic order.
+
+    Pairwise orthogonal projections add to a projection whose rank is the
+    sum of theirs, so a clique sums to the identity exactly when its ranks
+    total the dimension.
+    """
     found: list[tuple[int, ...]] = []
 
     def extend(start: int, candidates: int, chosen: list[int], rank_sum: int) -> None:
@@ -147,22 +145,6 @@ def _enumerate_resolutions(ranks: list[int], dim: int, exclusive: list[int]) -> 
 
     extend(0, (1 << len(ranks)) - 1, [], 0)
     return found
-
-
-def build_resolutions(events: Sequence[Event], tol: Tolerances = DEFAULT_TOL) -> list[tuple[int, ...]]:
-    """All families of pairwise exclusive events summing to the identity.
-
-    Since pairwise orthogonal projections add to a projection whose rank
-    is the sum of theirs, a family sums to the identity exactly when its
-    ranks total the dimension.  Returns sorted index tuples in a
-    deterministic order.
-    """
-    events = list(events)
-    if not events:
-        return []
-    ranks = [e.rank for e in events]
-    relation = _exclusion_relation(_stack(events), _resolution(np.array(ranks), tol))
-    return _enumerate_resolutions(ranks, events[0].dim, relation)
 
 
 class ValuationProblem:
@@ -193,7 +175,9 @@ class ValuationProblem:
             raise ValidationError("valuation problem needs at least one event")
         if not all(isinstance(e, Event) for e in raw):
             raise ValidationError("valuation problem events must be Events")
-        stack = _stack(raw)
+        if any(e.dim != raw[0].dim for e in raw):
+            raise ValidationError("all events must share one dimension")
+        stack = np.stack([e.matrix for e in raw])
         if any(e.is_zero() for e in raw):
             raise ValidationError("the zero event cannot carry a truth value")
 

@@ -44,6 +44,8 @@ def test_event_construction():
     for n_outcomes in (-1, 2.5, True):
         with pytest.raises(ValidationError, match="positive integer"):
             ClassicalEvent.from_indices(n_outcomes, [0])
+    with pytest.raises(ValidationError, match="needs a membership entry per outcome"):
+        ClassicalEvent([])
 
 
 def test_prob_and_cond_prob_on_die():
@@ -81,6 +83,8 @@ def test_repeated_equals_intersection_and_ignores_order():
         assert abs(value - classical_cond_prob(space, d, joint)) < 1e-12
         permuted = [chain[i] for i in rng.permutation(len(chain))]
         assert abs(classical_repeated(space, d, permuted) - value) < 1e-12
+    with pytest.raises(ValidationError, match="chain must contain at least one event"):
+        classical_repeated(space, d, [])
 
 
 def test_embed_event_shapes():

@@ -8,10 +8,10 @@ import sys
 
 import numpy as np
 
-from qcondprob import DEFAULT_TOL, InvariantError, cli, conditioning, repeated_cond_prob
+from qcondprob import DEFAULT_TOL, InvariantError, cli, conditioning, repeated_cond_prob, validate_event
 from qcondprob.fixtures import double_slit_model
-from qcondprob.interference import double_slit_scan, scan_to_csv
-from qcondprob.io import load_event, load_state, matrix_to_obj
+from qcondprob.interference import double_slit_scan
+from qcondprob.io import load_event, load_state, matrix_to_obj, write_json
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE_DIR = os.path.join(REPO_ROOT, "fixtures")
@@ -248,6 +248,19 @@ def test_objective_on_an_event_within_its_validation_slack_exits_0(tmp_path):
     assert json.loads(out)["value"] == 1.0
 
 
+def test_objective_on_a_ray_in_dimension_128(tmp_path):
+    # A 128 x 128 event file, past the decoding test's d <= 16, decodes bit for bit.
+    v = np.ones(128) / np.sqrt(128)
+    ray = validate_event(np.outer(v, v))
+    path = str(tmp_path / "ray.json")
+    write_json(path, matrix_to_obj(ray.matrix))
+    assert np.array_equal(load_event(path).matrix, ray.matrix)
+    code, out, err = run_main("objective", "--outcome", path, "--event", path, "--format", "json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["objective"] is True and abs(record["value"] - 1.0) <= 1e-12
+
+
 def test_chain_blocking_on_an_event_within_its_validation_slack_exits_0(tmp_path):
     plus = np.full((2, 2), 0.5)
     event = np.diag([1.0 + 2.5e-10, 0.0])
@@ -261,8 +274,11 @@ def test_slit_csv_matches_library():
     result = run_cli("slit", "--model", fixture("double_slit_dim8.json"))
     assert result.returncode == 0
     model = double_slit_model()
-    expected = scan_to_csv(double_slit_scan(model.preparation, model.slit1, model.slit2, model.detectors))
-    assert result.stdout == expected
+    points = double_slit_scan(model.preparation, model.slit1, model.slit2, model.detectors)
+    expected = ["index,coherent,incoherent,defined"] + [
+        f"{p.index},{cli._fmt(p.coherent)},{cli._fmt(p.incoherent)},{str(p.defined).lower()}" for p in points
+    ]
+    assert result.stdout == "\n".join(expected) + "\n"
     lines = result.stdout.splitlines()
     assert lines[0] == "index,coherent,incoherent,defined"
     assert len(lines) == 9
@@ -277,6 +293,23 @@ def test_slit_json_format():
     assert all(row["defined"] for row in rows)
     assert abs(rows[0]["coherent"] - 0.5) < 1e-12
     assert abs(rows[0]["incoherent"] - 0.25) < 1e-12
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_undefined_slit_scan_prints_null_in_json_and_nan_in_csv(tmp_path):
+    # The preparation lies in slit1, so slit2's branch has no weight and every row is undefined.
+    up, down = matrix_to_obj(np.diag([1.0, 0.0])), matrix_to_obj(np.diag([0.0, 1.0]))
+    path = tmp_path / "slit.json"
+    path.write_text(json.dumps({"dim": 2, "preparation": up, "slit1": up, "slit2": down, "detectors": [up, down]}))
+    code, out, err = run_main("slit", "--model", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out, parse_constant=_refuse_constant)
+    assert rows == [{"index": i, "coherent": None, "incoherent": None, "defined": False} for i in range(2)]
+    code, out, err = run_main("slit", "--model", str(path))
+    assert (code, out, err) == (0, "index,coherent,incoherent,defined\n0,nan,nan,false\n1,nan,nan,false\n", "")
 
 
 def test_valuation_unsat_and_sat():

@@ -40,7 +40,7 @@ def test_pure_vector_validation():
     v = PureVector([3, 4j])
     assert v.dim == 2
     assert abs(v.norm() - 5) < 1e-15
-    assert abs(v.normalized().norm() - 1) < 1e-15
+    assert abs(PureVector(v.amplitudes / v.norm()).norm() - 1) < 1e-15
 
 
 def test_pure_vector_projector():
@@ -162,7 +162,7 @@ def test_from_ensemble_takes_huge_amplitudes_and_weights_without_overflow():
 
 
 def test_state_value_on_events_and_observables():
-    zp = State.from_pure(spin_vector("z", "+"))
+    zp = State.from_ensemble([(1.0, spin_vector("z", "+"))])
     assert abs(state_value(zp, spin_projector("z", "+")) - 1.0) < 1e-15
     assert abs(state_value(zp, spin_projector("x", "+")) - 0.5) < 1e-15
     sigma_z = np.diag([1.0, -1.0])
@@ -185,11 +185,11 @@ def test_state_value_dimension_mismatch():
 
 
 def test_cond_state_is_projection_update():
-    xp = State.from_pure(spin_vector("x", "+"))
+    xp = State.from_ensemble([(1.0, spin_vector("x", "+"))])
     updated = cond_state(xp, spin_projector("z", "+"))
     assert np.allclose(updated.rho, spin_projector("z", "+").matrix)
     with pytest.raises(UndefinedProbabilityError):
-        cond_state(State.from_pure(spin_vector("z", "-")), spin_projector("z", "+"))
+        cond_state(State.from_ensemble([(1.0, spin_vector("z", "-"))]), spin_projector("z", "+"))
 
 
 def test_cond_state_agrees_with_cond_prob():

@@ -29,7 +29,8 @@ def test_validate_event_accepts_projections():
     assert e.rank == 2
     assert e.dim == 3
     assert not e.is_minimal()
-    assert validate_event(np.eye(2)).is_identity()
+    identity = validate_event(np.eye(2))
+    assert identity.rank == identity.dim
     assert validate_event(np.zeros((2, 2))).is_zero()
 
 
@@ -43,6 +44,9 @@ def test_validate_event_rejects_non_projections():
     # An infinite norm would make every budget infinite.
     with pytest.raises(ValidationError, match="norm overflows"):
         validate_event(np.array([[0.5, 1e200], [1e200, 0.5]]))
+    # At |e|_F = 4 the idempotence defect, 4e-10, is within the budget; the trace's, 1.6e-9, is not.
+    with pytest.raises(ValidationError, match="is not a valid rank for dimension 16"):
+        validate_event((1 + 1e-10) * np.eye(16))
 
 
 def test_tolerances_are_reals_in_the_open_unit_interval():
@@ -178,7 +182,7 @@ def test_dimension_arguments_follow_one_rule():
             with pytest.raises(ValidationError, match="dimension must be a positive integer"):
                 build(bad)
         assert build(np.int64(3)).dim == 3
-    assert zero_event(2).is_zero() and identity_event(2).is_identity()
+    assert zero_event(2).is_zero() and identity_event(2).rank == 2
 
 
 def test_ray_spans_a_minimal_event():

@@ -115,6 +115,8 @@ def test_chain_validation():
 
     with pytest.raises(ValidationError):
         Chain(qcondprob.identity_event(2), [], zp)
+    with pytest.raises(ValidationError, match="preparation must be an Event"):
+        Chain(zp.matrix, [], zp)
     with pytest.raises(ValidationError):
         Chain(zp, [xp], zp)
     big = qcondprob.validate_event(np.diag([1.0, 0.0, 0.0]))
@@ -599,6 +601,18 @@ def test_one_tree_matches_the_forward_pass_on_random_chains():
                 agrees(lambda: conditioned_on_record(chain, record), want)
     assert seen["refused"] >= 30 and seen["record_refused"] >= 30
     assert seen["records"] >= 100 and seen["blocks_after_detectors"] >= 60
+
+
+def test_six_alternating_detectors_trace_126_outlets_of_weight_one_half():
+    # From z+, x and z detectors alternate: every recorded branch splits evenly at the next
+    # apparatus, so the trace lists 2 + 4 + ... + 64 = 126 outlet entries, depth first from
+    # the all-positive path, and the final x test sees each branch at 1/2.
+    apparatuses = [Apparatus(spin_projector(axis, "+"), detector="positive") for axis in "xzxzxz"]
+    evaluation = evaluate_chain(Chain(spin_projector("z", "+"), apparatuses, spin_projector("x", "+")))
+    outlets = [step for step in evaluation.steps if step.branch is not None]
+    assert len(outlets) == 126 and [step.branch for step in outlets[:6]] == ["positive"] * 6
+    assert all(abs(step.weight - 0.5) <= 1e-12 for step in outlets)
+    assert abs(evaluation.value - 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("blocks", [2000, 10**4])

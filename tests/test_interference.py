@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import os
 
@@ -20,11 +21,11 @@ from qcondprob import (
     incoherent_combine,
     objective_seq,
     objective_split,
-    scan_to_csv,
     split_cond_prob,
     state_from_outcome,
     validate_event,
 )
+from qcondprob import cli
 from qcondprob.fixtures import double_slit_model
 from qcondprob.interference import _decompose
 from qcondprob.io import load_slit_model
@@ -73,6 +74,10 @@ def test_split_validation_and_undefined():
     concentrated = State(np.diag([1.0, 0.0, 0.0]))
     with pytest.raises(UndefinedProbabilityError):
         split_cond_prob(concentrated, d, e2, validate_event(np.diag([0.0, 0.0, 1.0])))
+    f = validate_event(np.diag([1.0, 0.0, 0.0]))
+    for route in (objective_split, incoherent_combine):
+        with pytest.raises(ValidationError, match="preparation must be an Event"):
+            route(f.matrix, d, e1, e2)
 
 
 def test_commuting_family_has_exactly_zero_interference():
@@ -262,19 +267,18 @@ def test_scan_flags_undefined_detectors():
     for p in points:
         assert not p.defined
         assert math.isnan(p.coherent) and math.isnan(p.incoherent)
-    text = scan_to_csv(points)
-    assert "0,nan,nan,false" in text
     with pytest.raises(ValidationError):
         double_slit_scan(model.preparation, model.slit1, model.slit2, [])
 
 
-def test_scan_to_csv_layout():
+def test_scan_to_csv_layout(capsys):
+    # The command line's table form of a scan: CSV with a header from ScanPoint's fields.
     points = [
         ScanPoint(index=0, coherent=0.5, incoherent=0.25, defined=True),
         ScanPoint(index=1, coherent=float("nan"), incoherent=float("nan"), defined=False),
     ]
-    text = scan_to_csv(points)
-    assert text == "index,coherent,incoherent,defined\n0,0.5,0.25,true\n1,nan,nan,false\n"
+    cli._emit("table", [dataclasses.asdict(p) for p in points])
+    assert capsys.readouterr().out == "index,coherent,incoherent,defined\n0,0.5,0.25,true\n1,nan,nan,false\n"
 
 
 def _assert_scan_matches_per_detector_routes(f, e1, e2, detectors):

@@ -4,20 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcondprob import ValidationError, spin_projector
+from qcondprob import Apparatus, ValidationError, spin_projector
 from qcondprob.io import (
     chain_from_obj,
     classical_event_from_obj,
     classical_space_from_obj,
     event_from_obj,
-    event_to_obj,
     load_event,
     load_json,
     matrix_from_obj,
     matrix_to_obj,
     slit_model_from_obj,
     state_from_obj,
-    state_to_obj,
     valuation_from_obj,
     vector_from_obj,
     write_json,
@@ -165,7 +163,7 @@ def test_event_round_trip_and_spin_form():
     rng = np.random.default_rng(607)
     for _ in range(10):
         e = random_projection(rng, 4, int(rng.integers(1, 4)))
-        back = event_from_obj(event_to_obj(e))
+        back = event_from_obj(matrix_to_obj(e.matrix))
         assert np.allclose(back.matrix, e.matrix)
         assert back.rank == e.rank
     named = event_from_obj({"spin": {"axis": "y", "sign": "-"}})
@@ -183,7 +181,7 @@ def test_state_round_trip_and_ensemble_form():
     rng = np.random.default_rng(613)
     for _ in range(10):
         mu = random_full_rank_state(rng, int(rng.integers(1, 5)))
-        back = state_from_obj(state_to_obj(mu))
+        back = state_from_obj(matrix_to_obj(mu.rho))
         assert np.allclose(back.rho, mu.rho)
     mixed = state_from_obj({
         "ensemble": [
@@ -216,6 +214,13 @@ def test_chain_from_obj():
     assert chain.apparatuses[1].mode == "block_on_negation"
     assert chain.apparatuses[2].mode == "pass_both"
     assert chain.apparatuses[2].detector is None
+    # A key the spec leaves out takes Apparatus's default; a null one is passed on as None.
+    nulls = chain_from_obj({**obj, "apparatuses": [{"event": obj["final"], "detector": None}]})
+    assert (nulls.apparatuses[0].mode, nulls.apparatuses[0].detector) == (Apparatus.mode, None)
+    with pytest.raises(ValidationError, match="unknown apparatus mode None"):
+        chain_from_obj({**obj, "apparatuses": [{"event": obj["final"], "mode": None}]})
+    with pytest.raises(ValidationError, match="'apparatuses' must be a list"):
+        chain_from_obj({**obj, "apparatuses": {"event": obj["final"]}})
     with pytest.raises(ValidationError):
         chain_from_obj({"preparation": obj["preparation"], "final": obj["final"]})
     with pytest.raises(ValidationError):
@@ -243,6 +248,8 @@ def test_slit_model_from_obj():
             slit_model_from_obj(broken)
     with pytest.raises(ValidationError):
         slit_model_from_obj({"preparation": up, "slit1": up, "slit2": down, "detectors": []})
+    with pytest.raises(ValidationError, match="slit model: expected a JSON object"):
+        slit_model_from_obj([up, up, down, [up, down]])
 
 
 def test_valuation_from_obj():
@@ -274,13 +281,13 @@ def test_classical_objects():
 def test_file_round_trip(tmp_path):
     path = str(tmp_path / "event.json")
     e = spin_projector("x", "+")
-    write_json(path, event_to_obj(e))
+    write_json(path, matrix_to_obj(e.matrix))
     loaded = load_event(path)
     assert np.allclose(loaded.matrix, e.matrix)
     text = Path(path).read_text(encoding="utf-8")
     assert text.endswith("\n")
     # Serialisation is stable: keys are sorted, so rewriting is a no-op.
-    write_json(path, event_to_obj(loaded))
+    write_json(path, matrix_to_obj(loaded.matrix))
     assert Path(path).read_text(encoding="utf-8") == text
 
 

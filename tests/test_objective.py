@@ -328,6 +328,8 @@ def test_objective_seq_validation():
         objective_seq(d, [spin_projector("z", "+")])
     with pytest.raises(ValidationError):
         objective_cond_prob(d, e.matrix)
+    with pytest.raises(ValidationError, match="objective_seq expects an Event"):
+        objective_seq(d.matrix, [e])
 
 
 def test_pure_event_prob():
@@ -339,6 +341,12 @@ def test_pure_event_prob():
     from qcondprob import PureVector
     scaled = PureVector(3.7 * zp.amplitudes)
     assert abs(pure_event_prob(scaled, spin_projector("x", "+")) - 0.5) < 1e-15
+    # Raw amplitudes are read as a PureVector, and refused as one.
+    assert abs(pure_event_prob([3.7, 0.0], spin_projector("x", "+")) - 0.5) < 1e-15
+    with pytest.raises(ValidationError, match="vector must be nonzero"):
+        pure_event_prob([0.0, 0.0], spin_projector("x", "+"))
+    with pytest.raises(ValidationError, match="dimension mismatch: vector 2 vs event 3"):
+        pure_event_prob(zp, validate_event(np.eye(3)))
 
 
 def test_pure_event_prob_matches_state_route():
@@ -349,7 +357,7 @@ def test_pure_event_prob_matches_state_route():
         from qcondprob import PureVector
         psi = PureVector(v)
         d = random_projection(rng, dim, int(rng.integers(1, dim + 1)))
-        via_state = state_value(State.from_pure(psi), d)
+        via_state = state_value(State.from_ensemble([(1.0, psi)]), d)
         assert abs(pure_event_prob(psi, d) - via_state) < 1e-12
 
 
@@ -364,6 +372,8 @@ def test_transition_prob():
     # Equals the probability of one minimal event given the other.
     r = objective_cond_prob(zp.projector(), xp.projector())
     assert abs(transition_prob(xp, zp) - r.value) < 1e-12
+    with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 3"):
+        transition_prob(zp, [1.0, 0.0, 0.0])
 
 
 def test_pure_probabilities_of_huge_and_tiny_amplitudes():
@@ -383,6 +393,8 @@ def test_state_from_outcome():
         state_from_outcome(validate_event(np.diag([1.0, 1.0, 0.0])))
     with pytest.raises(UndefinedProbabilityError):
         state_from_outcome(complement(validate_event(np.eye(2))))
+    with pytest.raises(ValidationError, match="state_from_outcome expects an Event"):
+        state_from_outcome(xp.matrix)
 
 
 def test_state_from_outcome_builds_the_state_from_the_ray():

@@ -99,7 +99,7 @@ def test_probabilities_from_events_at_the_edge_of_validation_stay_within_their_c
         q = random_unitary(rng, n)
         s = float(rng.uniform(0.9, 0.99))
         x = q[:, 0]
-        mu = State.from_pure(PureVector(x))
+        mu = State.from_ensemble([(1.0, PureVector(x))])
         f = _pushed(q, [], 1.0 + s * DEFAULT_TOL.budget(1.0))
         d = _edge_event(rng, q, s)
         e = _edge_event(rng, q, s, inside=True)
@@ -117,7 +117,7 @@ def test_probabilities_from_events_at_the_edge_of_validation_stay_within_their_c
         if n >= 3:
             e1, e2, ray = _split(rng, q, s)
             g = validate_event((1.0 + s * DEFAULT_TOL.budget(1.0)) * np.outer(ray, ray.conj()))
-            call("split_cond_prob", split_cond_prob, State.from_pure(PureVector(ray)), d, e1, e2)
+            call("split_cond_prob", split_cond_prob, State.from_ensemble([(1.0, PureVector(ray))]), d, e1, e2)
             call("objective_split", objective_split, g, d, e1, e2)
             call("incoherent_combine", incoherent_combine, g, d, e1, e2)
             call("double_slit_scan", double_slit_scan, g, e1, e2, [d, e, e1])
@@ -162,7 +162,7 @@ def test_a_split_at_the_edge_of_exclusion_is_accepted_within_its_clamp():
         ray /= np.linalg.norm(ray)
         g = validate_event(np.outer(ray, ray.conj()))
         for d in (_edge_event(rng, q, s), identity_event(n)):
-            split_cond_prob(State.from_pure(PureVector(ray)), d, e1, e2)
+            split_cond_prob(State.from_ensemble([(1.0, PureVector(ray))]), d, e1, e2)
             assert objective_split(g, d, e1, e2).total <= 1.0
             incoherent_combine(g, d, e1, e2)
             double_slit_scan(g, e1, e2, [d, e1])

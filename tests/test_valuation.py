@@ -9,7 +9,6 @@ from qcondprob import (
     Tolerances,
     ValidationError,
     ValuationProblem,
-    build_resolutions,
     complement,
     is_orthogonal,
     lattice_meet,
@@ -30,9 +29,12 @@ def diag_event(pattern):
 def test_build_resolutions_simple_cases():
     zp = spin_projector("z", "+")
     zm = spin_projector("z", "-")
-    assert build_resolutions([zp, zm]) == [(0, 1)]
-    assert build_resolutions([zp]) == []
-    assert build_resolutions([]) == []
+    assert ValuationProblem([zp, zm]).resolutions == ((0, 1),)
+    assert ValuationProblem([zp]).resolutions == ()
+    # A repeated event is deduplicated before the enumeration.
+    assert ValuationProblem([zp, zm, zp]).resolutions == ((0, 1),)
+    with pytest.raises(ValidationError, match="at least one event"):
+        ValuationProblem([])
 
 
 def test_build_resolutions_mixed_ranks():
@@ -40,12 +42,12 @@ def test_build_resolutions_mixed_ranks():
     b = diag_event([0, 1, 1])
     c = diag_event([0, 1, 0])
     d = diag_event([0, 0, 1])
-    assert build_resolutions([a, b, c, d]) == [(0, 1), (0, 2, 3)]
+    assert ValuationProblem([a, b, c, d]).resolutions == ((0, 1), (0, 2, 3))
 
 
 def test_build_resolutions_finds_the_designed_bases():
     problem = kochen_specker_18()
-    enumerated = set(build_resolutions(problem.events))
+    enumerated = set(ValuationProblem(problem.events).resolutions)
     assert set(problem.resolutions) <= enumerated
     assert len(problem.resolutions) == 9
     assert all(len(fam) == 4 for fam in problem.resolutions)
@@ -193,7 +195,6 @@ def test_exclusion_relation_matches_pairwise_is_orthogonal():
             and all(is_orthogonal(problem.events[a], problem.events[b], tol) for a, b in combinations(fam, 2))
         ]
         assert sorted(problem.resolutions) == sorted(expected)
-        assert build_resolutions(problem.events, tol) == list(problem.resolutions)
         # The enumerated families, given back as explicit resolutions, pass
         # the same completeness rule and leave the search unchanged.
         explicit = ValuationProblem(problem.events, resolutions=problem.resolutions, tol=tol)
