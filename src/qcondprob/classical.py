@@ -21,20 +21,22 @@ import numpy as np
 
 from .conditioning import State
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _dimension, _index
+from .events import Event, _arg, _args, _dimension, _index
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
 class ClassicalSpace:
-    """Finite outcome set with a probability weight per outcome."""
+    """Finite outcome set with a probability weight per outcome, read from a one-dimensional list of weights."""
 
     __slots__ = ("_weights",)
 
     def __init__(self, weights, tol: Tolerances = DEFAULT_TOL):
         try:
-            w = np.array(weights, dtype=np.float64).reshape(-1)
+            w = np.array(weights, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"cannot interpret weights: {exc}") from exc
+        if w.ndim != 1:
+            raise ValidationError(f"weights must be one-dimensional, got shape {w.shape}")
         if w.size == 0:
             raise ValidationError("classical space needs at least one outcome")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -58,12 +60,17 @@ class ClassicalSpace:
 
 
 class ClassicalEvent:
-    """A subset of outcomes, stored as a boolean membership mask."""
+    """A subset of outcomes, read from a one-dimensional boolean membership mask."""
 
     __slots__ = ("_membership",)
 
     def __init__(self, membership):
-        m = np.array(membership, dtype=bool).reshape(-1)
+        try:
+            m = np.array(membership)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"cannot interpret membership: {exc}") from exc
+        if m.ndim != 1 or m.size and m.dtype != bool:
+            raise ValidationError(f"membership must be a one-dimensional boolean mask, got {m.dtype} shape {m.shape}")
         if m.size == 0:
             raise ValidationError("classical event needs a membership entry per outcome")
         m.setflags(write=False)
@@ -86,8 +93,7 @@ class ClassicalEvent:
         return self._membership.size
 
     def intersect(self, other: "ClassicalEvent") -> "ClassicalEvent":
-        if self.n_outcomes != other.n_outcomes:
-            raise ValidationError("classical events live over different outcome sets")
+        _arg(other, ClassicalEvent, "other", self.n_outcomes)
         return ClassicalEvent(self._membership & other._membership)
 
     def complement(self) -> "ClassicalEvent":
@@ -100,14 +106,9 @@ class ClassicalEvent:
         return f"ClassicalEvent(indices={list(self.indices())})"
 
 
-def _check_space_event(space: ClassicalSpace, event: ClassicalEvent) -> None:
-    if event.n_outcomes != space.n_outcomes:
-        raise ValidationError("event does not match the outcome count of the space")
-
-
 def classical_prob(space: ClassicalSpace, event: ClassicalEvent) -> float:
     """Total weight of the event's outcomes."""
-    _check_space_event(space, event)
+    _arg(event, ClassicalEvent, "event", _arg(space, ClassicalSpace, "space").n_outcomes)
     return float(np.sum(space.weights[event.membership]))
 
 
@@ -118,12 +119,12 @@ def classical_cond_prob(
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Ratio rule: weight of ``d and e`` divided by weight of ``e``."""
-    _check_space_event(space, d)
-    _check_space_event(space, e)
-    den = classical_prob(space, e)
+    _arg(d, ClassicalEvent, "d", _arg(space, ClassicalSpace, "space").n_outcomes)
+    _arg(e, ClassicalEvent, "e", space.n_outcomes)
+    den = float(np.sum(space.weights[e.membership]))
     if den <= tol.prob_floor:
         raise UndefinedProbabilityError(f"cannot condition on an event of probability {den!r}")
-    return classical_prob(space, d.intersect(e)) / den
+    return float(np.sum(space.weights[d.membership & e.membership])) / den
 
 
 def classical_repeated(
@@ -133,18 +134,14 @@ def classical_repeated(
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Condition on a sequence of events: same as conditioning on their intersection."""
-    if not chain:
-        raise ValidationError("conditioning chain must contain at least one event")
-    joint = chain[0]
-    _check_space_event(space, joint)
-    for e in chain[1:]:
-        joint = joint.intersect(e)
+    chain = _args(chain, ClassicalEvent, "conditioning chain", _arg(space, ClassicalSpace, "space").n_outcomes)
+    joint = ClassicalEvent(np.logical_and.reduce([e.membership for e in chain]))
     return classical_cond_prob(space, d, joint, tol)
 
 
 def embed_event(event: ClassicalEvent) -> Event:
     """Diagonal 0/1 projection picking out the event's outcomes."""
-    diag = event.membership.astype(np.complex128)
+    diag = _arg(event, ClassicalEvent, "event").membership.astype(np.complex128)
     return Event(np.diag(diag), int(np.count_nonzero(event.membership)))
 
 
@@ -155,4 +152,4 @@ def embed_diagonal(space: ClassicalSpace) -> State:
     nonnegative, summing to 1), so their diagonal matrix is a state and
     is wrapped without re-running the checks of ``State(...)``.
     """
-    return State._trusted(np.diag(space.weights.astype(np.complex128)))
+    return State._trusted(np.diag(_arg(space, ClassicalSpace, "space").weights.astype(np.complex128)))

@@ -39,7 +39,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, _dimension, _frobenius, _self_adjoint_matrix
+from .events import Event, _arg, _args, _dimension, _frobenius, _self_adjoint_matrix
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 # Agreement threshold between the closed-form and step-by-step values of
@@ -73,7 +73,7 @@ def _scaled_norm(v: np.ndarray) -> tuple[float, float]:
 
 
 class PureVector:
-    """A nonzero vector of complex amplitudes.
+    """A nonzero one-dimensional vector of complex amplitudes.
 
     Not required to be normalised; every consumer divides by the squared
     norm where needed.
@@ -83,9 +83,11 @@ class PureVector:
 
     def __init__(self, amplitudes):
         try:
-            v = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+            v = np.array(amplitudes, dtype=np.complex128)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"cannot interpret input as a complex vector: {exc}") from exc
+        if v.ndim != 1:
+            raise ValidationError(f"expected a one-dimensional vector, got shape {v.shape}")
         if v.size == 0:
             raise ValidationError("vector must have positive dimension")
         if not np.all(np.isfinite(v)):
@@ -118,6 +120,11 @@ class PureVector:
 
     def __repr__(self) -> str:
         return f"PureVector(dim={self.dim})"
+
+
+def _vector(x, what: str, dim: int | None = None) -> PureVector:
+    """``x`` read by :func:`_arg` as a :class:`PureVector`, raw amplitudes converted first."""
+    return _arg(x if isinstance(x, PureVector) else PureVector(x), PureVector, what, dim)
 
 
 class State:
@@ -173,16 +180,13 @@ class State:
         pairs = list(pairs)
         if not pairs:
             raise ValidationError("ensemble must contain at least one component")
-        weights = []
-        vectors = []
+        weights, vectors = [], []
         for w, v in pairs:
             w = float(w)
             if not np.isfinite(w) or w < 0:
                 raise ValidationError(f"ensemble weight {w!r} must be finite and nonnegative")
-            if not isinstance(v, PureVector):
-                v = PureVector(v)
             weights.append(w)
-            vectors.append(v)
+            vectors.append(_vector(v, "ensemble vector", vectors[0].dim if vectors else None))
         # Scaled by the largest weight, so the sum cannot overflow.
         top = max(weights)
         if top <= 0:
@@ -191,8 +195,6 @@ class State:
         dim = vectors[0].dim
         rho = np.zeros((dim, dim), dtype=np.complex128)
         for w, v in zip(weights, vectors):
-            if v.dim != dim:
-                raise ValidationError(f"ensemble vectors live in different dimensions: {dim} vs {v.dim}")
             u = v._unit()
             rho += (w / top / total) * np.outer(u, u.conj())
         return cls._trusted((rho + rho.conj().T) / 2.0)
@@ -215,10 +217,9 @@ class State:
         return f"State(dim={self.dim})"
 
 
-def _operand_matrix(a, what: str, tol: Tolerances) -> np.ndarray:
-    if isinstance(a, Event):
-        return a.matrix
-    return _self_adjoint_matrix(a, what, tol)[0]
+def _operand_matrix(a, what: str, tol: Tolerances, dim: int) -> np.ndarray:
+    m = a.matrix if isinstance(a, Event) else _self_adjoint_matrix(a, what, tol)[0]
+    return _arg(m, np.ndarray, what, dim)
 
 
 def state_value(mu: State, a, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -228,9 +229,7 @@ def state_value(mu: State, a, tol: Tolerances = DEFAULT_TOL) -> float:
     is real; for events it is additionally clamped into [0, 1], with any
     departure beyond :func:`probability_slack` raising :class:`InvariantError`.
     """
-    m = _operand_matrix(a, "operand of state_value", tol)
-    if m.shape[0] != mu.dim:
-        raise ValidationError(f"dimension mismatch: state {mu.dim} vs operand {m.shape[0]}")
+    m = _operand_matrix(a, "operand of state_value", tol, _arg(mu, State, "state").dim)
     value = _real_trace_product(mu.rho, m)
     if isinstance(a, Event):
         return clamp_probability(value, probability_slack(a.rank, tol), what="event probability")
@@ -259,8 +258,7 @@ def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     below the probability floor, since conditioning on a probability-zero
     event is undefined.
     """
-    if e.dim != mu.dim:
-        raise ValidationError(f"dimension mismatch: state {mu.dim} vs event {e.dim}")
+    _arg(e, Event, "condition", _arg(mu, State, "state").dim)
     compressed = _compress(mu.rho, e)
     p = float(np.real(np.trace(compressed)))
     if p <= tol.prob_floor:
@@ -269,37 +267,23 @@ def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     return State._trusted((updated + updated.conj().T) / 2.0)
 
 
-def _chain_events(chain: Sequence[Event], dim: int) -> list[Event]:
-    events = list(chain)
-    if not events:
-        raise ValidationError("conditioning chain must contain at least one event")
-    for e in events:
-        if not isinstance(e, Event):
-            raise ValidationError("conditioning chain must consist of Events")
-        if e.dim != dim:
-            raise ValidationError(f"dimension mismatch in chain: expected {dim}, got {e.dim}")
-    return events
-
-
 def _chain_product(events: list[Event]) -> np.ndarray:
-    """Ordered product ``e1 @ e2 @ ... @ en`` of a chain checked by :func:`_chain_events`."""
+    """Ordered product ``e1 @ e2 @ ... @ en`` of a nonempty chain of events checked by :func:`_args`."""
     product = events[0].matrix
     for e in events[1:]:
         product = product @ e.matrix
     return product
 
 
-def _closed_form(mu: State, d, chain: Sequence[Event], tol: Tolerances) -> tuple[float, np.ndarray]:
+def _closed_form(mu: State, d, events: list[Event], tol: Tolerances) -> tuple[float, np.ndarray]:
     """``trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))`` for the ordered product ``E``, and d's matrix.
 
     The one conditioning kernel: :func:`cond_prob` is it on a one-element
     chain, and :func:`repeated_cond_prob` cross-checks it on the operand
-    matrix validated here.
+    matrix validated here.  ``mu`` and ``events`` are checked by the caller.
     """
-    product = _chain_product(_chain_events(chain, mu.dim))
-    dm = _operand_matrix(d, "conditioned operand", tol)
-    if dm.shape[0] != mu.dim:
-        raise ValidationError("state and operand dimensions must agree")
+    product = _chain_product(events)
+    dm = _operand_matrix(d, "conditioned operand", tol, mu.dim)
     # trace(adjoint(E) @ rho @ E @ X) == vdot(E, rho @ E @ X) for both X = 1 and X = d.
     weighted = mu.rho @ product
     den = float(np.vdot(product, weighted).real)
@@ -321,7 +305,7 @@ def cond_prob(mu: State, d, e: Event, tol: Tolerances = DEFAULT_TOL) -> float:
     clamped).  Raises :class:`UndefinedProbabilityError` when ``mu(e)``
     is at or below the probability floor.
     """
-    return _closed_form(mu, d, [e], tol)[0]
+    return _closed_form(mu, d, [_arg(e, Event, "condition", _arg(mu, State, "state").dim)], tol)[0]
 
 
 def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = DEFAULT_TOL) -> float:
@@ -342,9 +326,10 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
     path raises :class:`UndefinedProbabilityError`.
 
     The order of the chain matters: distinct orderings of the same events
-    are genuinely different observations and give different values.
+    are genuinely different observations and give different values.  As
+    in :func:`cond_prob`, ``d`` may be an event or any self-adjoint matrix.
     """
-    events = list(chain)
+    events = _args(chain, Event, "conditioning chain", _arg(mu, State, "state").dim)
     value, dm = _closed_form(mu, d, events, tol)
     compressed = mu.rho
     for e in events:

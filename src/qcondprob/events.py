@@ -12,11 +12,11 @@ events.  The logical structure lives in the matrix algebra:
   of the two ranges, read from one SVD (see :func:`lattice_meet`).
 
 This module also holds the package's one input check for matrices,
-which events, states and operands all pass, its one index and one
-dimension rule, the event lattice's one resolution limit, the one
-sameness and one exclusion rule, and the ray of a minimal event, which
-the event keeps once derived.  Every comparison here is at Frobenius
-scale, within a :meth:`Tolerances.budget`.
+which events, states and operands all pass, its one index, dimension,
+choice and argument rule, the event lattice's one resolution limit, the
+one sameness and one exclusion rule, and the ray of a minimal event,
+which the event keeps once derived.  Every comparison here is at
+Frobenius scale, within a :meth:`Tolerances.budget`.
 """
 
 from __future__ import annotations
@@ -132,6 +132,44 @@ def _dimension(dim) -> int:
     return int(dim)
 
 
+def _is_choice(x, options: tuple[str, ...]) -> bool:
+    """The one choice rule: a ``str`` among ``options``, so that an array is never compared elementwise."""
+    return isinstance(x, str) and x in options
+
+
+def _arg(x, kind: type, what: str, dim: int | None = None):
+    """The one argument rule: ``x`` if it is a ``kind`` of dimension ``dim``, when given; else :class:`ValidationError`.
+
+    A matrix's dimension is its order, a classical object's its outcome count, any other object's its ``dim``.
+    """
+    if not isinstance(x, kind):
+        name = kind.__name__
+        raise ValidationError(f"{what} must be {'an' if name[0] in 'AEIOU' else 'a'} {name}, got {type(x).__name__}")
+    if dim is not None:
+        size = getattr(x, "dim", None)
+        if size is None:
+            size = x.shape[0] if isinstance(x, np.ndarray) else x.n_outcomes
+        if size != dim:
+            raise ValidationError(f"dimension mismatch: {what} has dimension {size}, expected {dim}")
+    return x
+
+
+def _args(xs, kind: type, what: str, dim: int | None = None, empty: bool = False) -> list:
+    """The sequence form of :func:`_arg`: ``xs`` as a fresh list of entries, each read by :func:`_arg`.
+
+    ``xs`` is any iterable but a string, bytes or an array, nonempty unless ``empty``; ``kind=object`` reads any entry.
+    """
+    if isinstance(xs, (str, bytes, np.ndarray)) or not hasattr(xs, "__iter__"):
+        raise ValidationError(f"{what} must be a sequence, got {type(xs).__name__}")
+    items = list(xs)
+    if not (items or empty):
+        raise ValidationError(f"{what} must contain at least one entry")
+    entry = f"{what} entry"
+    for x in items:
+        _arg(x, kind, entry, dim)
+    return items
+
+
 def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     """Check that a matrix is an orthogonal projection and wrap it.
 
@@ -162,13 +200,9 @@ def identity_event(dim: int) -> Event:
     return Event(np.eye(dim, dtype=np.complex128), dim)
 
 
-def _check_same_space(e: Event, f: Event) -> None:
-    if e.dim != f.dim:
-        raise ValidationError(f"events live in different dimensions: {e.dim} vs {f.dim}")
-
-
 def complement(e: Event) -> Event:
     """Negation: the projection onto the orthogonal complement of e."""
+    _arg(e, Event, "e")
     return Event(np.eye(e.dim, dtype=np.complex128) - e.matrix, e.dim - e.rank)
 
 
@@ -236,7 +270,7 @@ def is_orthogonal(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     Decided by :func:`_excludes`.  Symmetric for events, since ``f @ e``
     is the adjoint of ``e @ f``.
     """
-    _check_same_space(e, f)
+    _arg(f, Event, "f", _arg(e, Event, "e").dim)
     return bool(_excludes(_frobenius(e.matrix @ f.matrix), _resolution(max(e.rank, f.rank), tol)))
 
 
@@ -246,13 +280,13 @@ def implies(f: Event, e: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     Decided as f excluding e's complement, ``|e @ f - f|_F`` by
     :func:`_excludes`, so it holds where :func:`lattice_meet` finds f in e.
     """
-    _check_same_space(f, e)
+    _arg(e, Event, "e", _arg(f, Event, "f").dim)
     return bool(_excludes(_frobenius(e.matrix @ f.matrix - f.matrix), _resolution(max(e.rank, f.rank), tol)))
 
 
 def commutes(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when e @ f == f @ e within tolerance."""
-    _check_same_space(e, f)
+    _arg(f, Event, "f", _arg(e, Event, "e").dim)
     scale = _frobenius(e.matrix) * _frobenius(f.matrix)
     return _frobenius(e.matrix @ f.matrix - f.matrix @ e.matrix) <= tol.budget(scale)
 
@@ -277,7 +311,7 @@ def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
     orthonormal basis gives a projection by construction, so the result is
     not revalidated.
     """
-    _check_same_space(e, f)
+    _arg(f, Event, "f", _arg(e, Event, "e").dim)
     if e.is_minimal() and f.is_minimal():
         return e if _same(_frobenius(e.matrix - f.matrix), _resolution(1, tol)) else zero_event(e.dim)
     eye = np.eye(e.dim, dtype=np.complex128)

@@ -47,9 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conditioning import PureVector, _chain_events
+from .conditioning import PureVector
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _is_integer, _ray
+from .events import Event, _arg, _args, _is_choice, _is_integer, _ray
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 _PAULI = {
@@ -76,7 +76,7 @@ def spin_projector(axis: str, sign: str) -> Event:
     axis = str(axis).lower()
     if axis not in _PAULI:
         raise ValidationError(f"unknown spin axis {axis!r}; expected one of x, y, z")
-    if sign not in ("+", "-"):
+    if not _is_choice(sign, ("+", "-")):
         raise ValidationError(f"unknown spin sign {sign!r}; expected '+' or '-'")
     s = 1.0 if sign == "+" else -1.0
     return Event((np.eye(2, dtype=np.complex128) + s * _PAULI[axis]) / 2.0, 1)
@@ -101,12 +101,11 @@ class Apparatus:
     detector: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.test_event, Event):
-            raise ValidationError("apparatus test_event must be an Event")
-        if self.mode not in (MODE_BLOCK, MODE_PASS):
+        _arg(self.test_event, Event, "apparatus test_event")
+        if not _is_choice(self.mode, (MODE_BLOCK, MODE_PASS)):
             raise ValidationError(f"unknown apparatus mode {self.mode!r}")
         if self.detector is not None:
-            if self.detector not in ("positive", "negation"):
+            if not _is_choice(self.detector, ("positive", "negation")):
                 raise ValidationError(f"unknown detector outlet {self.detector!r}")
             if self.mode != MODE_PASS:
                 raise ValidationError("a detector requires pass_both mode")
@@ -126,14 +125,12 @@ class Chain:
     _plan: tuple = field(init=False, repr=False, compare=False)  # compiled once for the walk: _compile
 
     def __post_init__(self):
-        if not isinstance(self.preparation, Event):
-            raise ValidationError("preparation must be an Event")
-        if not self.preparation.is_minimal():
+        if not _arg(self.preparation, Event, "preparation").is_minimal():
             raise ValidationError("preparation must be a minimal (rank-1) event")
-        object.__setattr__(self, "apparatuses", tuple(self.apparatuses))
-        if not all(isinstance(app, Apparatus) for app in self.apparatuses):
-            raise ValidationError("chain apparatuses must be Apparatus instances")
-        _chain_events([app.test_event for app in self.apparatuses] + [self.final_outcome], self.preparation.dim)
+        apparatuses = tuple(_args(self.apparatuses, Apparatus, "chain apparatuses", empty=True))
+        object.__setattr__(self, "apparatuses", apparatuses)
+        _args([app.test_event for app in apparatuses], Event, "apparatus test_event", self.dim, empty=True)
+        _arg(self.final_outcome, Event, "final outcome", self.dim)
         object.__setattr__(self, "_plan", _compile(self))
 
     @property
@@ -308,7 +305,7 @@ def evaluate_chain(chain: Chain, tol: Tolerances = DEFAULT_TOL) -> ChainEvaluati
     Because the preparation is minimal, the result is the same for every
     state that can be prepared this way.
     """
-    sums, steps, _, _ = _walk(chain, tol, trace=True)
+    sums, steps, _, _ = _walk(_arg(chain, Chain, "chain"), tol, trace=True)
     return ChainEvaluation(value=_value(sums.values(), tol), steps=tuple(steps))
 
 
@@ -319,9 +316,9 @@ def conditioned_on_record(chain: Chain, record: str, tol: Tolerances = DEFAULT_T
     selects which outlet its record shows ("positive" or "negation"),
     and only the leaves below that outlet count.
     """
-    if record not in ("positive", "negation"):
+    if not _is_choice(record, ("positive", "negation")):
         raise ValidationError(f"unknown record value {record!r}")
-    detector_count = chain._plan[1]
+    detector_count = _arg(chain, Chain, "chain")._plan[1]
     if detector_count != 1:
         raise ValidationError(f"conditioning on a record needs exactly one detector apparatus, found {detector_count}")
     sums, _, _, _ = _walk(chain, tol)
@@ -389,7 +386,7 @@ def sample_chain(
     # Workers past the trial count would receive no trials.
     shares = [base + (1 if w < extra else 0) for w in range(min(int(workers), int(trials)))]
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), w)))) for w in range(len(shares))]
-    sums, _, counts, detector_counts = _walk(chain, tol, shares, rngs)
+    sums, _, counts, detector_counts = _walk(_arg(chain, Chain, "chain"), tol, shares, rngs)
     value = _value(sums.values(), tol)
 
     survivors = counts["positive"] + counts["negation"]

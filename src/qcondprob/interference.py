@@ -57,7 +57,7 @@ import numpy as np
 
 from .conditioning import State
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _ray, is_orthogonal
+from .events import Event, _arg, _args, _ray, is_orthogonal
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 
@@ -109,17 +109,12 @@ def _decompose(
     Raises :class:`UndefinedProbabilityError` when either branch weight
     ``vdot(b_i, c_i)`` is at or below the probability floor.
     """
-    if not isinstance(e1, Event) or not isinstance(e2, Event):
-        raise ValidationError("branch conditions must be Events")
-    if e1.dim != e2.dim:
-        raise ValidationError(f"branch events live in different dimensions: {e1.dim} vs {e2.dim}")
+    for e in (e1, e2):
+        _arg(e, Event, "branch condition", rho.shape[0])
     if not is_orthogonal(e1, e2, tol):
         raise ValidationError("branch events must be mutually exclusive (orthogonal)")
     for d in outcomes:
-        if not isinstance(d, Event):
-            raise ValidationError("outcome must be an Event")
-    if any(x.dim != rho.shape[0] for x in (e1, *outcomes)):
-        raise ValidationError("state, outcome and branch dimensions must agree")
+        _arg(d, Event, "outcome", rho.shape[0])
     b1, b2 = e1.matrix @ rho, e2.matrix @ rho
     c1, c2 = (b1, b2) if rho.ndim == 1 else (e1.matrix, e2.matrix)
     w1, w2 = float(np.vdot(b1, c1).real), float(np.vdot(b2, c2).real)
@@ -147,9 +142,7 @@ def _decompose(
 
 def _prepared(f: Event) -> np.ndarray:
     """The unit ray of a minimal preparation ``f``, which stands for the state ``f`` itself."""
-    if not isinstance(f, Event):
-        raise ValidationError("preparation must be an Event")
-    if not f.is_minimal():
+    if not _arg(f, Event, "preparation").is_minimal():
         raise ValidationError("preparation event must be minimal (rank 1)")
     return _ray(f)
 
@@ -178,7 +171,7 @@ def split_cond_prob(mu: State, d: Event, e1: Event, e2: Event, tol: Tolerances =
     :class:`UndefinedProbabilityError` if either branch carries
     probability at or below the floor.
     """
-    return _report(mu.rho, d, e1, e2, tol, coherent=True)
+    return _report(_arg(mu, State, "state").rho, d, e1, e2, tol, coherent=True)
 
 
 def objective_split(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:
@@ -224,8 +217,7 @@ def double_slit_scan(
     decomposition is undefined for every detector, and every row is
     flagged ``defined=False`` with NaN values.
     """
-    if not detectors:
-        raise ValidationError("detector bank must contain at least one event")
+    detectors = _args(detectors, object, "detector bank")  # each read as an outcome by _decompose
     try:
         _, terms = _decompose(_prepared(f), e1, e2, detectors, tol)
     except UndefinedProbabilityError:

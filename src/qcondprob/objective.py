@@ -43,9 +43,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .conditioning import PureVector, State, _chain_events, _chain_product
+from .conditioning import PureVector, State, _chain_product, _vector
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _frobenius, _ray
+from .events import Event, _arg, _args, _frobenius, _ray
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 
@@ -195,9 +195,7 @@ def objective_seq(d: Event, chain: Sequence[Event], tol: Tolerances = DEFAULT_TO
     sequence at all, and :class:`ValidationError` when the reference
     ``E @ adjoint(E)`` is numerically zero.
     """
-    if not isinstance(d, Event):
-        raise ValidationError("objective_seq expects an Event to evaluate")
-    events = _chain_events(chain, d.dim)
+    events = _args(chain, Event, "conditioning chain", _arg(d, Event, "outcome").dim)
     j = next((k for k, e in enumerate(events) if e.is_minimal()), None)
     if j is None:
         lam, residual, reference_norm = _dense_fit(d.matrix, events, tol)
@@ -211,12 +209,11 @@ def pure_event_prob(psi: PureVector, d: Event, tol: Tolerances = DEFAULT_TOL) ->
 
     Equals ``<psi| d |psi> / <psi|psi>`` and coincides with the
     state-independent conditional probability given the minimal event
-    projecting onto ``psi``.
+    projecting onto ``psi``.  ``psi`` may be raw amplitudes, read as a
+    :class:`PureVector`.
     """
-    if not isinstance(psi, PureVector):
-        psi = PureVector(psi)
-    if psi.dim != d.dim:
-        raise ValidationError(f"dimension mismatch: vector {psi.dim} vs event {d.dim}")
+    psi = _vector(psi, "vector")
+    _arg(d, Event, "event", psi.dim)
     v = psi._unit()
     value = float(np.real(np.vdot(v, d.matrix @ v)))
     return clamp_probability(value, probability_slack(d.rank, tol), what="pure-state probability")
@@ -226,14 +223,11 @@ def transition_prob(psi: PureVector, xi: PureVector, tol: Tolerances = DEFAULT_T
     """Squared overlap ``|<psi|xi>|^2`` of two normalised directions.
 
     Symmetric in its arguments; equals the state-independent probability
-    of one minimal event given the other, and clamps as one.
+    of one minimal event given the other, and clamps as one.  Either
+    argument may be raw amplitudes, read as a :class:`PureVector`.
     """
-    if not isinstance(psi, PureVector):
-        psi = PureVector(psi)
-    if not isinstance(xi, PureVector):
-        xi = PureVector(xi)
-    if psi.dim != xi.dim:
-        raise ValidationError(f"dimension mismatch: {psi.dim} vs {xi.dim}")
+    psi = _vector(psi, "psi")
+    xi = _vector(xi, "xi", psi.dim)
     value = abs(complex(np.vdot(psi._unit(), xi._unit()))) ** 2
     return clamp_probability(value, probability_slack(1, tol), what="transition probability")
 
@@ -247,9 +241,7 @@ def state_from_outcome(e: Event) -> State:
     outcomes leave the state underdetermined, so they raise
     :class:`UndefinedProbabilityError`.
     """
-    if not isinstance(e, Event):
-        raise ValidationError("state_from_outcome expects an Event")
-    if not e.is_minimal():
+    if not _arg(e, Event, "outcome").is_minimal():
         raise UndefinedProbabilityError(
             f"outcome of rank {e.rank} does not determine a state; only minimal outcomes do"
         )

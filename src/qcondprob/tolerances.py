@@ -70,9 +70,12 @@ def probability_slack(rank: int, tol: Tolerances = DEFAULT_TOL) -> float:
     A branch weight ``|e u|^2 / |u|^2``, or one of ``I - e`` (same defects),
     is at most ``(|h|_2 + |A|_2 / 2)^2 <= 1 + 3b + O(b^2)``.  ``4b`` bounds
     both with ``b`` to spare for the second-order terms, and is never below
-    ``budget()``.
+    ``budget()``.  A ``rank`` that is not a nonnegative number is refused.
     """
-    return 4.0 * tol.budget(math.sqrt(rank))
+    try:
+        return 4.0 * tol.budget(math.sqrt(rank))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"rank must be a nonnegative number, got {rank!r}") from exc
 
 
 def clamp_probability(value: float, slack: float, what: str = "probability") -> float:
@@ -80,8 +83,12 @@ def clamp_probability(value: float, slack: float, what: str = "probability") -> 
 
     ``slack`` is the bound the value's derivation gives, usually
     :func:`probability_slack`, so validated input stays within it; a
-    value further out signals broken arithmetic and raises :class:`InvariantError`.
+    value further out signals broken arithmetic and raises :class:`InvariantError`;
+    a value or slack that is not a real number, :class:`ValidationError`.
     """
-    if value < -slack or value > 1.0 + slack:
-        raise InvariantError(f"{what} {value!r} lies outside [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)
+    try:
+        if value < -slack or value > 1.0 + slack:
+            raise InvariantError(f"{what} {value!r} lies outside [0, 1] beyond tolerance")
+        return min(max(value, 0.0), 1.0)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} {value!r} and slack {slack!r} must be real numbers") from exc

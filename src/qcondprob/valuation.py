@@ -30,7 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import InvariantError, ValidationError
-from .events import Event, _excludes, _index, _resolution, _same
+from .events import Event, _arg, _args, _excludes, _index, _resolution, _same
 from .tolerances import DEFAULT_TOL, Tolerances
 
 # The search is exhaustive, so cap the instance size well below where
@@ -170,13 +170,8 @@ class ValuationProblem:
         resolutions: Sequence[Sequence[int]] | None = None,
         tol: Tolerances = DEFAULT_TOL,
     ):
-        raw = list(events)
-        if not raw:
-            raise ValidationError("valuation problem needs at least one event")
-        if not all(isinstance(e, Event) for e in raw):
-            raise ValidationError("valuation problem events must be Events")
-        if any(e.dim != raw[0].dim for e in raw):
-            raise ValidationError("all events must share one dimension")
+        raw = _args(events, Event, "valuation problem events")
+        _args(raw, Event, "valuation problem events", raw[0].dim)
         stack = np.stack([e.matrix for e in raw])
         if any(e.is_zero() for e in raw):
             raise ValidationError("the zero event cannot carry a truth value")
@@ -192,8 +187,9 @@ class ValuationProblem:
             families = _enumerate_resolutions(ranks, dim, exclusive)
         else:
             families = []
-            for fam in resolutions:
-                listed = [remap[_index(i, len(raw), "resolution index")] for i in fam]
+            for fam in _args(resolutions, object, "resolutions", empty=True):
+                family = _args(fam, object, "resolution", empty=True)
+                listed = [remap[_index(i, len(raw), "resolution index")] for i in family]
                 mapped = sorted(set(listed))
                 if len(mapped) < len(listed):
                     raise ValidationError("resolution members must be distinct events")
@@ -258,7 +254,7 @@ def search_valuation(problem: ValuationProblem) -> ValuationResult:
     A found assignment is re-verified against the full constraint set
     before being returned.
     """
-    n = len(problem.events)
+    n = len(_arg(problem, ValuationProblem, "problem").events)
     exclusive = problem._exclusive
     families = [sum(1 << i for i in fam) for fam in problem.resolutions]
     everything = (1 << n) - 1

@@ -29,6 +29,8 @@ def test_space_validation():
         ClassicalSpace([1.2, -0.2])
     with pytest.raises(ValidationError):
         ClassicalSpace([])
+    with pytest.raises(ValidationError, match="weights must be one-dimensional"):
+        ClassicalSpace([[0.5], [0.5]])
 
 
 def test_event_construction():
@@ -46,6 +48,10 @@ def test_event_construction():
             ClassicalEvent.from_indices(n_outcomes, [0])
     with pytest.raises(ValidationError, match="needs a membership entry per outcome"):
         ClassicalEvent([])
+    # A mask is one-dimensional and boolean; nothing is flattened or read by truthiness.
+    for membership in ([[True, False], [False, True]], None, ["a", ""], [2, 0.5], [1, 0]):
+        with pytest.raises(ValidationError, match="one-dimensional boolean mask"):
+            ClassicalEvent(membership)
 
 
 def test_prob_and_cond_prob_on_die():
@@ -83,7 +89,7 @@ def test_repeated_equals_intersection_and_ignores_order():
         assert abs(value - classical_cond_prob(space, d, joint)) < 1e-12
         permuted = [chain[i] for i in rng.permutation(len(chain))]
         assert abs(classical_repeated(space, d, permuted) - value) < 1e-12
-    with pytest.raises(ValidationError, match="chain must contain at least one event"):
+    with pytest.raises(ValidationError, match="conditioning chain must contain at least one entry"):
         classical_repeated(space, d, [])
 
 

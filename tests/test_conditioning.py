@@ -22,6 +22,7 @@ from qcondprob import (
     spin_projector,
     spin_vector,
     state_value,
+    transition_prob,
     validate_event,
 )
 from qcondprob.fixtures import lower_block_state_dim4, mixed_state_dim4, objective_pair
@@ -37,6 +38,13 @@ def test_pure_vector_validation():
         PureVector([])
     with pytest.raises(ValidationError):
         PureVector([np.inf, 1])
+    # A matrix is not flattened into a vector, wherever amplitudes are read.
+    with pytest.raises(ValidationError, match="one-dimensional vector"):
+        PureVector(np.eye(2))
+    with pytest.raises(ValidationError, match="one-dimensional vector"):
+        State.from_ensemble([(1, np.eye(2))])
+    with pytest.raises(ValidationError, match="one-dimensional vector"):
+        transition_prob(np.eye(2), [1, 0, 0, 0])
     v = PureVector([3, 4j])
     assert v.dim == 2
     assert abs(v.norm() - 5) < 1e-15
@@ -180,7 +188,7 @@ def test_state_value_dimension_mismatch():
     # Conditioning refuses the same mismatch, in the event and in the conditioned operand.
     with pytest.raises(ValidationError, match="dimension mismatch"):
         cond_state(mixed, wide)
-    with pytest.raises(ValidationError, match="dimensions must agree"):
+    with pytest.raises(ValidationError, match="dimension mismatch: conditioned operand has dimension 3, expected 2"):
         cond_prob(mixed, wide, validate_event(np.eye(2)))
 
 

@@ -102,6 +102,15 @@ def test_apparatus_validation():
         Apparatus(xp, detector="sideways")
     with pytest.raises(ValidationError):
         Apparatus(xp, mode=MODE_BLOCK, detector="positive")
+    # A string choice is a str among the options; an array is never compared elementwise.
+    with pytest.raises(ValidationError, match="unknown apparatus mode array"):
+        Apparatus(xp, mode=np.array([MODE_PASS, MODE_BLOCK]))
+    with pytest.raises(ValidationError, match="unknown detector outlet array"):
+        Apparatus(xp, detector=np.array(["positive", "negation"]))
+    with pytest.raises(ValidationError, match="unknown spin sign array"):
+        spin_projector("z", np.array(["+", "-"]))
+    with pytest.raises(ValidationError, match="unknown record value array"):
+        conditioned_on_record(detector_chain(), np.array(["positive", "negation"]))
 
 
 def test_chain_validation():
@@ -124,6 +133,8 @@ def test_chain_validation():
         Chain(zp, [Apparatus(big)], zp)
     with pytest.raises(ValidationError):
         Chain(zp, [], big)
+    with pytest.raises(ValidationError, match="chain apparatuses must be a sequence, got NoneType"):
+        Chain(zp, None, zp)
     assert wide.rank == 1  # complement of a minimal qubit event stays minimal
 
 

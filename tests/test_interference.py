@@ -67,9 +67,9 @@ def test_split_validation_and_undefined():
         split_cond_prob(mu, d, e1, overlapping)
     with pytest.raises(ValidationError):
         split_cond_prob(mu, d.matrix, e1, e2)
-    with pytest.raises(ValidationError, match="must be Events"):
+    with pytest.raises(ValidationError, match="branch condition must be an Event, got ndarray"):
         split_cond_prob(mu, d, e1, e2.matrix)
-    with pytest.raises(ValidationError, match="branch events live in different dimensions"):
+    with pytest.raises(ValidationError, match="dimension mismatch: branch condition has dimension 2, expected 3"):
         split_cond_prob(mu, d, e1, validate_event(np.diag([0.0, 1.0])))
     concentrated = State(np.diag([1.0, 0.0, 0.0]))
     with pytest.raises(UndefinedProbabilityError):

@@ -328,7 +328,7 @@ def test_objective_seq_validation():
         objective_seq(d, [spin_projector("z", "+")])
     with pytest.raises(ValidationError):
         objective_cond_prob(d, e.matrix)
-    with pytest.raises(ValidationError, match="objective_seq expects an Event"):
+    with pytest.raises(ValidationError, match="outcome must be an Event, got ndarray"):
         objective_seq(d.matrix, [e])
 
 
@@ -345,7 +345,7 @@ def test_pure_event_prob():
     assert abs(pure_event_prob([3.7, 0.0], spin_projector("x", "+")) - 0.5) < 1e-15
     with pytest.raises(ValidationError, match="vector must be nonzero"):
         pure_event_prob([0.0, 0.0], spin_projector("x", "+"))
-    with pytest.raises(ValidationError, match="dimension mismatch: vector 2 vs event 3"):
+    with pytest.raises(ValidationError, match="dimension mismatch: event has dimension 3, expected 2"):
         pure_event_prob(zp, validate_event(np.eye(3)))
 
 
@@ -372,7 +372,7 @@ def test_transition_prob():
     # Equals the probability of one minimal event given the other.
     r = objective_cond_prob(zp.projector(), xp.projector())
     assert abs(transition_prob(xp, zp) - r.value) < 1e-12
-    with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 3"):
+    with pytest.raises(ValidationError, match="dimension mismatch: xi has dimension 3, expected 2"):
         transition_prob(zp, [1.0, 0.0, 0.0])
 
 
@@ -393,7 +393,7 @@ def test_state_from_outcome():
         state_from_outcome(validate_event(np.diag([1.0, 1.0, 0.0])))
     with pytest.raises(UndefinedProbabilityError):
         state_from_outcome(complement(validate_event(np.eye(2))))
-    with pytest.raises(ValidationError, match="state_from_outcome expects an Event"):
+    with pytest.raises(ValidationError, match="outcome must be an Event, got ndarray"):
         state_from_outcome(xp.matrix)
 
 

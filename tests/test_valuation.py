@@ -33,7 +33,7 @@ def test_build_resolutions_simple_cases():
     assert ValuationProblem([zp]).resolutions == ()
     # A repeated event is deduplicated before the enumeration.
     assert ValuationProblem([zp, zm, zp]).resolutions == ((0, 1),)
-    with pytest.raises(ValidationError, match="at least one event"):
+    with pytest.raises(ValidationError, match="valuation problem events must contain at least one entry"):
         ValuationProblem([])
 
 
@@ -74,6 +74,8 @@ def test_problem_validation():
     zm = spin_projector("z", "-")
     with pytest.raises(ValidationError):
         ValuationProblem([])
+    with pytest.raises(ValidationError, match="valuation problem events must be a sequence, got NoneType"):
+        ValuationProblem(None)
     with pytest.raises(ValidationError):
         ValuationProblem([zp, zp.matrix])
     with pytest.raises(ValidationError):
@@ -99,6 +101,10 @@ def test_explicit_resolutions_are_checked():
         ValuationProblem([a, wide, c], resolutions=[(0, 1, 2)])
     with pytest.raises(ValidationError):
         ValuationProblem([a, b, c], resolutions=[(0, 1, 7)])
+    with pytest.raises(ValidationError, match="resolutions must be a sequence, got int"):
+        ValuationProblem([a, b, c], resolutions=5)
+    with pytest.raises(ValidationError, match="resolution must be a sequence, got int"):
+        ValuationProblem([a, b, c], resolutions=[5])
     # One event listed twice, by its index or by a copy's, is not a family
     # of distinct exclusive members, whatever the ranks add up to.
     with pytest.raises(ValidationError, match="distinct"):
