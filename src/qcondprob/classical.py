@@ -78,9 +78,12 @@ class ClassicalEvent:
 
     @classmethod
     def from_indices(cls, n_outcomes: int, indices: Iterable[int]) -> "ClassicalEvent":
+        """The outcomes listed by ``indices``: an iterable of integers or a one-dimensional index array."""
         n_outcomes = _dimension(n_outcomes)
+        if isinstance(indices, np.ndarray) and indices.ndim == 1:
+            indices = list(indices)
         mask = np.zeros(n_outcomes, dtype=bool)
-        for i in indices:
+        for i in _args(indices, object, "outcome indices", empty=True):
             mask[_index(i, n_outcomes, "outcome index")] = True
         return cls(mask)
 
@@ -146,10 +149,11 @@ def embed_event(event: ClassicalEvent) -> Event:
 
 
 def embed_diagonal(space: ClassicalSpace) -> State:
-    """Diagonal density matrix carrying the space's weights.
+    """Diagonal density matrix carrying the space's weights, with the diagonal factor of their roots.
 
     The weights were checked when the space was built (finite,
     nonnegative, summing to 1), so their diagonal matrix is a state and
     is wrapped without re-running the checks of ``State(...)``.
     """
-    return State._trusted(np.diag(_arg(space, ClassicalSpace, "space").weights.astype(np.complex128)))
+    w = _arg(space, ClassicalSpace, "space").weights.astype(np.complex128)
+    return State._trusted(np.diag(np.sqrt(w)), np.diag(w))

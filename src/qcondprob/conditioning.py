@@ -2,60 +2,49 @@
 
 A state assigns each event its probability via ``mu(e) = trace(rho @ e)``
 for a density matrix ``rho`` (self-adjoint, positive semi-definite,
-trace 1).  Conditioning on an event ``e`` with ``mu(e) > 0`` produces the
-updated state
+trace 1), and keeps a factor ``W`` with ``rho = W @ adjoint(W)``, as an
+event keeps its ray.  Conditioning on an event ``e`` with ``mu(e) > 0``
+maps ``W`` to ``adjoint(e) @ W`` and renormalises: the updated state is
 
-    rho_e = (e @ rho @ e) / trace(e @ rho @ e)
-
-(for a projection the denominator is ``mu(e)``), and the conditional
-probability of ``d`` given ``e`` is the value of the updated state at
-``d``, which works out to
-
-    mu(d | e) = trace(rho @ e @ d @ e) / trace(rho @ e).
+    rho_e = (e @ rho @ e) / trace(e @ rho @ e).
 
 Conditioning on several events in succession collapses into one closed
-form: with the ordered product ``E = e1 @ e2 @ ... @ en``,
+form: with the ordered product ``E = e1 @ e2 @ ... @ en`` and
+``X = adjoint(E) @ W``,
 
-    mu(d | e1, ..., en) = trace(rho @ E @ d @ adjoint(E))
-                          / trace(rho @ E @ adjoint(E)).
+    mu(d | e1, ..., en) = trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))
+                        = Re vdot(X, d @ X) / vdot(X, X),
 
-One private kernel evaluates this closed form.  A single condition is
-the chain of length one, so :func:`cond_prob` is the kernel on ``[e]``
-and equals :func:`repeated_cond_prob` on ``[e]`` bit for bit.
-:func:`repeated_cond_prob` always cross-checks it against the fold of
-:func:`cond_state` over the chain and raises if the two disagree.
+a ratio of squared norms (Lüders 1951).  One private quotient serves
+the closed form and its step-by-step cross-check (the fold
+``X -> adjoint(e) @ X``), and one refusal of a weight ``vdot(X, X)`` at
+or below the probability floor serves it and :func:`cond_state`, which
+divides ``X`` by the root of that weight.  A single condition is the
+chain of length one, so :func:`cond_prob` equals
+:func:`repeated_cond_prob` on ``[e]`` bit for bit.
 
 Validation happens once, at the boundary: ``State(...)`` checks every
-matrix handed to it, and :func:`cond_state` and :meth:`State.from_ensemble`
-wrap what they build from validated objects without checking it again.
-Traces of products with a self-adjoint factor are taken as elementwise
-sums in O(d^2) rather than by forming the product in O(d^3).
+matrix handed to it and reads its factor from the eigendecomposition;
+the other constructors and :func:`cond_state` build the factor of a
+state by construction and do not check it again.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, _arg, _args, _dimension, _frobenius, _self_adjoint_matrix
+from .events import Event, _arg, _args, _dimension, _frobenius, _is_number, _self_adjoint_matrix
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 # Agreement threshold between the closed-form and step-by-step values of
 # a repeated conditional probability, relative to max(1, |value|): a fixed
 # bound on the round-off of two association orders, not a user tolerance.
 _PATH_AGREEMENT_TOL = 1e-12
-
-
-def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """``Re trace(a @ b)`` as the elementwise sum ``Re vdot(b, a)``.
-
-    ``vdot(b, a)`` is ``trace(adjoint(b) @ a)``, whose real part equals
-    ``Re trace(a @ b)`` whenever either factor is self-adjoint.  Costs
-    O(d^2) instead of the O(d^3) of forming the product.
-    """
-    return float(np.real(np.vdot(b, a)))
 
 
 def _scaled_norm(v: np.ndarray) -> tuple[float, float]:
@@ -128,17 +117,19 @@ def _vector(x, what: str, dim: int | None = None) -> PureVector:
 
 
 class State:
-    """A density matrix: the probability assignment over events.
+    """A density matrix ``rho = W @ adjoint(W)`` and its factor ``W``: the probability assignment over events.
 
     Construct from an explicit matrix (validated for self-adjointness,
     positive semi-definiteness and unit trace) or from an ensemble of
     weighted vectors via :meth:`from_ensemble`.  Positive
     semi-definiteness lets the smallest eigenvalue dip to
     ``-tol.atol * max(1, |trace|)``, as round-off slack: an eigenvalue's
-    round-off scales with the trace, not with a Frobenius norm.
+    round-off scales with the trace, not with a Frobenius norm.  The
+    factor keeps ``sqrt(lam) v`` for each eigenpair with ``lam > 0``, so
+    an eigenvalue inside that slack reads as 0 in it.
     """
 
-    __slots__ = ("_rho",)
+    __slots__ = ("_rho", "_factor")
 
     def __init__(self, rho, tol: Tolerances = DEFAULT_TOL):
         m, _ = _self_adjoint_matrix(rho, "state matrix", tol)
@@ -146,64 +137,68 @@ class State:
         tr = float(np.real(np.trace(m)))
         if not tol.close(tr, 1.0):
             raise ValidationError(f"state trace {tr!r} differs from 1 beyond tolerance")
-        if float(np.linalg.eigvalsh(m)[0]) < -tol.atol * max(1.0, abs(tr)):
+        lam, vectors = np.linalg.eigh(m)
+        if float(lam[0]) < -tol.atol * max(1.0, abs(tr)):
             raise ValidationError("state matrix is not positive semi-definite within tolerance")
-        m.setflags(write=False)
+        positive = lam > 0
+        self._factor = vectors[:, positive] * np.sqrt(lam[positive])
         self._rho = m
+        self._factor.setflags(write=False)
+        m.setflags(write=False)
 
     @classmethod
-    def _trusted(cls, rho: np.ndarray) -> "State":
-        """Wrap a matrix that is a state by construction, without validation.
+    def _trusted(cls, factor: np.ndarray, rho: np.ndarray | None = None) -> "State":
+        """Wrap the factor ``W`` (complex, d x m) of a state by construction, without validation.
 
-        For package code whose result is a state because its inputs were
-        validated: ``rho`` must be a freshly built, exactly self-adjoint
-        complex array that no caller holds.  It is made read-only here.
+        For package code whose inputs were validated.  Without ``rho``,
+        ``W @ adjoint(W)`` is formed and symmetrised; a given ``rho`` must
+        be that product, exactly self-adjoint.  Both are made read-only.
         """
+        if rho is None:
+            rho = factor @ factor.conj().T
+            rho = (rho + rho.conj().T) / 2.0
         state = cls.__new__(cls)
+        factor.setflags(write=False)
         rho.setflags(write=False)
-        state._rho = rho
+        state._factor, state._rho = factor, rho
         return state
 
     @classmethod
     def from_ensemble(cls, pairs: Iterable[tuple[float, PureVector]]) -> "State":
         """Mix weighted pure vectors into a state.
 
-        ``pairs`` is an iterable of (weight, vector).  Weights must be
-        nonnegative with a positive sum and are normalised to 1; vectors
-        are normalised individually, so
+        ``pairs`` is a nonempty iterable of (weight, vector).  Weights
+        must be finite nonnegative numbers (an ``int`` or ``float``, not a
+        bool) with a positive sum and are normalised to 1; vectors are
+        normalised individually, so
 
             rho = sum_i  w_i * |v_i><v_i| / <v_i|v_i>.
 
-        A convex mixture of unit rays is a state by construction, so the
-        symmetrised sum is wrapped without the checks of ``State(...)``.
+        The factor stacks the columns ``sqrt(w_i) v_i / |v_i|``: a convex
+        mixture of unit rays is a state by construction, so it is wrapped
+        without the checks of ``State(...)``.
         """
-        pairs = list(pairs)
-        if not pairs:
-            raise ValidationError("ensemble must contain at least one component")
         weights, vectors = [], []
-        for w, v in pairs:
-            w = float(w)
-            if not np.isfinite(w) or w < 0:
-                raise ValidationError(f"ensemble weight {w!r} must be finite and nonnegative")
-            weights.append(w)
-            vectors.append(_vector(v, "ensemble vector", vectors[0].dim if vectors else None))
+        for pair in _args(pairs, object, "ensemble"):
+            pair = _args(pair, object, "ensemble component")
+            if len(pair) != 2 or not (_is_number(pair[0]) and 0 <= pair[0] <= sys.float_info.max):
+                raise ValidationError(f"ensemble component {pair!r} is not a (finite weight >= 0, vector) pair")
+            weights.append(float(pair[0]))
+            vectors.append(_vector(pair[1], "ensemble vector", vectors[0].dim if vectors else None))
         # Scaled by the largest weight, so the sum cannot overflow.
         top = max(weights)
         if top <= 0:
             raise ValidationError("ensemble weights must have positive sum")
         total = sum(w / top for w in weights)
-        dim = vectors[0].dim
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        for w, v in zip(weights, vectors):
-            u = v._unit()
-            rho += (w / top / total) * np.outer(u, u.conj())
-        return cls._trusted((rho + rho.conj().T) / 2.0)
+        columns = [math.sqrt(w / top / total) * v._unit() for w, v in zip(weights, vectors)]
+        return cls._trusted(np.stack(columns, axis=1))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "State":
         """The uniform state, identity divided by dimension: a state by construction, so not checked again."""
         dim = _dimension(dim)
-        return cls._trusted(np.eye(dim, dtype=np.complex128) / dim)
+        eye = np.eye(dim, dtype=np.complex128)
+        return cls._trusted(eye / math.sqrt(dim), eye / dim)
 
     @property
     def rho(self) -> np.ndarray:
@@ -230,41 +225,43 @@ def state_value(mu: State, a, tol: Tolerances = DEFAULT_TOL) -> float:
     departure beyond :func:`probability_slack` raising :class:`InvariantError`.
     """
     m = _operand_matrix(a, "operand of state_value", tol, _arg(mu, State, "state").dim)
-    value = _real_trace_product(mu.rho, m)
+    # Re trace(rho @ m) == Re vdot(m, rho) for self-adjoint m: O(d^2) instead of forming the product.
+    value = float(np.real(np.vdot(m, mu.rho)))
     if isinstance(a, Event):
         return clamp_probability(value, probability_slack(a.rank, tol), what="event probability")
     return value
 
 
-def _compress(rho: np.ndarray, e: Event) -> np.ndarray:
-    """The unnormalised Lüders compression ``adjoint(e) @ rho @ e``."""
-    m = e.matrix
-    return m.conj().T @ rho @ m
+def _weight(x: np.ndarray, tol: Tolerances, what: str) -> float:
+    """``Re vdot(x, x)``, the weight of a compressed factor ``x``: the one refusal of a Lüders value.
+
+    Raises :class:`UndefinedProbabilityError`, naming ``what`` was
+    conditioned on, when the weight is at or below the probability floor.
+    """
+    weight = float(np.vdot(x, x).real)
+    if weight <= tol.prob_floor:
+        raise UndefinedProbabilityError(f"cannot condition on {what} of probability {weight!r}")
+    return weight
 
 
 def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     """State update on observing ``e``: ``(e @ rho @ e) / trace(e @ rho @ e)``.
 
     For an exact projection the denominator is ``mu(e) = trace(rho @ e)``.
-    The compression is taken as ``adjoint(e) @ rho @ e``, the step of
-    :func:`repeated_cond_prob`'s cross-check, and divided by its own
-    trace, exactly like the closed form, so the two agree even for events
-    that are self-adjoint and idempotent only within tolerance.
+    The updated factor is ``adjoint(e) @ W`` divided by the root of its
+    weight, the step of :func:`repeated_cond_prob`'s cross-check, so
+    the two agree even for events that are self-adjoint and idempotent
+    only within tolerance.  A validated state compressed by a validated
+    event and renormalised is a state, so the result skips the checks of
+    ``State(...)``.
 
-    A validated state compressed by a validated event and renormalised is
-    a state, so the symmetrised result skips the checks of ``State(...)``.
-
-    Raises :class:`UndefinedProbabilityError` when that trace is at or
-    below the probability floor, since conditioning on a probability-zero
-    event is undefined.
+    Raises :class:`UndefinedProbabilityError` when the weight
+    ``trace(e @ rho @ e)`` is at or below the probability floor, since
+    conditioning on a probability-zero event is undefined.
     """
     _arg(e, Event, "condition", _arg(mu, State, "state").dim)
-    compressed = _compress(mu.rho, e)
-    p = float(np.real(np.trace(compressed)))
-    if p <= tol.prob_floor:
-        raise UndefinedProbabilityError(f"cannot condition on an event of probability {p!r}")
-    updated = compressed / p
-    return State._trusted((updated + updated.conj().T) / 2.0)
+    x = e.matrix.conj().T @ mu._factor
+    return State._trusted(x / math.sqrt(_weight(x, tol, "an event")))
 
 
 def _chain_product(events: list[Event]) -> np.ndarray:
@@ -275,35 +272,35 @@ def _chain_product(events: list[Event]) -> np.ndarray:
     return product
 
 
+def _value(x: np.ndarray, d, dm: np.ndarray, tol: Tolerances, what: str) -> float:
+    """The Lüders quotient ``Re vdot(x, dm @ x) / Re vdot(x, x)``, clamped as ``what`` when ``d`` is an event."""
+    weight = _weight(x, tol, "a chain")
+    value = float(np.vdot(x, dm @ x).real) / weight
+    if isinstance(d, Event):
+        value = clamp_probability(value, probability_slack(d.rank, tol), what=what)
+    return value
+
+
 def _closed_form(mu: State, d, events: list[Event], tol: Tolerances) -> tuple[float, np.ndarray]:
-    """``trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))`` for the ordered product ``E``, and d's matrix.
+    """``Re vdot(X, d @ X) / vdot(X, X)`` at ``X = adjoint(E) @ W`` for the ordered product ``E``, and d's matrix.
 
     The one conditioning kernel: :func:`cond_prob` is it on a one-element
     chain, and :func:`repeated_cond_prob` cross-checks it on the operand
     matrix validated here.  ``mu`` and ``events`` are checked by the caller.
     """
-    product = _chain_product(events)
     dm = _operand_matrix(d, "conditioned operand", tol, mu.dim)
-    # trace(adjoint(E) @ rho @ E @ X) == vdot(E, rho @ E @ X) for both X = 1 and X = d.
-    weighted = mu.rho @ product
-    den = float(np.vdot(product, weighted).real)
-    if den <= tol.prob_floor:
-        raise UndefinedProbabilityError(f"cannot condition on a chain of probability {den!r}")
-    value = float(np.vdot(product, weighted @ dm).real) / den
-    if isinstance(d, Event):
-        value = clamp_probability(value, probability_slack(d.rank, tol), what="conditional probability")
-    return value, dm
+    return _value(_chain_product(events).conj().T @ mu._factor, d, dm, tol, "conditional probability"), dm
 
 
 def cond_prob(mu: State, d, e: Event, tol: Tolerances = DEFAULT_TOL) -> float:
     """Conditional probability ``trace(rho @ e @ d @ e) / trace(rho @ e)``.
 
-    The closed form on ``[e]`` (module docstring), with the compression
-    ``adjoint(e) @ rho @ e`` divided by its own trace.  ``d`` may be an
-    event or any self-adjoint matrix (in which case the result is a
-    conditional expectation rather than a probability and is not
-    clamped).  Raises :class:`UndefinedProbabilityError` when ``mu(e)``
-    is at or below the probability floor.
+    The closed form on ``[e]`` (module docstring), the Lüders quotient of
+    ``d`` at ``adjoint(e) @ W``.  ``d`` may be an event or any self-adjoint
+    matrix (in which case the result is a conditional expectation rather
+    than a probability and is not clamped).  Raises
+    :class:`UndefinedProbabilityError` when ``mu(e)`` is at or below the
+    probability floor.
     """
     return _closed_form(mu, d, [_arg(e, Event, "condition", _arg(mu, State, "state").dim)], tol)[0]
 
@@ -315,15 +312,14 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
 
         trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))
 
-    and recomputes the value step by step: it folds the unnormalised
-    compressions ``C -> adjoint(e) @ C @ e`` over the chain from
-    ``C = rho`` and takes ``Re trace(C @ d) / Re trace(C)`` once at the
-    end.  This is the fold of :func:`cond_state`, whose per-step traces
-    cancel, and whose symmetrisation leaves ``Re trace(C @ d)`` unchanged.
-    The two paths must agree to ``1e-12 * max(1, |value|)``, so to 1e-12
-    for an event outcome; disagreement raises :class:`InvariantError`.
-    A weight ``trace(C)`` at or below the probability floor on either
-    path raises :class:`UndefinedProbabilityError`.
+    and recomputes the value step by step: it folds ``X -> adjoint(e) @ X``
+    over the chain from the state's factor ``X = W`` and takes the Lüders
+    quotient once at the end, the fold of :func:`cond_state` without its
+    per-step normalisations, which cancel.  The two association orders
+    must agree to ``1e-12 * max(1, |value|)``, so to 1e-12 for an event
+    outcome; disagreement raises :class:`InvariantError`.  A weight at or
+    below the probability floor on either path raises
+    :class:`UndefinedProbabilityError`.
 
     The order of the chain matters: distinct orderings of the same events
     are genuinely different observations and give different values.  As
@@ -331,16 +327,10 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
     """
     events = _args(chain, Event, "conditioning chain", _arg(mu, State, "state").dim)
     value, dm = _closed_form(mu, d, events, tol)
-    compressed = mu.rho
+    x = mu._factor
     for e in events:
-        compressed = _compress(compressed, e)
-    weight = float(np.real(np.trace(compressed)))
-    if weight <= tol.prob_floor:
-        raise UndefinedProbabilityError(f"cannot condition on a chain of probability {weight!r}")
-    stepwise = _real_trace_product(compressed, dm) / weight
-    if isinstance(d, Event):
-        slack = probability_slack(d.rank, tol)
-        stepwise = clamp_probability(stepwise, slack, what="step-by-step conditional probability")
+        x = e.matrix.conj().T @ x
+    stepwise = _value(x, d, dm, tol, "step-by-step conditional probability")
     if abs(value - stepwise) > _PATH_AGREEMENT_TOL * max(1.0, abs(value)):
         raise InvariantError(f"closed-form and step-by-step conditioning disagree: {value!r} vs {stepwise!r}")
     return value

@@ -13,10 +13,10 @@ events.  The logical structure lives in the matrix algebra:
 
 This module also holds the package's one input check for matrices,
 which events, states and operands all pass, its one index, dimension,
-choice and argument rule, the event lattice's one resolution limit, the
-one sameness and one exclusion rule, and the ray of a minimal event,
-which the event keeps once derived.  Every comparison here is at
-Frobenius scale, within a :meth:`Tolerances.budget`.
+number, choice and argument rule, the event lattice's one resolution
+limit, the one sameness and one exclusion rule, and the ray of a
+minimal event, which the event keeps once derived.  Every comparison
+here is at Frobenius scale, within a :meth:`Tolerances.budget`.
 """
 
 from __future__ import annotations
@@ -33,15 +33,22 @@ class Event:
     """A validated orthogonal projection.
 
     Instances are immutable; ``matrix`` is a read-only complex array and
-    ``rank`` the integer trace.  Construct via :func:`validate_event` or
-    the module helpers rather than trusting raw matrices.  A minimal
-    event keeps its ray once :func:`_ray` has derived it.
+    ``rank`` the integer trace.  The constructor checks structure only, a
+    nonempty square matrix and a rank in 0..dim, and no numerics:
+    construct via :func:`validate_event` or the module helpers rather
+    than trusting raw matrices.  A minimal event keeps its ray once
+    :func:`_ray` has derived it.
     """
 
     __slots__ = ("_matrix", "_rank", "_ray")
 
     def __init__(self, matrix: np.ndarray, rank: int):
-        m = np.array(matrix, dtype=np.complex128)
+        try:
+            m = np.array(matrix, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"cannot interpret input as a complex matrix: {exc}") from exc
+        if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1] or not (_is_integer(rank) and 0 <= rank <= m.shape[0]):
+            raise ValidationError(f"event needs a nonempty square matrix and a rank in 0..dim, got {m.shape}, {rank!r}")
         m.setflags(write=False)
         self._matrix = m
         self._rank = int(rank)
@@ -114,6 +121,11 @@ def _frobenius(x: np.ndarray) -> float:
 def _is_integer(i) -> bool:
     """The one integer rule: a Python or numpy integer, not a bool."""
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
+def _is_number(x, kinds=(int, float)) -> bool:
+    """The one number rule: an instance of ``kinds``, not a bool (a JSON boolean loads as ``bool``, an ``int``)."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
 
 
 def _index(i, stop: int, what: str) -> int:

@@ -24,28 +24,25 @@ classical mixture terms survive, the interference term is dropped.
 
 All four entry points read their terms and totals from one kernel and
 one formula.  It checks the split once, by the exclusion rule
-``|e1 @ e2|_F <= 2 tol.budget(sqrt(r))``, r the larger rank, and forms
-``b_i = e_i @ rho`` and ``c_i``: ``c_i = e_i`` for a density matrix,
-``c_i = b_i`` for the ray ``v`` of a minimal preparation, which stands
-for ``rho = v @ adjoint(v)``.  Since
+``|e1 @ e2|_F <= 2 tol.budget(sqrt(r))``, r the larger rank, and reads
+the state as a factor ``W`` of ``rho = W @ adjoint(W)``: the state's own
+factor, or the ray ``v`` of a minimal preparation as the one-column
+factor.  With ``b_i = e_i @ W``, since
 
-    trace(rho @ e_i @ d @ e_j) == vdot(e_i @ rho, d @ e_j)   and
-    adjoint(v) @ e_i @ d @ e_j @ v == vdot(e_i @ v, d @ e_j @ v),
+    trace(rho @ e_i @ d @ e_j) == vdot(e_i @ W, d @ e_j @ W),
 
-every term is ``vdot(b_i, d @ c_j)``, the branch weights are
-``vdot(b_i, c_i)`` and the normalizer is their sum.  The coherent total
+every term is ``vdot(b_i, d @ b_j)``, the branch weights are
+``vdot(b_i, b_i)`` and the normalizer is their sum.  The coherent total
 is the Lüders value of the single condition ``e1 + e2``,
 
-    Re vdot(b_1 + b_2, d @ (c_1 + c_2)) / Re vdot(b_1 + b_2, c_1 + c_2),
+    Re vdot(b_1 + b_2, d @ (b_1 + b_2)) / vdot(b_1 + b_2, b_1 + b_2),
 
-a Rayleigh quotient of ``d`` on a ray and a mean of them on a density
-matrix, read from the same products; the incoherent total is
-``(part1 + part2) / normalizer``.  Both are clamped by the outcome's
-:func:`~qcondprob.tolerances.probability_slack`.  Each outcome costs
-the two products ``d @ c_i``: matrix-vector products in O(d^2) on a ray,
-so no d x d product is formed at all, and on a density matrix d x d
-products, four in all with the two ``b_i``.  No entry point forms
-``e1 + e2`` as a matrix.
+a ratio of squared norms read from the same products; the incoherent
+total is ``(part1 + part2) / normalizer``.  Both are clamped by the
+outcome's :func:`~qcondprob.tolerances.probability_slack`.  Each outcome
+costs the two products ``d @ b_i``, in O(d^2 m) for an m-column factor:
+matrix-vector products on a ray, so no d x d product is formed at all.
+No entry point forms ``e1 + e2`` as a matrix.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ class InterferenceReport:
 
         total * normalizer == part1 + part2 + interference
 
-    holds up to the split's overlap ``2 Re vdot(b_1, c_2) * total`` (module
+    holds up to the split's overlap ``2 Re vdot(b_1, b_2) * total`` (module
     docstring), and so, up to round-off, exactly for exclusive parts.
     ``coherent`` records whether the cross term was kept;
     ``lambda_complex`` is the complex cross-term scalar when one was
@@ -90,16 +87,17 @@ class InterferenceReport:
 
 
 def _decompose(
-    rho: np.ndarray, e1: Event, e2: Event, outcomes: Sequence[Event], tol: Tolerances
+    factor: np.ndarray, e1: Event, e2: Event, outcomes: Sequence[Event], tol: Tolerances
 ) -> tuple[float, list[tuple[float, float, complex, float, float]]]:
     """Terms and totals of ``trace(rho @ e @ d @ e)`` over the split ``e = e1 + e2``.
 
-    ``rho`` is a density matrix, or the unit ray ``v`` of a minimal
-    preparation.  Returns the normalizer and, for each outcome ``d``, the
-    tuple ``(part1, part2, cross, coherent, incoherent)``: the terms
-    ``vdot(b_i, d @ c_j)`` for ``(i, j)`` = (1, 1), (2, 2), (1, 2) and the
+    ``factor`` is a factor ``W`` of ``rho = W @ adjoint(W)``, a d x m
+    array or the unit ray ``v`` of a minimal preparation.  Returns the
+    normalizer and, for each outcome ``d``, the tuple
+    ``(part1, part2, cross, coherent, incoherent)``: the terms
+    ``vdot(b_i, d @ b_j)`` for ``(i, j)`` = (1, 1), (2, 2), (1, 2) and the
     two totals, clamped by ``probability_slack(d.rank)``, by the module
-    docstring's formulas.  The normalizer ``vdot(b_1, c_1) + vdot(b_2, c_2)``
+    docstring's formulas.  The normalizer ``vdot(b_1, b_1) + vdot(b_2, b_2)``
     is, like the conditioning kernel's denominator, not clamped: for parts
     that are projections only within tolerance it may exceed 1 by their
     defects.
@@ -107,29 +105,29 @@ def _decompose(
     Outcomes are checked before the weights, so an invalid outcome raises
     :class:`ValidationError` even where the decomposition is undefined.
     Raises :class:`UndefinedProbabilityError` when either branch weight
-    ``vdot(b_i, c_i)`` is at or below the probability floor.
+    ``vdot(b_i, b_i)`` is at or below the probability floor.
     """
+    dim = factor.shape[0]
     for e in (e1, e2):
-        _arg(e, Event, "branch condition", rho.shape[0])
+        _arg(e, Event, "branch condition", dim)
     if not is_orthogonal(e1, e2, tol):
         raise ValidationError("branch events must be mutually exclusive (orthogonal)")
     for d in outcomes:
-        _arg(d, Event, "outcome", rho.shape[0])
-    b1, b2 = e1.matrix @ rho, e2.matrix @ rho
-    c1, c2 = (b1, b2) if rho.ndim == 1 else (e1.matrix, e2.matrix)
-    w1, w2 = float(np.vdot(b1, c1).real), float(np.vdot(b2, c2).real)
+        _arg(d, Event, "outcome", dim)
+    b1, b2 = e1.matrix @ factor, e2.matrix @ factor
+    w1, w2 = float(np.vdot(b1, b1).real), float(np.vdot(b2, b2).real)
     if min(w1, w2) <= tol.prob_floor:
         raise UndefinedProbabilityError("branch probability vanishes; decomposition is undefined")
     normalizer = w1 + w2
-    # Re vdot(b_1 + b_2, c_1 + c_2): the weight of the single condition e1 + e2.
-    combined = normalizer + float(np.vdot(b1, c2).real + np.vdot(b2, c1).real)
+    # Re vdot(b_1 + b_2, b_1 + b_2): the weight of the single condition e1 + e2.
+    combined = normalizer + 2.0 * float(np.vdot(b1, b2).real)
     terms = []
     for d in outcomes:
-        dc1, dc2 = d.matrix @ c1, d.matrix @ c2
-        p1, p2 = float(np.vdot(b1, dc1).real), float(np.vdot(b2, dc2).real)
-        cross = complex(np.vdot(b1, dc2))
+        db1, db2 = d.matrix @ b1, d.matrix @ b2
+        p1, p2 = float(np.vdot(b1, db1).real), float(np.vdot(b2, db2).real)
+        cross = complex(np.vdot(b1, db2))
         slack = probability_slack(d.rank, tol)
-        coherent = (p1 + p2 + cross.real + float(np.vdot(b2, dc1).real)) / combined
+        coherent = (p1 + p2 + cross.real + float(np.vdot(b2, db1).real)) / combined
         terms.append((
             p1,
             p2,
@@ -147,9 +145,9 @@ def _prepared(f: Event) -> np.ndarray:
     return _ray(f)
 
 
-def _report(rho: np.ndarray, d: Event, e1: Event, e2: Event, tol: Tolerances, coherent: bool) -> InterferenceReport:
+def _report(factor: np.ndarray, d: Event, e1: Event, e2: Event, tol: Tolerances, coherent: bool) -> InterferenceReport:
     """The report of one outcome over the split, with the cross term kept (``coherent``) or dropped."""
-    normalizer, [(p1, p2, cross, total, incoherent)] = _decompose(rho, e1, e2, [d], tol)
+    normalizer, [(p1, p2, cross, total, incoherent)] = _decompose(factor, e1, e2, [d], tol)
     return InterferenceReport(
         total=total if coherent else incoherent,
         part1=p1,
@@ -171,7 +169,7 @@ def split_cond_prob(mu: State, d: Event, e1: Event, e2: Event, tol: Tolerances =
     :class:`UndefinedProbabilityError` if either branch carries
     probability at or below the floor.
     """
-    return _report(_arg(mu, State, "state").rho, d, e1, e2, tol, coherent=True)
+    return _report(_arg(mu, State, "state")._factor, d, e1, e2, tol, coherent=True)
 
 
 def objective_split(f: Event, d: Event, e1: Event, e2: Event, tol: Tolerances = DEFAULT_TOL) -> InterferenceReport:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .conditioning import PureVector, State
 from .errors import ValidationError
-from .events import Event, validate_event
+from .events import Event, _is_number, validate_event
 from .tolerances import DEFAULT_TOL, Tolerances
 
 if TYPE_CHECKING:
@@ -66,11 +66,6 @@ def write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _is_number(x, kinds=(int, float)) -> bool:
-    """The loaders' one number test; JSON booleans load as ``bool``, an ``int`` subclass, and are refused."""
-    return isinstance(x, kinds) and not isinstance(x, bool)
 
 
 def _float(x, where: str) -> float:

@@ -236,15 +236,13 @@ def state_from_outcome(e: Event) -> State:
     """The unique state determined by a minimal outcome.
 
     Observing a minimal event fixes the post-outcome state completely:
-    it is the normalised projector ``|v><v|`` of the event's ray ``v``, a
-    state by construction, so it is not checked again.  Non-minimal
-    outcomes leave the state underdetermined, so they raise
-    :class:`UndefinedProbabilityError`.
+    it is the normalised projector ``|v><v|`` of the event's ray ``v``,
+    whose factor is ``v`` as one column: a state by construction, so it
+    is not checked again.  Non-minimal outcomes leave the state
+    underdetermined, so they raise :class:`UndefinedProbabilityError`.
     """
     if not _arg(e, Event, "outcome").is_minimal():
         raise UndefinedProbabilityError(
             f"outcome of rank {e.rank} does not determine a state; only minimal outcomes do"
         )
-    v = _ray(e)
-    rho = np.outer(v, v.conj())
-    return State._trusted((rho + rho.conj().T) / 2.0)
+    return State._trusted(_ray(e)[:, None])

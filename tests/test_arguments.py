@@ -53,13 +53,32 @@ EXCLUDED = {
     "TraceStep": "result record: its fields are stored as given",
     "SampleReport": "result record: its fields are stored as given",
     "ValuationResult": "result record: its fields are stored as given",
-    "Event": "trusted constructor for the package's own code, which checks neither argument "
-             "(Event(np.eye(2), 5) is accepted, an open FOUND in CHANGES.md); validate_event checks raw matrices",
     "QcpError": "exception class: takes any message",
     "ValidationError": "exception class: takes any message",
     "UndefinedProbabilityError": "exception class: takes any message",
     "ConvergenceError": "exception class: takes any message",
     "InvariantError": "exception class: takes any message",
+}
+
+# Public classmethods, which the __all__-driven contract does not reach: a valid call, and the
+# wrong arguments each must refuse with ValidationError, by name.
+CLASSMETHODS = {
+    "State.from_ensemble": (
+        State.from_ensemble,
+        ([(1, [1.0, 0.0])],),
+        {**CATALOGUE, "[1]": [1], "[(None, [1, 0])]": [(None, [1, 0])], "bool weight": [(True, [1, 0])],
+         "weight beyond float range": [(10**400, [1, 0])], "triple": [(1.0, [1, 0], 2)]},
+    ),
+    "ClassicalEvent.from_indices(n_outcomes)": (
+        lambda n: ClassicalEvent.from_indices(n, [0]),
+        (2,),
+        CATALOGUE,
+    ),
+    "ClassicalEvent.from_indices(indices)": (
+        lambda indices: ClassicalEvent.from_indices(2, indices),
+        ([1],),
+        CATALOGUE,
+    ),
 }
 
 # (callable, parameter) -> a valid raw argument it reads, and the docstring line that allows it.
@@ -97,6 +116,7 @@ def _valid_calls():
         "Tolerances": (1e-10, 1e-10, 1e-9, 1e-12),
         "clamp_probability": (0.5, 1e-9, "probability"),
         "probability_slack": (1,),
+        "Event": (np.eye(2), 2),
         "validate_event": (np.eye(2),),
         "zero_event": (2,),
         "identity_event": (2,),
@@ -200,3 +220,11 @@ def test_documented_acceptances_hold_and_are_documented(key):
     k = [p.name for p in _positional(f)].index(param)
     valid = VALID[name]
     assert _outcome(f, valid[:k] + (raw,) + valid[k + 1:]) is None
+
+
+@pytest.mark.parametrize("key", [f"{name}:{entry}" for name, (_, _, wrong) in CLASSMETHODS.items() for entry in wrong])
+def test_public_classmethods_refuse_malformed_arguments(key):
+    name, entry = key.split(":", 1)
+    f, valid, wrong = CLASSMETHODS[name]
+    assert _outcome(f, valid) is None
+    assert isinstance(_outcome(f, (wrong[entry],)), ValidationError)

@@ -392,18 +392,15 @@ def test_repeated_cond_prob_validates_a_matrix_operand_once(monkeypatch):
     assert seen == ["conditioned operand"]
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantError,
-                   reason="ROADMAP item 7: the state eigenvalue floor is not derived from anything the clamp sees")
 def test_a_state_at_its_eigenvalue_floor_conditions_without_invariant_error():
-    # The event's weight is 9.2e-11 - 9e-11 = 2e-12, above prob_floor, and
-    # the outcome's share of it is -9e-11, so the raw quotient is -45.  The
-    # state is valid; the answer should be a probability or a refusal.
+    # The event's weight in rho is 9.2e-11 - 9e-11 = 2e-12, above prob_floor,
+    # and the outcome's share of it is -9e-11, so the density-matrix quotient
+    # would be -45.  The eigenvalue -9e-11 is inside the state's floor and
+    # reads as 0 in its factor, so the conditioned weight is 9.2e-11 and
+    # the outcome's share 0.
     mu = State(np.diag([1.0 - 2e-12, 9.2e-11, -9e-11]))
-    try:
-        value = cond_prob(mu, validate_event(np.diag([0.0, 0.0, 1.0])), validate_event(np.diag([0.0, 1.0, 1.0])))
-    except UndefinedProbabilityError:
-        return
-    assert 0.0 <= value <= 1.0
+    value = cond_prob(mu, validate_event(np.diag([0.0, 0.0, 1.0])), validate_event(np.diag([0.0, 1.0, 1.0])))
+    assert value == 0.0
 
 
 def test_cross_check_scales_with_the_value():

@@ -501,3 +501,12 @@ def test_an_event_excludes_its_complement_within_its_validation_budget():
 
 def test_event_repr():
     assert repr(identity_event(2)) == "Event(dim=2, rank=2)"
+
+
+def test_event_constructor_checks_structure_only():
+    # No numerics: diag(1, 0) with rank 2 is structurally an event.
+    assert events.Event(np.diag([1.0, 0.0]), np.int64(2)).rank == 2
+    for matrix, rank in ((np.eye(2), 5), (np.eye(2), -1), (np.eye(2), 1.0), (np.eye(2), True),
+                         (None, 1), ("not a matrix", 1), (np.zeros((0, 0)), 0), (np.ones((2, 3)), 1)):
+        with pytest.raises(ValidationError):
+            events.Event(matrix, rank)

@@ -15,6 +15,7 @@ from qcondprob import (
     State,
     UndefinedProbabilityError,
     ValidationError,
+    cond_prob,
     double_slit_scan,
     evaluate_chain,
     identity_event,
@@ -166,9 +167,11 @@ def _coupled_split(rng, dim):
 def test_coherent_totals_are_the_block_chain_value_of_the_sum():
     # With no record the two parts act as the single condition e1 + e2: the
     # coherent total of objective_split and of the scan is the value of the
-    # chain that prepares f and blocks on the negation of e1 + e2.  The
-    # incoherent total is not compared with a block-then-detector chain:
-    # that is a different instrument.
+    # chain that prepares f and blocks on the negation of e1 + e2, and so
+    # are the density route's values at the state f, which read the ray of
+    # f as the state's one-column factor.  The incoherent total is not
+    # compared with a block-then-detector chain: that is a different
+    # instrument.
     rng = np.random.default_rng(11)
     seen = collections.Counter()
     for trial in range(400):
@@ -183,11 +186,14 @@ def test_coherent_totals_are_the_block_chain_value_of_the_sum():
         except UndefinedProbabilityError:
             seen["undefined"] += 1
             continue
-        block = Apparatus(validate_event(e1.matrix + e2.matrix), "block_on_negation")
-        luders = evaluate_chain(Chain(f, (block,), d)).value
+        e = validate_event(e1.matrix + e2.matrix)
+        luders = evaluate_chain(Chain(f, (Apparatus(e, "block_on_negation"),), d)).value
         [point] = double_slit_scan(f, e1, e2, [d])
+        mu = state_from_outcome(f)
         assert abs(report.total - luders) <= 1e-9
         assert point.defined and abs(point.coherent - luders) <= 1e-9
+        assert abs(cond_prob(mu, d, e) - luders) <= 1e-9
+        assert abs(split_cond_prob(mu, d, e1, e2).total - luders) <= 1e-9
         seen["coupled" if trial < 300 else "exact"] += 1
     assert seen["coupled"] == 300 and seen["exact"] >= 80, seen
 
@@ -448,7 +454,7 @@ def _kernel_result(kernel, rho, e1, e2, outcomes):
 
 
 def test_kernel_matches_the_two_formula_reference():
-    """``vdot(b_i, d @ c_j)`` against the compressions-and-traces kernel it replaced."""
+    """``vdot(b_i, d @ b_j)`` on a factor against the compressions-and-traces kernel it replaced."""
     rng = np.random.default_rng(1515)
     seen = collections.Counter()
     for _ in range(600):
@@ -478,10 +484,12 @@ def test_kernel_matches_the_two_formula_reference():
             cols = ranges[int(rng.integers(2))]
             g -= cols @ (cols.conj().T @ g)
         if rng.random() < 0.5:
-            rho = g[:, 0] / np.linalg.norm(g[:, 0])
+            rho = factor = g[:, 0] / np.linalg.norm(g[:, 0])
         else:
             g = g[:, :int(rng.integers(1, dim + 1))]
-            rho = State(g @ g.conj().T / np.linalg.norm(g) ** 2).rho
+            mu = State(g @ g.conj().T / np.linalg.norm(g) ** 2)
+            # The kernel reads the state's factor, the reference its density matrix.
+            rho, factor = mu.rho, mu._factor
         # The identity outcome's parts are the branch weights.
         outcomes = [identity_event(dim)]
         outcomes += [random_projection(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(int(rng.integers(1, 4)))]
@@ -490,7 +498,7 @@ def test_kernel_matches_the_two_formula_reference():
             outcomes[k] = outcomes[k].matrix if rng.random() < 0.5 else identity_event(dim + 1)
             # Outcomes are checked before the weights.
             seen["invalid outcome, vanishing branch"] += vanishing
-        got = _kernel_result(_decompose, rho, *branches, outcomes)
+        got = _kernel_result(_decompose, factor, *branches, outcomes)
         want = _kernel_result(reference_decompose, rho, *branches, outcomes)
         if isinstance(want, type):
             assert got is want
