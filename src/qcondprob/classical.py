@@ -42,7 +42,7 @@ class ClassicalSpace:
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValidationError("weights must be finite and nonnegative")
         total = float(np.sum(w))
-        if not tol.close(total, 1.0):
+        if not _arg(tol, Tolerances, "tol").close(total, 1.0):
             raise ValidationError(f"weights sum to {total!r}, expected 1")
         w.setflags(write=False)
         self._weights = w
@@ -125,7 +125,7 @@ def classical_cond_prob(
     _arg(d, ClassicalEvent, "d", _arg(space, ClassicalSpace, "space").n_outcomes)
     _arg(e, ClassicalEvent, "e", space.n_outcomes)
     den = float(np.sum(space.weights[e.membership]))
-    if den <= tol.prob_floor:
+    if den <= _arg(tol, Tolerances, "tol").prob_floor:
         raise UndefinedProbabilityError(f"cannot condition on an event of probability {den!r}")
     return float(np.sum(space.weights[d.membership & e.membership])) / den
 

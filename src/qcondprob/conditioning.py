@@ -4,24 +4,25 @@ A state assigns each event its probability via ``mu(e) = trace(rho @ e)``
 for a density matrix ``rho`` (self-adjoint, positive semi-definite,
 trace 1), and keeps a factor ``W`` with ``rho = W @ adjoint(W)``, as an
 event keeps its ray.  Conditioning on an event ``e`` with ``mu(e) > 0``
-maps ``W`` to ``adjoint(e) @ W`` and renormalises: the updated state is
+maps ``W`` to ``e @ W``, no adjoint since a stored event matrix is
+exactly self-adjoint, and renormalises: the updated state is
 
     rho_e = (e @ rho @ e) / trace(e @ rho @ e).
 
 Conditioning on several events in succession collapses into one closed
 form: with the ordered product ``E = e1 @ e2 @ ... @ en`` and
-``X = adjoint(E) @ W``,
+``X = adjoint(E) @ W = en @ ... @ e1 @ W``,
 
     mu(d | e1, ..., en) = trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))
                         = Re vdot(X, d @ X) / vdot(X, X),
 
 a ratio of squared norms (Lüders 1951).  One private quotient serves
-the closed form and its step-by-step cross-check (the fold
-``X -> adjoint(e) @ X``), and one refusal of a weight ``vdot(X, X)`` at
-or below the probability floor serves it and :func:`cond_state`, which
-divides ``X`` by the root of that weight.  A single condition is the
-chain of length one, so :func:`cond_prob` equals
-:func:`repeated_cond_prob` on ``[e]`` bit for bit.
+the closed form and its step-by-step cross-check, both read from the
+fold ``x -> e @ x`` that the fits of :mod:`.objective` read too, and
+one refusal of a weight ``vdot(X, X)`` at or below the probability
+floor serves it and :func:`cond_state`, which divides ``e @ W`` by the
+root of that weight.  A single condition is the chain of length one, so
+:func:`cond_prob` equals :func:`repeated_cond_prob` on ``[e]`` bit for bit.
 
 Validation happens once, at the boundary: ``State(...)`` checks every
 matrix handed to it and reads its factor from the eigendecomposition;
@@ -38,7 +39,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, _arg, _args, _dimension, _frobenius, _is_number, _self_adjoint_matrix
+from .events import Event, _arg, _args, _dimension, _frobenius, _hermitian, _is_number, _self_adjoint_matrix
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 # Agreement threshold between the closed-form and step-by-step values of
@@ -105,7 +106,7 @@ class PureVector:
     def projector(self) -> Event:
         """The minimal event whose range is the line spanned by this vector."""
         v = self._unit()
-        return Event(np.outer(v, v.conj()), 1)
+        return Event(_hermitian(np.outer(v, v.conj())), 1)
 
     def __repr__(self) -> str:
         return f"PureVector(dim={self.dim})"
@@ -132,8 +133,7 @@ class State:
     __slots__ = ("_rho", "_factor")
 
     def __init__(self, rho, tol: Tolerances = DEFAULT_TOL):
-        m, _ = _self_adjoint_matrix(rho, "state matrix", tol)
-        m = (m + m.conj().T) / 2.0
+        m, _ = _self_adjoint_matrix(rho, "state matrix", _arg(tol, Tolerances, "tol"))
         tr = float(np.real(np.trace(m)))
         if not tol.close(tr, 1.0):
             raise ValidationError(f"state trace {tr!r} differs from 1 beyond tolerance")
@@ -151,12 +151,11 @@ class State:
         """Wrap the factor ``W`` (complex, d x m) of a state by construction, without validation.
 
         For package code whose inputs were validated.  Without ``rho``,
-        ``W @ adjoint(W)`` is formed and symmetrised; a given ``rho`` must
+        ``W @ adjoint(W)``'s Hermitian part is formed; a given ``rho`` must
         be that product, exactly self-adjoint.  Both are made read-only.
         """
         if rho is None:
-            rho = factor @ factor.conj().T
-            rho = (rho + rho.conj().T) / 2.0
+            rho = _hermitian(factor @ factor.conj().T)
         state = cls.__new__(cls)
         factor.setflags(write=False)
         rho.setflags(write=False)
@@ -224,7 +223,7 @@ def state_value(mu: State, a, tol: Tolerances = DEFAULT_TOL) -> float:
     is real; for events it is additionally clamped into [0, 1], with any
     departure beyond :func:`probability_slack` raising :class:`InvariantError`.
     """
-    m = _operand_matrix(a, "operand of state_value", tol, _arg(mu, State, "state").dim)
+    m = _operand_matrix(a, "operand of state_value", _arg(tol, Tolerances, "tol"), _arg(mu, State, "state").dim)
     # Re trace(rho @ m) == Re vdot(m, rho) for self-adjoint m: O(d^2) instead of forming the product.
     value = float(np.real(np.vdot(m, mu.rho)))
     if isinstance(a, Event):
@@ -248,28 +247,26 @@ def cond_state(mu: State, e: Event, tol: Tolerances = DEFAULT_TOL) -> State:
     """State update on observing ``e``: ``(e @ rho @ e) / trace(e @ rho @ e)``.
 
     For an exact projection the denominator is ``mu(e) = trace(rho @ e)``.
-    The updated factor is ``adjoint(e) @ W`` divided by the root of its
-    weight, the step of :func:`repeated_cond_prob`'s cross-check, so
-    the two agree even for events that are self-adjoint and idempotent
-    only within tolerance.  A validated state compressed by a validated
-    event and renormalised is a state, so the result skips the checks of
-    ``State(...)``.
+    The updated factor is ``e @ W`` divided by the root of its weight,
+    the step of :func:`repeated_cond_prob`'s cross-check, so the two
+    agree even for events that are idempotent only within tolerance.
+    A validated state compressed by a validated event and renormalised
+    is a state, so the result skips the checks of ``State(...)``.
 
     Raises :class:`UndefinedProbabilityError` when the weight
     ``trace(e @ rho @ e)`` is at or below the probability floor, since
     conditioning on a probability-zero event is undefined.
     """
     _arg(e, Event, "condition", _arg(mu, State, "state").dim)
-    x = e.matrix.conj().T @ mu._factor
-    return State._trusted(x / math.sqrt(_weight(x, tol, "an event")))
+    x = e.matrix @ mu._factor
+    return State._trusted(x / math.sqrt(_weight(x, _arg(tol, Tolerances, "tol"), "an event")))
 
 
-def _chain_product(events: list[Event]) -> np.ndarray:
-    """Ordered product ``e1 @ e2 @ ... @ en`` of a nonempty chain of events checked by :func:`_args`."""
-    product = events[0].matrix
-    for e in events[1:]:
-        product = product @ e.matrix
-    return product
+def _fold(x: np.ndarray, events) -> np.ndarray:
+    """``x -> e @ x`` for each event in turn: the one Lüders fold, of a factor, a ray or a first event's matrix."""
+    for e in events:
+        x = e.matrix @ x
+    return x
 
 
 def _value(x: np.ndarray, d, dm: np.ndarray, tol: Tolerances, what: str) -> float:
@@ -282,21 +279,21 @@ def _value(x: np.ndarray, d, dm: np.ndarray, tol: Tolerances, what: str) -> floa
 
 
 def _closed_form(mu: State, d, events: list[Event], tol: Tolerances) -> tuple[float, np.ndarray]:
-    """``Re vdot(X, d @ X) / vdot(X, X)`` at ``X = adjoint(E) @ W`` for the ordered product ``E``, and d's matrix.
+    """``Re vdot(X, d @ X) / vdot(X, X)`` at ``X = adjoint(E) @ W = en @ ... @ e1 @ W``, and d's matrix.
 
     The one conditioning kernel: :func:`cond_prob` is it on a one-element
     chain, and :func:`repeated_cond_prob` cross-checks it on the operand
     matrix validated here.  ``mu`` and ``events`` are checked by the caller.
     """
-    dm = _operand_matrix(d, "conditioned operand", tol, mu.dim)
-    return _value(_chain_product(events).conj().T @ mu._factor, d, dm, tol, "conditional probability"), dm
+    dm = _operand_matrix(d, "conditioned operand", _arg(tol, Tolerances, "tol"), mu.dim)
+    return _value(_fold(events[0].matrix, events[1:]) @ mu._factor, d, dm, tol, "conditional probability"), dm
 
 
 def cond_prob(mu: State, d, e: Event, tol: Tolerances = DEFAULT_TOL) -> float:
     """Conditional probability ``trace(rho @ e @ d @ e) / trace(rho @ e)``.
 
     The closed form on ``[e]`` (module docstring), the Lüders quotient of
-    ``d`` at ``adjoint(e) @ W``.  ``d`` may be an event or any self-adjoint
+    ``d`` at ``e @ W``.  ``d`` may be an event or any self-adjoint
     matrix (in which case the result is a conditional expectation rather
     than a probability and is not clamped).  Raises
     :class:`UndefinedProbabilityError` when ``mu(e)`` is at or below the
@@ -312,7 +309,7 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
 
         trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))
 
-    and recomputes the value step by step: it folds ``X -> adjoint(e) @ X``
+    and recomputes the value step by step: it folds ``X -> e @ X``
     over the chain from the state's factor ``X = W`` and takes the Lüders
     quotient once at the end, the fold of :func:`cond_state` without its
     per-step normalisations, which cancel.  The two association orders
@@ -327,10 +324,7 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
     """
     events = _args(chain, Event, "conditioning chain", _arg(mu, State, "state").dim)
     value, dm = _closed_form(mu, d, events, tol)
-    x = mu._factor
-    for e in events:
-        x = e.matrix.conj().T @ x
-    stepwise = _value(x, d, dm, tol, "step-by-step conditional probability")
+    stepwise = _value(_fold(mu._factor, events), d, dm, tol, "step-by-step conditional probability")
     if abs(value - stepwise) > _PATH_AGREEMENT_TOL * max(1.0, abs(value)):
         raise InvariantError(f"closed-form and step-by-step conditioning disagree: {value!r} vs {stepwise!r}")
     return value

@@ -1,7 +1,8 @@
 """Events as orthogonal projection matrices.
 
-An event is a self-adjoint idempotent matrix (``e = adjoint(e) = e @ e``).
-Its trace equals its rank, which counts the dimensions the event occupies.
+An event is a self-adjoint idempotent matrix (``e = adjoint(e) = e @ e``),
+stored exactly self-adjoint, so no route takes an adjoint.  Its trace
+equals its rank, which counts the dimensions the event occupies.
 Rank-1 events are minimal: they cannot be split into smaller nonzero
 events.  The logical structure lives in the matrix algebra:
 
@@ -12,10 +13,10 @@ events.  The logical structure lives in the matrix algebra:
   of the two ranges, read from one SVD (see :func:`lattice_meet`).
 
 This module also holds the package's one input check for matrices,
-which events, states and operands all pass, its one index, dimension,
-number, choice and argument rule, the event lattice's one resolution
-limit, the one sameness and one exclusion rule, and the ray of a
-minimal event, which the event keeps once derived.  Every comparison
+which events, states and operands all pass, its one Hermitian part,
+index, dimension, number, choice and argument rule, the event lattice's
+one resolution limit, the one sameness and one exclusion rule, and the
+ray of a minimal event, which the event keeps once derived.  Every comparison
 here is at Frobenius scale, within a :meth:`Tolerances.budget`.
 """
 
@@ -34,10 +35,10 @@ class Event:
 
     Instances are immutable; ``matrix`` is a read-only complex array and
     ``rank`` the integer trace.  The constructor checks structure only, a
-    nonempty square matrix and a rank in 0..dim, and no numerics:
-    construct via :func:`validate_event` or the module helpers rather
-    than trusting raw matrices.  A minimal event keeps its ray once
-    :func:`_ray` has derived it.
+    nonempty square matrix and a rank in 0..dim, and no numerics, not even
+    self-adjointness: construct via :func:`validate_event` or the module
+    helpers, whose matrices are exactly self-adjoint.  A minimal event
+    keeps its ray once :func:`_ray` has derived it.
     """
 
     __slots__ = ("_matrix", "_rank", "_ray")
@@ -82,10 +83,10 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
 
     Coerces ``entries`` to a fresh finite square complex128 matrix ``m``
     with a finite ``|m|_F`` and requires
-    ``|m - adjoint(m)|_F <= tol.budget(|m|_F)``.  Returns ``m`` with that
-    budget, which callers reuse for their further checks, taking norms
-    with :func:`_frobenius`, so that one that overflows exceeds the
-    budget.  Raises :class:`ValidationError` naming ``what``.
+    ``|m - adjoint(m)|_F <= tol.budget(|m|_F)``.  Returns ``_hermitian(m)``
+    with that budget, which callers reuse for their further checks of it,
+    taking norms with :func:`_frobenius`, so that one that overflows
+    exceeds the budget.  Raises :class:`ValidationError` naming ``what``.
     """
     try:
         m = np.array(entries, dtype=np.complex128)
@@ -104,7 +105,12 @@ def _self_adjoint_matrix(entries, what: str, tol: Tolerances) -> tuple[np.ndarra
     budget = tol.budget(norm)
     if _frobenius(m - m.conj().T) > budget:
         raise ValidationError(f"{what} is not self-adjoint within tolerance")
-    return m, budget
+    return _hermitian(m), budget
+
+
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    """The Hermitian part ``(x + adjoint(x)) / 2``, bitwise self-adjoint: each stored matrix not exact otherwise."""
+    return (x + x.conj().T) / 2.0
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -185,12 +191,12 @@ def _args(xs, kind: type, what: str, dim: int | None = None, empty: bool = False
 def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     """Check that a matrix is an orthogonal projection and wrap it.
 
-    Requires self-adjointness, idempotence and a trace near a
-    nonnegative integer, each defect within ``tol.budget(|e|_F)``.  The
-    stored rank is that integer.  Raises :class:`ValidationError` with
-    the failed property named.
+    Requires self-adjointness, then idempotence and a trace near a
+    nonnegative integer of the Hermitian part, which is stored, each
+    defect within ``tol.budget(|e|_F)``.  The stored rank is that
+    integer.  Raises :class:`ValidationError` naming the failed property.
     """
-    m, budget = _self_adjoint_matrix(matrix, "event matrix", tol)
+    m, budget = _self_adjoint_matrix(matrix, "event matrix", _arg(tol, Tolerances, "tol"))
     if _frobenius(m @ m - m) > budget:
         raise ValidationError("event matrix is not idempotent within tolerance")
     tr = complex(np.trace(m))
@@ -239,7 +245,7 @@ def _resolution(rank, tol: Tolerances):
     complement, ``|(I - e) @ f - f|_F = |e @ f|_F``, so it reads
     ``sqrt(2) tau`` too.
     """
-    return math.sqrt(2.0) * tol.budget(np.sqrt(rank))
+    return math.sqrt(2.0) * _arg(tol, Tolerances, "tol").budget(np.sqrt(rank))
 
 
 # The sameness and exclusion rules, on Frobenius norms and the resolution
@@ -300,7 +306,7 @@ def commutes(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when e @ f == f @ e within tolerance."""
     _arg(f, Event, "f", _arg(e, Event, "e").dim)
     scale = _frobenius(e.matrix) * _frobenius(f.matrix)
-    return _frobenius(e.matrix @ f.matrix - f.matrix @ e.matrix) <= tol.budget(scale)
+    return _frobenius(e.matrix @ f.matrix - f.matrix @ e.matrix) <= _arg(tol, Tolerances, "tol").budget(scale)
 
 
 def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
@@ -320,8 +326,8 @@ def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
     one resolution limit, which sameness and :func:`_excludes` read too.
     Two directions at an angle below ``sqrt(2) tau = 2 tol.budget(sqrt(r))``,
     6e-10 for two rays at the default tolerances, count as shared.  An
-    orthonormal basis gives a projection by construction, so the result is
-    not revalidated.
+    orthonormal basis gives a projection by construction, so the result,
+    the product's Hermitian part, is not revalidated.
     """
     _arg(f, Event, "f", _arg(e, Event, "e").dim)
     if e.is_minimal() and f.is_minimal():
@@ -329,4 +335,4 @@ def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
     eye = np.eye(e.dim, dtype=np.complex128)
     _, s, vh = np.linalg.svd(np.vstack([eye - e.matrix, eye - f.matrix]), full_matrices=False)
     basis = vh[s <= _resolution(max(e.rank, f.rank), tol)]
-    return Event(basis.conj().T @ basis, len(basis))
+    return Event(_hermitian(basis.conj().T @ basis), len(basis))

@@ -209,7 +209,7 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
     """
     plan, _, ranks = chain._plan
     last = len(plan)
-    slacks = {rank: probability_slack(rank, tol) for rank in ranks}
+    slacks = {rank: probability_slack(rank, tol) for rank in ranks}  # the walk's gate for tol, as ranks is never empty
     final, final_slack = chain.final_outcome.matrix, slacks[chain.final_outcome.rank]
     floor, edge, recorded = tol.prob_floor, tol.budget(), _NOTES["recorded"]
 

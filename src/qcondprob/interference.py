@@ -37,7 +37,8 @@ is the Lüders value of the single condition ``e1 + e2``,
 
     Re vdot(b_1 + b_2, d @ (b_1 + b_2)) / vdot(b_1 + b_2, b_1 + b_2),
 
-a ratio of squared norms read from the same products; the incoherent
+a ratio of squared norms whose numerator is ``part1 + part2 + 2 Re cross``
+for the exactly self-adjoint stored ``d``; the incoherent
 total is ``(part1 + part2) / normalizer``.  Both are clamped by the
 outcome's :func:`~qcondprob.tolerances.probability_slack`.  Each outcome
 costs the two products ``d @ b_i``, in O(d^2 m) for an m-column factor:
@@ -127,7 +128,7 @@ def _decompose(
         p1, p2 = float(np.vdot(b1, db1).real), float(np.vdot(b2, db2).real)
         cross = complex(np.vdot(b1, db2))
         slack = probability_slack(d.rank, tol)
-        coherent = (p1 + p2 + cross.real + float(np.vdot(b2, db1).real)) / combined
+        coherent = (p1 + p2 + 2.0 * cross.real) / combined
         terms.append((
             p1,
             p2,

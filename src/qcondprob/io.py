@@ -43,7 +43,7 @@ import numpy as np
 
 from .conditioning import PureVector, State
 from .errors import ValidationError
-from .events import Event, _is_number, validate_event
+from .events import Event, _arg, _is_number, validate_event
 from .tolerances import DEFAULT_TOL, Tolerances
 
 if TYPE_CHECKING:
@@ -60,6 +60,8 @@ def load_json(path: str):
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         raise ValidationError(f"{path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's recursion limit
+        raise ValidationError(f"{path!r} nests too deeply to read: {exc}") from exc
 
 
 def write_json(path: str, obj) -> None:
@@ -147,6 +149,7 @@ def vector_from_obj(obj, where: str = "vector") -> PureVector:
 
 
 def event_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "event") -> Event:
+    _arg(tol, Tolerances, "tol")  # also for a spin event, which reads no tolerance
     if isinstance(obj, dict) and "spin" in obj:
         spec = obj["spin"]
         if not isinstance(spec, dict):
@@ -158,6 +161,7 @@ def event_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "event") -> 
 
 
 def state_from_obj(obj, tol: Tolerances = DEFAULT_TOL, where: str = "state") -> State:
+    _arg(tol, Tolerances, "tol")  # also for an ensemble, which reads no tolerance
     if isinstance(obj, dict) and "ensemble" in obj:
         components = obj["ensemble"]
         if not isinstance(components, list) or not components:

@@ -16,11 +16,13 @@ the sequence of length one, so :func:`objective_cond_prob` is
 
 The rank-one rule: a minimal event ``v @ adjoint(v)`` anywhere in the
 sequence, at position j, factors the product as ``E = u @ adjoint(r)``
-with ``u = e1 ... e_{j-1} v`` and ``adjoint(r) = adjoint(v) e_{j+1} ... e_n``.
-Then ``E @ d @ adjoint(E) = (adjoint(r) d r) u adjoint(u)`` and
+with ``u = e1 ... e_{j-1} v`` and ``r = e_n ... e_{j+1} v`` (stored
+event matrices are exactly self-adjoint).  Then
+``E @ d @ adjoint(E) = (adjoint(r) d r) u adjoint(u)`` and
 ``E @ adjoint(E) = |r|^2 u adjoint(u)``, so the value is state-independent
 and equals ``adjoint(r) d r / |r|^2``.  Such sequences are fitted from
-these vectors, built by matrix-vector products in O(k d^2) for k events;
+these vectors, folded from ``v`` by the Lüders step ``x -> e @ x`` in
+matrix-vector products, in O(k d^2) for k events;
 the others from the dense products in O(k d^3).  Both fits refuse a
 sequence at the same thresholds and in the same order, and pass one
 accept step.
@@ -43,7 +45,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .conditioning import PureVector, State, _chain_product, _vector
+from .conditioning import PureVector, State, _fold, _vector
 from .errors import UndefinedProbabilityError, ValidationError
 from .events import Event, _arg, _args, _frobenius, _ray
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
@@ -106,10 +108,10 @@ def _fit(compressed: np.ndarray, reference: np.ndarray, tol: Tolerances) -> tupl
 
 def _dense_fit(d: np.ndarray, events: list[Event], tol: Tolerances) -> tuple[complex, float, float]:
     """``(lam, residual, |G|_F)`` of :func:`_fit` on ``C = E @ d @ adjoint(E)`` against ``G = E @ adjoint(E)``."""
-    product = _chain_product(events)
-    # trace(E @ adjoint(E)) is the elementwise sum vdot(E, E).
-    _refuse_vanishing(float(np.vdot(product, product).real), tol)
-    adjoint = product.conj().T
+    adjoint = _fold(events[0].matrix, events[1:])  # en @ ... @ e1
+    # trace(E @ adjoint(E)) is the elementwise sum of |E_ij|^2, vdot(adjoint(E), adjoint(E)).
+    _refuse_vanishing(float(np.vdot(adjoint, adjoint).real), tol)
+    product = adjoint.conj().T
     reference = product @ adjoint
     lam, residual = _fit(product @ d @ adjoint, reference, tol)
     return lam, residual, _frobenius(reference)
@@ -118,25 +120,20 @@ def _dense_fit(d: np.ndarray, events: list[Event], tol: Tolerances) -> tuple[com
 def _rank_one_fit(d: np.ndarray, events: list[Event], j: int, tol: Tolerances) -> tuple[complex, float, float]:
     """The fit of :func:`_dense_fit` when ``events[j]`` is minimal, in O(k d^2).
 
-    By the module docstring's rank-one rule, with ``u`` and ``r`` built by
-    matrix-vector products: ``lam = adjoint(r) d r / |r|^2``,
+    By the module docstring's rank-one rule, with ``u`` and ``r`` folded
+    from the ray ``v``: ``lam = adjoint(r) d r / |r|^2``,
     ``|G|_F = trace(G) = |u|^2 |r|^2`` and the residual is
     ``|u|^2 |adjoint(r) d r - lam |r|^2|``: G has rank one and the fit is
     exact up to round-off.
     """
     v = _ray(events[j])
-    u = v
-    for e in reversed(events[:j]):
-        u = e.matrix @ u
-    row = v.conj()
-    for e in events[j + 1:]:
-        row = row @ e.matrix
+    u, r = _fold(v, reversed(events[:j])), _fold(v, events[j + 1:])
     uu = float(np.vdot(u, u).real)
-    rr = float(np.vdot(row, row).real)
+    rr = float(np.vdot(r, r).real)
     weight = uu * rr
     _refuse_vanishing(weight, tol)
     _refuse_zero_reference(weight * weight, tol)
-    rdr = complex(row @ d @ row.conj())
+    rdr = complex(np.vdot(r, d @ r))
     lam = rdr / rr
     return lam, uu * abs(rdr - lam * rr), weight
 
@@ -196,6 +193,7 @@ def objective_seq(d: Event, chain: Sequence[Event], tol: Tolerances = DEFAULT_TO
     ``E @ adjoint(E)`` is numerically zero.
     """
     events = _args(chain, Event, "conditioning chain", _arg(d, Event, "outcome").dim)
+    _arg(tol, Tolerances, "tol")
     j = next((k for k, e in enumerate(events) if e.is_minimal()), None)
     if j is None:
         lam, residual, reference_norm = _dense_fit(d.matrix, events, tol)

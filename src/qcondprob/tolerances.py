@@ -60,18 +60,21 @@ DEFAULT_TOL = Tolerances()
 def probability_slack(rank: int, tol: Tolerances = DEFAULT_TOL) -> float:
     """``4 * budget(sqrt(rank))``: how far a probability read from a validated event may leave [0, 1].
 
-    Validation bounds ``A = e - adjoint(e)`` and ``D = e @ e - e`` by
-    ``b = budget(|e|_F)``, with ``|e|_F = sqrt(rank) + O(b)``.  Expanding
-    ``|e x|^2`` for a unit eigenvector x of ``h = (e + adjoint(e)) / 2``
-    directly and through ``adjoint(e) @ e = e + D - A @ e`` gives its
-    eigenvalue l ``l^2 - l = Re<x, D x> + |A x|^2 / 4``, so l, and every
-    Rayleigh quotient ``Re<u, e u> / |u|^2`` or mean of them such as
-    ``Re tr(s @ e) / tr(s)`` (``s >= 0``), lies in ``[-b, 1 + b] + O(b^2)``.
-    A branch weight ``|e u|^2 / |u|^2``, or one of ``I - e`` (same defects),
-    is at most ``(|h|_2 + |A|_2 / 2)^2 <= 1 + 3b + O(b^2)``.  ``4b`` bounds
-    both with ``b`` to spare for the second-order terms, and is never below
-    ``budget()``.  A ``rank`` that is not a nonnegative number is refused.
+    The derivation bounds the matrix ``e`` that is applied: the stored
+    one, exactly self-adjoint, whose defect ``D = e @ e - e`` validation
+    bounds by ``b = budget(|e|_F)``, with ``|e|_F = sqrt(rank) + O(b)``.
+    An eigenvalue l of ``e`` with unit eigenvector x has
+    ``l^2 - l = <x, D x>``, so l, and every Rayleigh quotient
+    ``Re<u, e u> / |u|^2`` or mean of them such as ``Re tr(s @ e) / tr(s)``
+    (``s >= 0``), lies in ``[-b, 1 + b] + O(b^2)``.  A branch weight
+    ``|e u|^2 / |u|^2``, or one of ``I - e`` (same defect), is at most
+    ``l^2 <= 1 + 2b + O(b^2)``.  ``4b`` bounds both with ``2b`` to spare for
+    the second-order terms, and is never below ``budget()``.  A ``rank``
+    that is not a nonnegative number is refused, and so is a ``tol`` that
+    is not a :class:`Tolerances`, as ``events._arg`` would refuse it.
     """
+    if not isinstance(tol, Tolerances):
+        raise ValidationError(f"tol must be a Tolerances, got {type(tol).__name__}")
     try:
         return 4.0 * tol.budget(math.sqrt(rank))
     except (TypeError, ValueError) as exc:

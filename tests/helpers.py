@@ -98,6 +98,26 @@ def intersection_projector(e: Event, f: Event) -> np.ndarray:
     return basis @ basis.conj().T
 
 
+def off_block_anti_hermitian(rng, p):
+    """A unit-norm anti-Hermitian matrix mapping range(p) and its complement into each other.
+
+    Adding t times it to p changes only self-adjointness to first order:
+    idempotence moves by t**2 and the trace not at all.
+    """
+    d = p.shape[0]
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = p @ a @ (np.eye(d) - p)
+    k = x - x.conj().T
+    return k / np.linalg.norm(k)
+
+
+def with_anti_hermitian_defect(rng, e: Event, share=0.5, tol=DEFAULT_TOL):
+    """``e`` validated again after adding an off-block anti-Hermitian part at ``share`` of its self-adjointness budget."""
+    p = e.matrix
+    t = share * tol.budget(np.linalg.norm(p)) / 2.0  # |m - adjoint(m)|_F = 2 t
+    return validate_event(p + t * off_block_anti_hermitian(rng, p), tol)
+
+
 def random_subset_mask(rng, n):
     mask = rng.random(n) < 0.5
     if not mask.any():

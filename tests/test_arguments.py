@@ -1,11 +1,12 @@
 """The argument contract of every public callable.
 
-Each public callable is called once per positional parameter (``tol``
-aside) and per entry of a catalogue of wrong arguments, with every other
-argument valid.  Only a :class:`QcpError` may escape.  A parameter
+Each public callable is called once per positional parameter, ``tol``
+included, and per entry of a catalogue of wrong arguments, with every
+other argument valid.  Only a :class:`QcpError` may escape.  A parameter
 annotated with a library kind must refuse each catalogue entry with
 :class:`ValidationError`: the wrong kind, and an :class:`Event` of the
-wrong dimension where another argument fixes the dimension.  What a
+wrong dimension where another argument fixes the dimension.  A ``tol``
+is passed by keyword and refuses every entry.  What a
 parameter accepts beyond its kind is listed below with the docstring
 line that allows it.
 """
@@ -164,7 +165,7 @@ COVERED = sorted(name for name in qcondprob.__all__ if name not in EXCLUDED)
 
 
 def _positional(f):
-    """The positional parameters of ``f`` other than ``tol``."""
+    """The positional parameters of ``f`` other than ``tol``, which the tests pass by keyword."""
     kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
     return [p for p in inspect.signature(f).parameters.values() if p.kind in kinds and p.name != "tol"]
 
@@ -174,10 +175,10 @@ def _library_kinds(param):
     return set(re.findall(r"\w+", str(param.annotation))) & set(KINDS)
 
 
-def _outcome(f, args):
+def _outcome(f, args, **kwargs):
     """None when the call returns, else the QcpError it raises; any other exception fails the test."""
     try:
-        f(*args)
+        f(*args, **kwargs)
     except QcpError as exc:
         return exc
     return None
@@ -209,6 +210,14 @@ def test_only_qcp_errors_escape_and_library_arguments_are_checked(name):
             accepted = entry == "wrong dimension" and (name, param.name) in ANY_DIMENSION
             if library and not accepted:
                 assert isinstance(exc, ValidationError), f"{name}({param.name}={entry}) gave {exc!r}"
+    if "tol" in inspect.signature(f).parameters:
+        for entry, wrong in CATALOGUE.items():
+            try:
+                exc = _outcome(f, valid, tol=wrong)
+            except Exception as escaped:  # noqa: BLE001 - the contract is that nothing else escapes
+                pytest.fail(f"{name}(tol={entry}) raised {type(escaped).__name__}: {escaped}")
+            assert isinstance(exc, ValidationError), f"{name}(tol={entry}) gave {exc!r}"
+            assert str(exc) == f"tol must be a Tolerances, got {type(wrong).__name__}"
 
 
 @pytest.mark.parametrize("key", [f"{name}.{param}" for name, param in sorted(DOCUMENTED)])

@@ -367,6 +367,14 @@ def test_input_problems_exit_2(tmp_path):
     assert rejected.returncode == 2
 
 
+def test_deeply_nested_json_exits_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    result = run_cli("objective", "--outcome", str(deep), "--event", str(deep))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:") and "deep.json" in result.stderr and "nests too deeply" in result.stderr
+
+
 def test_each_command_takes_the_tolerance_flags_it_reads():
     reads = {
         "condprob": {"--atol", "--rtol", "--prob-floor"},

@@ -3,6 +3,7 @@ import pytest
 
 from qcondprob import (
     DEFAULT_TOL,
+    ClassicalEvent,
     PureVector,
     State,
     Tolerances,
@@ -10,6 +11,7 @@ from qcondprob import (
     ValuationProblem,
     commutes,
     complement,
+    embed_event,
     identity_event,
     implies,
     is_orthogonal,
@@ -21,7 +23,14 @@ from qcondprob import (
 )
 from qcondprob import events
 
-from helpers import cut_angle, intersection_projector, random_projection, random_unitary
+from helpers import (
+    cut_angle,
+    intersection_projector,
+    off_block_anti_hermitian,
+    random_projection,
+    random_unitary,
+    with_anti_hermitian_defect,
+)
 
 
 def test_validate_event_accepts_projections():
@@ -71,19 +80,6 @@ def test_frobenius_matches_numpy_and_overflows_to_inf():
     assert events._frobenius(np.array([[0.5, 1e200], [1e200, 0.5]], dtype=np.complex128)) == np.inf
 
 
-def _off_block_anti_hermitian(rng, p):
-    """A unit-norm anti-Hermitian matrix mapping range(p) and its complement into each other.
-
-    Adding t times it to p changes only self-adjointness to first order:
-    idempotence moves by t**2 and the trace not at all.
-    """
-    d = p.shape[0]
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    x = p @ a @ (np.eye(d) - p)
-    k = x - x.conj().T
-    return k / np.linalg.norm(k)
-
-
 def test_self_adjointness_budget_is_shared_by_events_states_and_operands():
     # Plant an anti-Hermitian part t * k with |m - adjoint(m)|_F = 2 t at
     # 0.5x and 2x the budget atol + rtol * (1 + |m|_F); all three inputs
@@ -93,7 +89,7 @@ def test_self_adjointness_budget_is_shared_by_events_states_and_operands():
         dim = int(rng.integers(2, 7))
         rank = int(rng.integers(1, dim))
         p = random_projection(rng, dim, rank).matrix
-        k = _off_block_anti_hermitian(rng, p)
+        k = off_block_anti_hermitian(rng, p)
         checks = (
             (validate_event, p),
             (State, p / rank),
@@ -110,6 +106,38 @@ def test_self_adjointness_budget_is_shared_by_events_states_and_operands():
                     assert "self-adjoint" in str(exc)
                     verdicts.append(False)
             assert verdicts == [factor < 1.0] * 3, (dim, rank, factor, verdicts)
+
+
+def test_stored_matrices_are_exactly_self_adjoint():
+    # Every stored matrix is its own adjoint bit for bit, so a Lüders step
+    # applies it as stored: validated inputs (an np.outer ray, an in-budget
+    # anti-Hermitian defect), meets of non-minimal events, vector
+    # projectors, complements, embeddings, spin events and states.
+    rng = np.random.default_rng(2802)
+    matrices = [spin_projector(axis, sign).matrix for axis in "xyz" for sign in "+-"]
+    matrices.append(embed_event(ClassicalEvent([True, False, True])).matrix)
+    for _ in range(40):
+        dim = int(rng.integers(3, 9))
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v /= np.linalg.norm(v)
+        rank = int(rng.integers(1, dim))
+        defective = with_anti_hermitian_defect(rng, random_projection(rng, dim, rank))
+        e, f, _ = _planted_meet_pair(rng, dim, int(rng.integers(1, dim - 1)), 0.7)
+        meet = lattice_meet(validate_event(e), validate_event(f))
+        w = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        rho = w @ w.conj().T
+        k = off_block_anti_hermitian(rng, defective.matrix)
+        matrices += [
+            validate_event(np.outer(v, v.conj())).matrix,
+            defective.matrix,
+            complement(defective).matrix,
+            meet.matrix,
+            PureVector(v).projector().matrix,
+            State(rho / np.trace(rho).real + 1e-11 * k).rho,
+            State.from_ensemble([(0.3, v), (0.7, w[:, 0])]).rho,
+        ]
+    for m in matrices:
+        assert np.array_equal(m, m.conj().T)
 
 
 def test_event_matrix_is_read_only():

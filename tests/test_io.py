@@ -300,6 +300,17 @@ def test_load_json_errors(tmp_path):
         load_json(str(broken))
 
 
+def test_loaders_read_tol_by_the_argument_rule():
+    # A spin event and an ensemble read no tolerance, but a wrong tol is refused there too.
+    spin = {"spin": {"axis": "x", "sign": "+"}}
+    ensemble = {"ensemble": [{"weight": 1, "vector": [1.0, 0.0]}]}
+    for load, obj in ((event_from_obj, spin), (state_from_obj, ensemble), (chain_from_obj, {
+        "preparation": spin, "apparatuses": [], "final": spin,
+    })):
+        with pytest.raises(ValidationError, match="tol must be a Tolerances, got NoneType"):
+            load(obj, None)
+
+
 def test_fractional_indices_are_refused():
     with pytest.raises(ValidationError, match="indices"):
         classical_event_from_obj({"indices": [1.5]}, 3)
