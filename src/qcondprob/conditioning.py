@@ -2,10 +2,10 @@
 
 A state assigns each event its probability via ``mu(e) = trace(rho @ e)``
 for a density matrix ``rho`` (self-adjoint, positive semi-definite,
-trace 1), and keeps a factor ``W`` with ``rho = W @ adjoint(W)``, as an
-event keeps its ray.  Conditioning on an event ``e`` with ``mu(e) > 0``
-maps ``W`` to ``e @ W``, no adjoint since a stored event matrix is
-exactly self-adjoint, and renormalises: the updated state is
+trace 1), and keeps a factor ``W`` (d x m) with ``rho = W @ adjoint(W)``,
+as an event keeps its factor ``V``.  Conditioning on an event ``e`` with
+``mu(e) > 0`` maps ``W`` to ``e @ W``, no adjoint since a stored event
+matrix is exactly self-adjoint, and renormalises: the updated state is
 
     rho_e = (e @ rho @ e) / trace(e @ rho @ e).
 
@@ -16,13 +16,24 @@ form: with the ordered product ``E = e1 @ e2 @ ... @ en`` and
     mu(d | e1, ..., en) = trace(rho @ E @ d @ adjoint(E)) / trace(rho @ E @ adjoint(E))
                         = Re vdot(X, d @ X) / vdot(X, X),
 
-a ratio of squared norms (Lüders 1951).  One private quotient serves
-the closed form and its step-by-step cross-check, both read from the
-fold ``x -> e @ x`` that the fits of :mod:`.objective` read too, and
-one refusal of a weight ``vdot(X, X)`` at or below the probability
-floor serves it and :func:`cond_state`, which divides ``e @ W`` by the
-root of that weight.  A single condition is the chain of length one, so
-:func:`cond_prob` equals :func:`repeated_cond_prob` on ``[e]`` bit for bit.
+a ratio of squared norms (Lüders 1951).  From d = 32 (``_FACTOR_DIM``)
+the closed form reads the events through their orthonormal factors
+(``events._range``, ``e = V @ adjoint(V)``): ``X = Vn @ Z`` with
+``Z = T(n-1) @ ... @ T1 @ adjoint(V1) @ W`` and the r(i+1) x r(i)
+overlaps ``Ti = adjoint(V(i+1)) @ Vi``, so the weight is ``|Z|^2``, read
+on the last condition's own range, an event outcome is read on its
+smaller side (``events._side``), and the work is O(k d r m) for k events
+of rank r and an m-column state factor, not O(k d^3).  Below d = 32, and
+for a condition that is a projection only within its budget and so has
+no factor, it folds the event matrices; such an outcome is read by its
+matrix at ``X = Vn @ Z``.  The step-by-step cross-check of
+:func:`repeated_cond_prob` folds ``x -> e @ x`` from ``W`` at every d, in
+O(k d^2 m), the fold that the fits of :mod:`.objective` read too, so from
+d = 32 it checks the factors against the matrices.  One refusal of a
+weight at or below the probability floor serves both and
+:func:`cond_state`, which divides ``e @ W`` by the root of that weight.
+A single condition is the chain of length one, so :func:`cond_prob`
+equals :func:`repeated_cond_prob` on ``[e]`` bit for bit.
 
 Validation happens once, at the boundary: ``State(...)`` checks every
 matrix handed to it and reads its factor from the eigendecomposition;
@@ -39,13 +50,26 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
-from .events import Event, _arg, _args, _dimension, _frobenius, _hermitian, _is_number, _self_adjoint_matrix
+from .events import (
+    Event, _arg, _args, _dimension, _frobenius, _hermitian, _is_number, _keep, _range, _self_adjoint_matrix,
+    _side,
+)
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 # Agreement threshold between the closed-form and step-by-step values of
 # a repeated conditional probability, relative to max(1, |value|): a fixed
 # bound on the round-off of two association orders, not a user tolerance.
 _PATH_AGREEMENT_TOL = 1e-12
+
+# The dimension from which the conditioning kernel reads factors.  Below
+# it a product costs about one numpy call whatever its size, and the factor
+# route takes more of them (the overlaps, the outcome's side), so the kernel
+# applies the event matrices.  Measured on one x86-64 core, one BLAS thread,
+# per cond_prob / repeated_cond_prob over 4 events (ranks 2 to d - 1, a
+# full-rank state): matrices 12 / 38 us against factors 14 / 45 us at
+# d = 16, 15 / 57 against 17 / 67 at d = 24, 22 / 88 against 20 / 92 at
+# d = 32, 80 / 376 against 33 / 287 at d = 64.
+_FACTOR_DIM = 32
 
 
 def _scaled_norm(v: np.ndarray) -> tuple[float, float]:
@@ -104,9 +128,9 @@ class PureVector:
         return self._amplitudes / s / n
 
     def projector(self) -> Event:
-        """The minimal event whose range is the line spanned by this vector."""
+        """The minimal event whose range is the line spanned by this vector; it keeps the unit vector as its factor."""
         v = self._unit()
-        return Event(_hermitian(np.outer(v, v.conj())), 1)
+        return _keep(Event(_hermitian(np.outer(v, v.conj())), 1), v[:, None])
 
     def __repr__(self) -> str:
         return f"PureVector(dim={self.dim})"
@@ -278,14 +302,54 @@ def _value(x: np.ndarray, d, dm: np.ndarray, tol: Tolerances, what: str) -> floa
     return value
 
 
+def _factor_value(w: np.ndarray, factors: list[np.ndarray], d, dm: np.ndarray, tol: Tolerances) -> float:
+    """The closed form in the events' factor coordinates: ``Z = T(n-1) @ ... @ T1 @ adjoint(V1) @ W``.
+
+    The overlaps ``Ti = adjoint(V(i+1)) @ Vi`` are folded first, then
+    applied to ``adjoint(V1) @ W``; the weight is ``|Z|^2``, read on the
+    last condition's own range, and an event outcome is read on its
+    smaller side (``events._side``), ``S = adjoint(V_side) @ Vn``, as
+    ``|S @ Z|^2`` or ``|Z|^2 - |S @ Z|^2``.  Any other operand, and an
+    event without a factor, is read as ``Re vdot(X, dm @ X)`` at
+    ``X = Vn @ Z``.
+    """
+    folded = None
+    for v, u in zip(factors, factors[1:]):
+        overlap = u.conj().T @ v
+        folded = overlap if folded is None else overlap @ folded
+    z = factors[0].conj().T @ w
+    if folded is not None:
+        z = folded @ z
+    weight = _weight(z, tol, "a chain")
+    side, complement = _side(d) if isinstance(d, Event) else (None, False)
+    if side is None:
+        x = factors[-1] @ z
+        value = float(np.vdot(x, dm @ x).real) / weight
+    else:
+        a = (side.conj().T @ factors[-1]) @ z
+        share = float(np.vdot(a, a).real)
+        value = (weight - share if complement else share) / weight
+    if isinstance(d, Event):
+        value = clamp_probability(value, probability_slack(d.rank, tol), what="conditional probability")
+    return value
+
+
 def _closed_form(mu: State, d, events: list[Event], tol: Tolerances) -> tuple[float, np.ndarray]:
     """``Re vdot(X, d @ X) / vdot(X, X)`` at ``X = adjoint(E) @ W = en @ ... @ e1 @ W``, and d's matrix.
 
     The one conditioning kernel: :func:`cond_prob` is it on a one-element
     chain, and :func:`repeated_cond_prob` cross-checks it on the operand
-    matrix validated here.  ``mu`` and ``events`` are checked by the caller.
+    matrix validated here.  From ``_FACTOR_DIM`` on, and when every
+    condition has a factor, it is read in factor coordinates
+    (:func:`_factor_value`); otherwise from the event matrices, folded
+    first and then applied to ``W``.  ``mu`` and ``events`` are checked by
+    the caller.
     """
     dm = _operand_matrix(d, "conditioned operand", _arg(tol, Tolerances, "tol"), mu.dim)
+    if mu.dim >= _FACTOR_DIM:
+        factors = [_range(e) for e in events]
+        if all(v is not None for v in factors):
+            return _factor_value(mu._factor, factors, d, dm, tol), dm
     return _value(_fold(events[0].matrix, events[1:]) @ mu._factor, d, dm, tol, "conditional probability"), dm
 
 
@@ -312,7 +376,9 @@ def repeated_cond_prob(mu: State, d, chain: Sequence[Event], tol: Tolerances = D
     and recomputes the value step by step: it folds ``X -> e @ X``
     over the chain from the state's factor ``X = W`` and takes the Lüders
     quotient once at the end, the fold of :func:`cond_state` without its
-    per-step normalisations, which cancel.  The two association orders
+    per-step normalisations, which cancel.  This fold reads the event
+    matrices at every d, so where the closed form reads factors (module
+    docstring) it checks them too.  The two association orders
     must agree to ``1e-12 * max(1, |value|)``, so to 1e-12 for an event
     outcome; disagreement raises :class:`InvariantError`.  A weight at or
     below the probability floor on either path raises
