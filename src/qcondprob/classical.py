@@ -21,7 +21,7 @@ import numpy as np
 
 from .conditioning import State
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _arg, _args, _dimension, _index, _keep
+from .events import Event, _arg, _args, _dimension, _event, _index
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -151,8 +151,9 @@ def embed_event(event: ClassicalEvent) -> Event:
     """
     members = _arg(event, ClassicalEvent, "event").membership
     n = members.size
-    return _keep(
-        Event(np.diag(members.astype(np.complex128)), int(np.count_nonzero(members))),
+    return _event(
+        np.diag(members.astype(np.complex128)),
+        int(np.count_nonzero(members)),
         _columns(n, np.flatnonzero(members)),
         _columns(n, np.flatnonzero(~members)),
     )

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InvariantError, UndefinedProbabilityError, ValidationError
 from .events import (
-    Event, _arg, _args, _dimension, _frobenius, _hermitian, _is_number, _keep, _range, _self_adjoint_matrix,
+    Event, _arg, _args, _dimension, _event, _frobenius, _hermitian, _is_number, _range, _self_adjoint_matrix,
     _side,
 )
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
@@ -130,7 +130,7 @@ class PureVector:
     def projector(self) -> Event:
         """The minimal event whose range is the line spanned by this vector; it keeps the unit vector as its factor."""
         v = self._unit()
-        return _keep(Event(_hermitian(np.outer(v, v.conj())), 1), v[:, None])
+        return _event(_hermitian(np.outer(v, v.conj())), 1, v[:, None])
 
     def __repr__(self) -> str:
         return f"PureVector(dim={self.dim})"

@@ -44,10 +44,12 @@ class Event:
     ``rank`` the integer trace.  The constructor checks structure only, a
     nonempty square matrix and a rank in 0..dim, and no numerics, not even
     self-adjointness: construct via :func:`validate_event` or the module
-    helpers, whose matrices are exactly self-adjoint.  An event keeps its
+    helpers, whose matrices are exactly self-adjoint.  The constructor
+    copies ``matrix``; the package's own constructors hand over a matrix
+    they have just built, uncopied (:func:`_event`).  An event keeps its
     factor once :func:`_range` has derived it, the factor of its complement
     once :func:`_side` has, and a minimal event its ray once :func:`_ray`
-    has; constructors that know a factor keep it (:func:`_keep`).
+    has; constructors that know a factor keep it.
     """
 
     __slots__ = ("_matrix", "_rank", "_ray", "_range", "_null")
@@ -59,10 +61,7 @@ class Event:
             raise ValidationError(f"cannot interpret input as a complex matrix: {exc}") from exc
         if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1] or not (_is_integer(rank) and 0 <= rank <= m.shape[0]):
             raise ValidationError(f"event needs a nonempty square matrix and a rank in 0..dim, got {m.shape}, {rank!r}")
-        m.setflags(write=False)
-        self._matrix = m
-        self._rank = int(rank)
-        self._ray = self._range = self._null = None
+        _adopt(self, m, int(rank))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -145,6 +144,8 @@ def _is_number(x, kinds=(int, float)) -> bool:
 
 def _index(i, stop: int, what: str) -> int:
     """The one index rule: an integer by ``_is_integer``, in ``range(stop)``."""
+    if type(i) is int and 0 <= i < stop:  # the common case, with no further check
+        return i
     if not _is_integer(i):
         raise ValidationError(f"{what} {i!r} is not an integer")
     if not 0 <= i < stop:
@@ -184,16 +185,18 @@ def _arg(x, kind: type, what: str, dim: int | None = None):
 def _args(xs, kind: type, what: str, dim: int | None = None, empty: bool = False) -> list:
     """The sequence form of :func:`_arg`: ``xs`` as a fresh list of entries, each read by :func:`_arg`.
 
-    ``xs`` is any iterable but a string, bytes or an array, nonempty unless ``empty``; ``kind=object`` reads any entry.
+    ``xs`` is any iterable but a string, bytes or an array, nonempty unless ``empty``; ``kind=object`` takes any
+    entry as it is, with no ``dim``.
     """
     if isinstance(xs, (str, bytes, np.ndarray)) or not hasattr(xs, "__iter__"):
         raise ValidationError(f"{what} must be a sequence, got {type(xs).__name__}")
     items = list(xs)
     if not (items or empty):
         raise ValidationError(f"{what} must contain at least one entry")
-    entry = f"{what} entry"
-    for x in items:
-        _arg(x, kind, entry, dim)
+    if kind is not object:
+        entry = f"{what} entry"
+        for x in items:
+            _arg(x, kind, entry, dim)
     return items
 
 
@@ -212,38 +215,45 @@ def validate_event(matrix, tol: Tolerances = DEFAULT_TOL) -> Event:
     rank = int(round(tr.real))
     if abs(tr - rank) > budget or rank < 0 or rank > m.shape[0]:
         raise ValidationError(f"event trace {tr!r} is not a valid rank for dimension {m.shape[0]}")
-    return Event(m, rank)
+    return _event(m, rank)
 
 
 def zero_event(dim: int) -> Event:
     """The impossible event, with the empty factor (d x 0) and the identity as its complement's."""
     eye = np.eye(_dimension(dim), dtype=np.complex128)
-    return _keep(Event(np.zeros_like(eye), 0), eye[:, :0], eye)
+    return _event(np.zeros_like(eye), 0, eye[:, :0], eye)
 
 
 def identity_event(dim: int) -> Event:
     """The certain event, with the identity as its factor and the empty factor as its complement's."""
     eye = np.eye(_dimension(dim), dtype=np.complex128)
-    return _keep(Event(eye, eye.shape[0]), eye, eye[:, :0])
+    return _event(eye, eye.shape[0], eye, eye[:, :0])
 
 
 def complement(e: Event) -> Event:
     """Negation: the projection onto the orthogonal complement of e; it takes over the factors e has derived."""
     _arg(e, Event, "e")
-    return _keep(Event(np.eye(e.dim, dtype=np.complex128) - e.matrix, e.dim - e.rank), e._null, e._range)
+    return _event(np.eye(e.dim, dtype=np.complex128) - e.matrix, e.dim - e.rank, e._null, e._range)
 
 
-def _keep(e: Event, v, null=None) -> Event:
-    """``e`` keeping its factor ``v``, and its complement's ``null`` if given, for constructors that know them.
+def _event(m: np.ndarray, rank: int, v=None, null=None) -> Event:
+    """The event on ``m``, uncopied, keeping its factor ``v`` and its complement's ``null`` where given.
 
-    Each must be exact up to round-off: ``v`` has ``e.rank`` orthonormal
-    columns with ``v @ adjoint(v) == e``.  A factor :func:`_spanning`
-    refused (``False``) is taken over as it is.
+    The package's constructors build ``m`` afresh, an exactly self-adjoint
+    d x d complex128 matrix with ``rank`` in 0..d, and hand it over; it
+    becomes read-only.  Each factor must be exact up to round-off: ``v``
+    has ``rank`` orthonormal columns with ``v @ adjoint(v) == m``.  A factor
+    :func:`_spanning` refused (``False``) is taken over as it is.
     """
-    for f in (v, null):
+    return _adopt(Event.__new__(Event), m, rank, v, null)
+
+
+def _adopt(e: Event, m: np.ndarray, rank: int, v=None, null=None) -> Event:
+    """Fill ``e``'s slots, with ``m`` and each factor given made read-only: both constructors' last step."""
+    for f in (m, v, null):
         if isinstance(f, np.ndarray):
             f.setflags(write=False)
-    e._range, e._null = v, null
+    e._matrix, e._rank, e._ray, e._range, e._null = m, rank, None, v, null
     return e
 
 
@@ -435,4 +445,4 @@ def lattice_meet(e: Event, f: Event, tol: Tolerances = DEFAULT_TOL) -> Event:
     _, s, vh = np.linalg.svd(np.vstack([eye - e.matrix, eye - f.matrix]), full_matrices=False)
     basis = vh[s <= _resolution(max(e.rank, f.rank), tol)]
     v = basis.conj().T
-    return _keep(Event(_hermitian(v @ basis), len(basis)), v)
+    return _event(_hermitian(v @ basis), len(basis), v)

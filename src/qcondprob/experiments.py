@@ -49,7 +49,7 @@ import numpy as np
 
 from .conditioning import PureVector
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _arg, _args, _is_choice, _is_integer, _ray
+from .events import Event, _arg, _args, _event, _is_choice, _is_integer, _ray
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 _PAULI = {
@@ -79,7 +79,7 @@ def spin_projector(axis: str, sign: str) -> Event:
     if not _is_choice(sign, ("+", "-")):
         raise ValidationError(f"unknown spin sign {sign!r}; expected '+' or '-'")
     s = 1.0 if sign == "+" else -1.0
-    return Event((np.eye(2, dtype=np.complex128) + s * _PAULI[axis]) / 2.0, 1)
+    return _event((np.eye(2, dtype=np.complex128) + s * _PAULI[axis]) / 2.0, 1)
 
 
 def spin_vector(axis: str, sign: str) -> PureVector:

@@ -12,14 +12,15 @@ Classical event collections always admit such an assignment.  Suitable
 quantum collections do not: the demand that an event's value not depend
 on which resolution it is read in becomes unsatisfiable.  The search
 below either produces an assignment or exhausts the constraint-pruned
-search tree, reporting the node count as the certificate of exhaustion.
+search tree, reporting its node count.
 
-The exclusion relation is held once, as one integer bitmask per
-distinct event: bit j of mask i is set when events i and j exclude each
-other.  Enumerated resolutions are the cliques of that graph whose
-ranks total the dimension, explicit ones are checked against the same
-masks, and a search node is a pair of masks, the events set true and
-the events set false.
+One blocked pass over the stacked events decides sameness, from their
+differences, and exclusion, from their products.  The exclusion relation
+is held once, as one integer bitmask per distinct event: bit j of mask i
+is set when events i and j exclude each other.  Enumerated resolutions
+are the cliques of that graph whose ranks total the dimension, explicit
+ones are checked against the same masks, and a search node is a pair of
+masks, the events set true and the events set false.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class ValuationResult:
     """Outcome of a valuation search.
 
     ``assignment`` aligns with the problem's event list and is None for
-    unsatisfiable instances.  ``nodes_explored`` counts decision nodes
-    visited; for unsatisfiable instances it certifies that the pruned
-    tree was exhausted.
+    unsatisfiable instances.  ``nodes_explored`` is the node count: the
+    decision nodes visited, for unsatisfiable instances every node of the
+    pruned tree.
     """
 
     satisfiable: bool
@@ -58,70 +59,70 @@ class ValuationResult:
         return tuple(i for i, v in enumerate(self.assignment) if v)
 
 
-# Entries of complex128 (4 MiB) that one block of rows of a batched pass may
-# hold, so that the passes stay bounded in memory at d = 128.
+# Entries of complex128 (4 MiB) that one block of rows of the pairwise pass
+# may hold, so that the pass stays bounded in memory at d = 128.
 _PASS_ENTRIES = 1 << 18
 
 
-def _rows_per_block(stack: np.ndarray) -> int:
-    """Rows of a block of a batched pass over ``stack``: each row meets at most the whole stack."""
-    n, d, _ = stack.shape
-    return max(1, _PASS_ENTRIES // (n * d * d))
+def _relations(stack: np.ndarray, limits: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """``(kept, remap, exclusive)``: the kept events' stack indices, each event's position in ``kept``, their masks.
 
-
-def _deduplicate(stack: np.ndarray, limits: np.ndarray) -> tuple[list[int], list[int]]:
-    """``(kept, remap)``: the stack indices of the distinct events, and each event's position in ``kept``.
-
-    Each event maps to the first kept event that the sameness rule of
-    :func:`lattice_meet`, ``|e - f|_F`` at the larger of the pair's
-    resolution limits in ``limits``, matches, or is kept itself.  One
-    batched pass per block of rows compares the block with the events kept
-    before it and with itself.
+    One pass over blocks of at most ``_PASS_ENTRIES`` entries, or one
+    event, meets each event of a block with the events kept before it and
+    with the block (a view of the stack while none has merged), under the
+    larger of each pair's ``limits``.  ``|e_j - e_i|_F`` decides sameness by
+    :func:`_same`; only events with an earlier match reach the first-match
+    loop.  One matrix product, the events met as rows times the block side
+    by side, gives ``|e_i @ e_j|_F`` for :func:`_excludes`, decided for
+    ``i < j`` and mirrored.  Products stop once more than ``MAX_EVENTS``
+    events are kept, and the pass then ends in that refusal.
     """
-    step = _rows_per_block(stack)
+    n, d, _ = stack.shape
+    step = max(1, _PASS_ENTRIES // (n * d * d))
+    flat = stack.reshape(n, -1).view(np.float64)
+    # Exclusion between kept events, by position in ``kept``; positions with products stay below its size.
+    relation = np.zeros((min(n, MAX_EVENTS + step),) * 2, dtype=bool)
     kept: list[int] = []
     remap: list[int] = []
-    for start in range(0, len(stack), step):
-        block = stack[start:start + step]
-        before = len(kept)
-        candidates = np.concatenate([stack[kept], block])
-        block_limits = limits[start:start + step]
-        tau = np.maximum(block_limits[:, None], np.concatenate([limits[kept], block_limits]))
-        same = _same(np.linalg.norm(block[:, None] - candidates[None], axis=(-2, -1)), tau).tolist()
-        # Column of each kept event in ``same``: kept before the block, then block rows.
-        columns = list(range(before))
-        for r, row in enumerate(same):
-            match = next((k for k, c in enumerate(columns) if row[c]), None)
-            if match is None:
-                match = len(kept)
-                kept.append(start + r)
-                columns.append(before + r)
-            remap.append(match)
-    return kept, remap
-
-
-def _exclusion_relation(stack: np.ndarray, limits: np.ndarray) -> list[int]:
-    """Symmetric mutual exclusion by :func:`is_orthogonal`'s rule, at the larger of the pair's ``limits``.
-
-    One matrix product per block of rows: the block's events stacked as
-    rows times the events from the block's first on, side by side, has
-    block (i, j) equal to ``e_i @ e_j``, read by its Frobenius norm.
-    Pairs ``i < j`` are decided and mirrored; no event excludes itself.
-    """
-    n, d, _ = stack.shape
-    side_by_side = stack.transpose(1, 0, 2).reshape(d, n * d)
-    step = _rows_per_block(stack)
-    norms = np.full((n, n), np.inf)
+    ladder = np.arange(n)
     for start in range(0, n, step):
-        products = stack[start:start + step].reshape(-1, d) @ side_by_side[:, start * d:]
-        # Squared norm of each row of each block e_i @ e_j, over the real and
-        # imaginary parts, then summed over the block's rows.
-        parts = products.view(np.float64).reshape(len(products), n - start, 2 * d)
-        rows = np.einsum("ijk,ijk->ij", parts, parts).reshape(-1, d, n - start)
-        norms[start:start + step, start:] = np.sqrt(rows.sum(axis=1))
-    relation = np.triu(_excludes(norms, np.maximum(limits[:, None], limits[None])), 1)
-    rows = np.packbits(relation | relation.T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+        stop, before = min(start + step, n), len(kept)
+        meets = slice(stop) if before == start else kept + list(range(start, stop))
+        tau = np.maximum(limits[start:stop, None], limits[meets])
+        # Squares of e_j - e_i, e_j in the block and e_i met, freed before the next block's are built.
+        gaps = flat[start:stop, None] - flat[None, meets]
+        distances = np.sqrt(np.einsum("jik,jik->ji", gaps, gaps))
+        del gaps
+        width = distances.shape[1]
+        # Row r's own column is before + r, and column c is met before it when c < before + r.
+        earlier = _same(distances, tau) & (ladder[:width] < ladder[before:width, None])
+        if earlier.any():
+            # A row that merges takes its first kept match as its column and leaves the kept columns.
+            alive, own = np.ones(width, dtype=bool), ladder[before:width].copy()
+            for r in np.flatnonzero(earlier.any(axis=1)):
+                hits = np.flatnonzero(earlier[r] & alive)
+                if hits.size:
+                    alive[before + r], own[r] = False, hits[0]
+            pick = np.ix_(alive, alive[before:])
+            remap += (np.cumsum(alive) - 1)[own].tolist()
+            kept += (start + np.flatnonzero(alive[before:])).tolist()
+        else:
+            pick = np.s_[:, :]
+            remap += range(before, width)
+            kept += range(start, stop)
+        if len(kept) <= MAX_EVENTS:
+            products = stack[meets].reshape(-1, d) @ stack[start:stop].transpose(1, 0, 2).reshape(d, -1)
+            parts = products.view(np.float64).reshape(width * d, stop - start, 2 * d)
+            rows = np.einsum("ijk,ijk->ij", parts, parts).reshape(width, d, stop - start)
+            del products, parts
+            relation[:len(kept), before:len(kept)] = _excludes(np.sqrt(rows.sum(axis=1)), tau.T)[pick]
+    if len(kept) > MAX_EVENTS:
+        raise ValidationError(f"at most {MAX_EVENTS} distinct events are supported, got {len(kept)}")
+    order = ladder[:len(kept)]
+    relation = relation[:len(kept), :len(kept)] & (order[:, None] < order)
+    masks = np.packbits(relation | relation.T, axis=1, bitorder="little")
+    width, packed = masks.shape[1], masks.tobytes()
+    return kept, remap, [int.from_bytes(packed[k:k + width], "little") for k in range(0, len(packed), width)]
 
 
 def _enumerate_resolutions(ranks: list[int], dim: int, exclusive: list[int]) -> list[tuple[int, ...]]:
@@ -150,16 +151,16 @@ def _enumerate_resolutions(ranks: list[int], dim: int, exclusive: list[int]) -> 
 class ValuationProblem:
     """A finite event collection together with its resolutions.
 
-    The events are stacked once.  Batched passes over that stack find
-    the duplicates (each event maps to the first kept event the sameness
-    rule of :func:`lattice_meet` matches) and then build the exclusion
-    relation between the kept events, which the resolutions and the
-    search both read; both rules read the lattice's one resolution limit,
-    so a merged copy's complement excludes the kept event.  When ``resolutions`` is omitted they are
-    enumerated; explicit families pass the enumerator's rule: integer
-    indices naming distinct events, members pairwise exclusive, ranks
-    summing to the dimension.  At most ``MAX_EVENTS`` distinct events
-    are accepted since the search is exhaustive.
+    One pass over the stacked events (:func:`_relations`) maps each event
+    to the first kept event that the sameness rule of :func:`lattice_meet`
+    matches and builds the exclusion relation between the kept events,
+    which the resolutions and the search read; both rules read the
+    lattice's one resolution limit, so a merged copy's complement excludes
+    the kept event.  When ``resolutions`` is omitted they are enumerated;
+    explicit families pass the enumerator's rule: integer indices naming
+    distinct events, members pairwise exclusive, ranks summing to the
+    dimension.  At most ``MAX_EVENTS`` distinct events are accepted since
+    the search is exhaustive.
     """
 
     __slots__ = ("_events", "_resolutions", "_exclusive")
@@ -172,33 +173,30 @@ class ValuationProblem:
     ):
         raw = _args(events, Event, "valuation problem events")
         _args(raw, Event, "valuation problem events", raw[0].dim)
-        stack = np.stack([e.matrix for e in raw])
-        if any(e.is_zero() for e in raw):
+        ranks = [e.rank for e in raw]
+        if 0 in ranks:
             raise ValidationError("the zero event cannot carry a truth value")
-
-        limits = _resolution(np.array([e.rank for e in raw]), tol)
-        kept, remap = _deduplicate(stack, limits)
-        if len(kept) > MAX_EVENTS:
-            raise ValidationError(f"at most {MAX_EVENTS} distinct events are supported, got {len(kept)}")
-
-        exclusive = _exclusion_relation(stack[kept], limits[kept])
-        ranks, dim = [raw[i].rank for i in kept], raw[0].dim
+        kept, remap, exclusive = _relations(np.array([e.matrix for e in raw]), _resolution(np.array(ranks), tol))
+        ranks, dim = [ranks[i] for i in kept], raw[0].dim
         if resolutions is None:
             families = _enumerate_resolutions(ranks, dim, exclusive)
         else:
             families = []
+            closed = [mask | 1 << i for i, mask in enumerate(exclusive)]
             for fam in _args(resolutions, object, "resolutions", empty=True):
                 family = _args(fam, object, "resolution", empty=True)
                 listed = [remap[_index(i, len(raw), "resolution index")] for i in family]
-                mapped = sorted(set(listed))
-                if len(mapped) < len(listed):
+                # The members, the events every member excludes or is, and the rank sum.
+                members, common, total = 0, -1, 0
+                for k in listed:
+                    members, common, total = members | 1 << k, common & closed[k], total + ranks[k]
+                if members.bit_count() < len(listed):
                     raise ValidationError("resolution members must be distinct events")
-                members = sum(1 << i for i in mapped)
-                if any(members & ~exclusive[i] != 1 << i for i in mapped):
+                if members & ~common:
                     raise ValidationError("resolution members must be pairwise exclusive")
-                if sum(ranks[i] for i in mapped) != dim:
+                if total != dim:
                     raise ValidationError("resolution members must sum to the identity")
-                families.append(tuple(mapped))
+                families.append(tuple(sorted(listed)))
         self._events = tuple(raw[i] for i in kept)
         self._resolutions = tuple(families)
         self._exclusive = exclusive
@@ -232,17 +230,19 @@ def _propagate(true: int, false: int, families: list[int], exclusive: list[int])
     add to the masks, so any order reaches the same fixpoint or
     contradiction.
     """
-    while True:
-        before = true, false
+    changed = True
+    while changed:
+        changed = False
         for fam in families:
             open_ = fam & ~false
             if not open_:
                 return None
-            if not open_ & (open_ - 1):
+            # A lone open member not yet true; one already true has made its exclusions false.
+            if not open_ & (open_ - 1 | true):
                 true |= open_
                 false |= exclusive[open_.bit_length() - 1]
-        if (true, false) == before:
-            return true, false
+                changed = True
+    return true, false
 
 
 def search_valuation(problem: ValuationProblem) -> ValuationResult:

@@ -379,6 +379,27 @@ def peres33_rays():
     return list(rays.values())
 
 
+def e8_rays():
+    """The 120 root rays of E8 in dimension 8 as integer vectors, one of each +-pair.
+
+    The roots (+-1, +-1, 0^6) up to permutation, and (+-1/2)^8 with an even
+    number of minus signs, doubled to (+-1)^8 and taken with a leading +1.
+    Their projectors ``v v^T / (v^T v)`` have entries 0, +-1/8, +-1/4, 1/2
+    and 1, all exact floats, so two rays exclude each other exactly when
+    their integer inner product is zero.
+    """
+    rays = []
+    for i, j in itertools.combinations(range(8), 2):
+        for sign in (1, -1):
+            v = np.zeros(8, dtype=np.int64)
+            v[i], v[j] = 1, sign
+            rays.append(v)
+    for signs in itertools.product((1, -1), repeat=7):
+        if signs.count(-1) % 2 == 0:
+            rays.append(np.array((1,) + signs, dtype=np.int64))
+    return rays
+
+
 def reference_valuation(events, resolutions=None, tol=DEFAULT_TOL):
     """The list-based valuation rules on distinct events: ``(resolutions, exclusive_pairs, assignment, nodes)``.
 

@@ -538,3 +538,35 @@ def test_event_constructor_checks_structure_only():
                          (None, 1), ("not a matrix", 1), (np.zeros((0, 0)), 0), (np.ones((2, 3)), 1)):
         with pytest.raises(ValidationError):
             events.Event(matrix, rank)
+
+
+def test_public_events_copy_and_internal_events_are_read_only():
+    # The public constructor copies what it is given, so a caller's later
+    # write never reaches the event; the package's own constructors hand
+    # over the matrix they have just built, uncopied, and every event's
+    # matrix is read-only either way.
+    given = np.diag([1.0, 0.0]).astype(np.complex128)
+    public = events.Event(given, 1)
+    assert not np.shares_memory(public.matrix, given)
+    given[0, 0] = 0.0
+    assert public.matrix[0, 0] == 1.0
+    rng = np.random.default_rng(2301)
+    e, f = random_projection(rng, 4, 2), random_projection(rng, 4, 2)
+    entries = np.diag([1.0, 1.0, 0.0, 0.0])
+    built = {
+        "public": public,
+        "validate_event": validate_event(entries),
+        "complement": complement(e),
+        "zero_event": zero_event(3),
+        "identity_event": identity_event(3),
+        "embed_event": embed_event(ClassicalEvent([True, False, True])),
+        "lattice_meet": lattice_meet(e, f),
+        "lattice_meet of rays": lattice_meet(random_projection(rng, 3, 1), random_projection(rng, 3, 1)),
+        "PureVector.projector": PureVector([1.0, 1.0j, 0.0]).projector(),
+        "spin_projector": spin_projector("y", "-"),
+    }
+    assert not np.shares_memory(built["validate_event"].matrix, entries)
+    for name, event in built.items():
+        assert not event.matrix.flags.writeable, name
+        with pytest.raises(ValueError):
+            event.matrix[0, 0] = 0.5

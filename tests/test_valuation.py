@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,7 @@ from qcondprob import (
 from qcondprob import valuation
 from qcondprob.fixtures import classical_valuation, kochen_specker_18, qubit_valuation
 
-from helpers import cut_angle, peres33_rays, random_projection, random_unitary, reference_valuation
+from helpers import cut_angle, e8_rays, peres33_rays, random_projection, random_unitary, reference_valuation
 
 
 def diag_event(pattern):
@@ -426,3 +427,47 @@ def test_full_collections_match_the_reference(monkeypatch):
     assert (found.satisfiable, found.nodes_explored) == (False, 47)
     expected = reference_valuation(peres.events)
     assert (peres.resolutions, peres.exclusive_pairs, None, 47) == expected
+
+
+def test_e8_root_rays_are_unsatisfiable(monkeypatch):
+    # 120 rays in d = 8: more than 64 masks, and blocks of 34 rows at the
+    # default entry budget.  The rays are exact, so the integer inner
+    # products are the oracle for the exclusion relation and the bases.
+    rays = e8_rays()
+    events = [validate_event(np.outer(v, v) / (v @ v)) for v in rays]
+    monkeypatch.setattr(valuation, "MAX_EVENTS", len(rays))
+    assert valuation._PASS_ENTRIES // (len(rays) * 8 * 8) == 34
+    problem = ValuationProblem(events)
+    assert len(problem.events) == 120 and all(a is b for a, b in zip(problem.events, events))
+    assert problem.exclusive_pairs == tuple((i, j) for i, j in combinations(range(120), 2) if rays[i] @ rays[j] == 0)
+    assert len(problem.resolutions) == 2025
+    for fam in problem.resolutions:
+        assert len(fam) == 8 and all(rays[a] @ rays[b] == 0 for a, b in combinations(fam, 2))
+    found = search_valuation(problem)
+    # 283 nodes in this ray order; the count depends on the order.
+    assert (found.satisfiable, found.nodes_explored) == (False, 283)
+    # Every ray listed twice merges into its first copy, in blocks of 17 rows
+    # and in one block, and leaves the problem as it was.
+    for entries in (valuation._PASS_ENTRIES, 1 << 30):
+        monkeypatch.setattr(valuation, "_PASS_ENTRIES", entries)
+        twice = ValuationProblem(events + events, resolutions=[fam[::-1] for fam in problem.resolutions])
+        assert all(a is b for a, b in zip(twice.events, events)) and len(twice.events) == 120
+        assert (twice.resolutions, twice.exclusive_pairs) == (problem.resolutions, problem.exclusive_pairs)
+        assert search_valuation(twice) == found
+
+
+def test_the_pairwise_pass_stays_within_three_stacks_of_memory():
+    # 24 random rays at d = 128: a 6 MiB stack, so blocks of one row.  The
+    # pass holds one block's differences or products beside the stack and
+    # frees each before the next is built, about two stacks in all.
+    rng = np.random.default_rng(1201)
+    events = [random_projection(rng, 128, 1) for _ in range(24)]
+    stack_bytes = 24 * 128 * 128 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        problem = ValuationProblem(events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(problem.events) == 24 and problem.exclusive_pairs == ()
+    assert peak <= 3 * stack_bytes
