@@ -27,8 +27,11 @@ vector u, starting at the preparation's ray: a block maps u to P u, a
 detector branches into P u and u - P u, and rejoined outlets pass u on.
 An outlet's probability given its path is |P u|^2 / |u|^2 (or
 |u - P u|^2 / |u|^2); one at or below ``prob_floor`` is unreachable and
-pruned.  Over the leaves, value = sum <u|D|u> / sum |u|^2 for the final
-outcome D: Bayes' rule, each record's branch weighted by its chance of
+pruned.  Such a ratio, and each leaf's <u|D|u> / |u|^2, is read as it is
+inside [0, 1]; only a ratio outside goes through ``clamp_probability``,
+which clamps round-off within the rank's slack and refuses more.  Over
+the leaves, value = sum <u|D|u> / sum |u|^2 for the final outcome D:
+Bayes' rule, each record's branch weighted by its chance of
 surviving later blocks.  The one refusal is a survival sum |u|^2 at or
 below ``prob_floor``.  One depth-first walk visits the tree without
 storing it and serves all three entry points: :func:`evaluate_chain`
@@ -188,7 +191,9 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
 
     It reads the plan the chain compiled once, at construction
     (:func:`_compile`); only the tolerance-derived slacks are per call, one
-    :func:`probability_slack` per rank.  Each entry of an explicit stack, so
+    :func:`probability_slack` per rank, which :func:`clamp_probability`
+    reads only for a branch or leaf ratio outside [0, 1]: inside, it would
+    return the ratio unchanged.  Each entry of an explicit stack, so
     a chain of any length needs no recursion, is one branch: the trace entry
     that leads to it (None when ``trace`` is false), the next apparatus, its
     vector u (None for a pruned outlet, which only adds its "unreachable"
@@ -203,15 +208,17 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
     no share, and no trial goes on from it.
 
     Returns, per outlet, the leaf sums [<u|D|u>, |u|^2] (each leaf's
-    outcome probability is clamped before it is weighted), the trace as
-    :class:`TraceStep` records (empty unless ``trace``), the outcome
-    counts and the record counts.  The trace changes none of the others.
+    outcome probability is clamped, as above, before it is weighted), the
+    trace as :class:`TraceStep` records (empty unless ``trace``), the
+    outcome counts and the record counts.  The trace changes none of the
+    others.
     """
     plan, _, ranks = chain._plan
     last = len(plan)
     slacks = {rank: probability_slack(rank, tol) for rank in ranks}  # the walk's gate for tol, as ranks is never empty
     final, final_slack = chain.final_outcome.matrix, slacks[chain.final_outcome.rank]
     floor, edge, recorded = tol.prob_floor, tol.budget(), _NOTES["recorded"]
+    new_step = tuple.__new__  # all five fields given, so the named tuple's Python-level __new__ adds nothing
 
     def draw(ms: list[int], p: float) -> list[int]:
         # Within ``edge`` (tol.budget()) of 0 or 1 counts as exact, so a
@@ -241,7 +248,9 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
             # Each outlet's probability given the path, 0.0 when it is pruned, and its |v|^2.
             pu = matrix.dot(u)
             p_mass = float(np.vdot(pu, pu).real)
-            p = clamp_probability(p_mass / mass, slacks[rank], what="branch probability")
+            p = p_mass / mass
+            if not 0.0 <= p <= 1.0:
+                p = clamp_probability(p, slacks[rank], what="branch probability")
             p = p if p > floor else 0.0
             if kind == RULE_BLOCK:
                 if ms:
@@ -254,7 +263,9 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
                 continue
             qu = u - pu
             q_mass = float(np.vdot(qu, qu).real)
-            q = clamp_probability(q_mass / mass, slacks[rank], what="branch probability")
+            q = q_mass / mass
+            if not 0.0 <= q <= 1.0:
+                q = clamp_probability(q, slacks[rank], what="branch probability")
             q = q if q > floor else 0.0
             ks = rest = []
             if ms and (p or q):  # with both outlets pruned there is no share, and no trial goes on
@@ -264,9 +275,9 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
                     if n := sum(m):
                         records[key] = records.get(key, 0) + n
             if trace:
-                pending.append((TraceStep(idx, kind, "negation", q, recorded) if q else dead_negation,
+                pending.append((new_step(TraceStep, (idx, kind, "negation", q, recorded)) if q else dead_negation,
                                 idx + 1, qu if q else None, q_mass, "negation", rest))
-                pending.append((TraceStep(idx, kind, "positive", p, recorded) if p else dead_positive,
+                pending.append((new_step(TraceStep, (idx, kind, "positive", p, recorded)) if p else dead_positive,
                                 idx + 1, pu if p else None, p_mass, "positive", ks))
                 break
             if q:
@@ -276,7 +287,9 @@ def _walk(chain: Chain, tol: Tolerances, shares=(), rngs=(), trace=False) -> tup
             break
         else:  # the leaf
             hits = float(np.vdot(u, final.dot(u)).real)
-            p = clamp_probability(hits / mass, final_slack, what="final-outcome probability")
+            p = hits / mass
+            if not 0.0 <= p <= 1.0:
+                p = clamp_probability(p, final_slack, what="final-outcome probability")
             leaf = sums[outlet]
             leaf[0] += p * mass
             leaf[1] += mass

@@ -19,8 +19,9 @@ differences, and exclusion, from their products.  The exclusion relation
 is held once, as one integer bitmask per distinct event: bit j of mask i
 is set when events i and j exclude each other.  Enumerated resolutions
 are the cliques of that graph whose ranks total the dimension, explicit
-ones are checked against the same masks, and a search node is a pair of
-masks, the events set true and the events set false.
+ones are checked against the same masks, and each is kept as the mask
+of its members too.  A search node is a pair of masks, the events set
+true and the events set false.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class ValuationProblem:
     the search is exhaustive.
     """
 
-    __slots__ = ("_events", "_resolutions", "_exclusive")
+    __slots__ = ("_events", "_resolutions", "_exclusive", "_families")
 
     def __init__(
         self,
@@ -180,8 +181,9 @@ class ValuationProblem:
         ranks, dim = [ranks[i] for i in kept], raw[0].dim
         if resolutions is None:
             families = _enumerate_resolutions(ranks, dim, exclusive)
+            masks = [sum(1 << k for k in family) for family in families]
         else:
-            families = []
+            families, masks = [], []
             closed = [mask | 1 << i for i, mask in enumerate(exclusive)]
             for fam in _args(resolutions, object, "resolutions", empty=True):
                 family = _args(fam, object, "resolution", empty=True)
@@ -197,9 +199,11 @@ class ValuationProblem:
                 if total != dim:
                     raise ValidationError("resolution members must sum to the identity")
                 families.append(tuple(sorted(listed)))
+                masks.append(members)
         self._events = tuple(raw[i] for i in kept)
         self._resolutions = tuple(families)
         self._exclusive = exclusive
+        self._families = masks  # one member mask per resolution, which the search reads
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -250,13 +254,12 @@ def search_valuation(problem: ValuationProblem) -> ValuationResult:
 
     Depth-first over the events in order, trying true before false, with
     fixpoint propagation of the exactly-one and exclusion constraints at
-    every node.  The exclusion constraints are the problem's own masks.
+    every node.  Both kinds of constraint read the problem's own masks.
     A found assignment is re-verified against the full constraint set
     before being returned.
     """
     n = len(_arg(problem, ValuationProblem, "problem").events)
-    exclusive = problem._exclusive
-    families = [sum(1 << i for i in fam) for fam in problem.resolutions]
+    exclusive, families = problem._exclusive, problem._families
     everything = (1 << n) - 1
     nodes = 0
 

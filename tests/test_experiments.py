@@ -7,6 +7,8 @@ from qcondprob import (
     DEFAULT_TOL,
     Apparatus,
     Chain,
+    Event,
+    InvariantError,
     Tolerances,
     UndefinedProbabilityError,
     ValidationError,
@@ -20,6 +22,7 @@ from qcondprob import (
     transition_prob,
     validate_event,
 )
+from qcondprob import experiments
 from qcondprob.experiments import (
     MODE_BLOCK,
     MODE_PASS,
@@ -30,6 +33,7 @@ from qcondprob.experiments import (
     _walk,
 )
 from qcondprob.fixtures import blocked_chain, detector_chain, rejoined_chain
+from qcondprob.tolerances import clamp_probability, probability_slack
 
 from helpers import (
     chain_forward_pass,
@@ -458,7 +462,7 @@ def test_trace_step_is_an_immutable_named_tuple():
         step.weight = 0.5
     assert step._replace(weight=0.5) == (0, RULE_BLOCK, None, 0.5, "") and step.weight is None
     first = evaluate_chain(detector_chain()).steps[0]
-    assert first._asdict() == {"apparatus_index": 0, "rule": RULE_INCOHERENT_SPLIT, "branch": "positive",
+    assert type(first) is TraceStep and first._asdict() == {"apparatus_index": 0, "rule": RULE_INCOHERENT_SPLIT, "branch": "positive",
                                "weight": first.weight, "note": first.note}
 
 
@@ -646,3 +650,87 @@ def test_long_chains_do_not_recurse(blocks):
     counts = report.outcome_counts
     assert sum(counts.values()) == 1000 and within_sigmas(counts["blocked"], 1000, 0.5)
     assert sum(report.detector_counts.values()) == 1000
+
+
+def scaled_ray_event(scale):
+    """A structure-only ``Event`` whose matrix is ``scale`` times |0><0| in d = 2: no projection unless scale is 1."""
+    return Event(np.diag([scale, 0.0]), 1)
+
+
+def slightly_over_one_chain():
+    """From |0>, a detector and a final outcome on (1 + eps)|0><0|, eps an eighth of the rank-1 slack."""
+    over = scaled_ray_event(1.0 + probability_slack(1) / 8)
+    return Chain(spin_projector("z", "+"), [Apparatus(over, detector="positive")], over)
+
+
+def walk_entry_points(chain):
+    """Every entry point of the one walk, both records included, on a chain with exactly one detector."""
+    return (lambda: evaluate_chain(chain),
+            lambda: conditioned_on_record(chain, "positive"),
+            lambda: conditioned_on_record(chain, "negation"),
+            lambda: sample_chain(chain, trials=1000, seed=1, workers=2))
+
+
+def test_the_walk_refuses_a_ratio_beyond_its_slack():
+    # From |0>, a detector on 2|0><0| reads the branch ratio |2 P u|^2 / |u|^2 = 4,
+    # and a final outcome of 3|0><0| or -|0><0| the leaf ratio 3/2 or -1/2 on
+    # either branch of a valid x detector: each lies beyond the rank's slack.
+    zero = spin_projector("z", "+")
+    detector = [Apparatus(spin_projector("x", "+"), detector="positive")]
+    cases = [(Chain(zero, [Apparatus(scaled_ray_event(2.0), detector="positive")], zero), "branch probability")]
+    cases += [(Chain(zero, detector, scaled_ray_event(scale)), "final-outcome probability") for scale in (3.0, -1.0)]
+    for chain, what in cases:
+        for call in walk_entry_points(chain):
+            with pytest.raises(InvariantError, match=what):
+                call()
+
+
+def test_the_walk_clamps_a_ratio_within_its_slack_to_one():
+    # The positive branch ratio (1 + eps)^2 and the leaf ratio 1 + eps both
+    # exceed 1 within the slack, so each reads 1.0, and the negation outlet,
+    # eps^2, is pruned.
+    chain = slightly_over_one_chain()
+    assert 1.0 < chain.final_outcome.matrix[0, 0].real < 1.0 + probability_slack(1)
+    evaluation = evaluate_chain(chain)
+    assert evaluation.value == 1.0 and [s.weight for s in evaluation.steps] == [1.0, 0.0]
+    assert conditioned_on_record(chain, "positive") == 1.0
+    report = sample_chain(chain, trials=1000, seed=1)
+    assert report.outcome_counts == {"positive": 1000, "negation": 0}
+    assert report.detector_counts == {"apparatus0:positive": 1000}
+
+
+def test_the_walk_calls_clamp_probability_only_outside_the_unit_interval(monkeypatch):
+    # A ratio inside [0, 1] is read as it is; clamp_probability would return it
+    # unchanged.  Valid random chains keep every ratio inside, so the walk makes
+    # no call; _value's one "chain probability" call per value is not the walk's.
+    calls = []
+
+    def counted(value, slack, what="probability"):
+        calls.append(what)
+        return clamp_probability(value, slack, what)
+
+    monkeypatch.setattr(experiments, "clamp_probability", counted)
+    walk = {"branch probability", "final-outcome probability"}
+    rng = np.random.default_rng(3232)
+    evaluated = 0
+    for n in range(100):
+        chain = random_chain(rng, int(rng.integers(2, 7)), int(rng.integers(1, 11)))
+        calls.clear()
+        try:
+            evaluate_chain(chain)
+            sample_chain(chain, trials=1000, seed=n, workers=2)
+            evaluated += 1
+        except UndefinedProbabilityError:
+            pass
+        if sum(app.has_detector for app in chain.apparatuses) == 1:
+            for record in ("positive", "negation"):
+                try:
+                    conditioned_on_record(chain, record)
+                except UndefinedProbabilityError:
+                    pass
+        assert not walk & set(calls)
+    assert evaluated >= 50
+    # Over 1 within the slack, the branch and the leaf each make one call.
+    calls.clear()
+    evaluate_chain(slightly_over_one_chain())
+    assert calls == ["branch probability", "final-outcome probability", "chain probability"]
