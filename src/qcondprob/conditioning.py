@@ -28,7 +28,7 @@ for a condition that is a projection only within its budget and so has
 no factor, it folds the event matrices; such an outcome is read by its
 matrix at ``X = Vn @ Z``.  The step-by-step cross-check of
 :func:`repeated_cond_prob` folds ``x -> e @ x`` from ``W`` at every d, in
-O(k d^2 m), the fold that the fits of :mod:`.objective` read too, so from
+O(k d^2 m), the fold that the fit of :mod:`.objective` reads too, so from
 d = 32 it checks the factors against the matrices.  One refusal of a
 weight at or below the probability floor serves both and
 :func:`cond_state`, which divides ``e @ W`` by the root of that weight.

@@ -14,18 +14,27 @@ conditioning sequence through its ordered product ``E``, fitting
 the sequence of length one, so :func:`objective_cond_prob` is
 :func:`objective_seq` on ``[e]``.
 
-The rank-one rule: a minimal event ``v @ adjoint(v)`` anywhere in the
-sequence, at position j, factors the product as ``E = u @ adjoint(r)``
-with ``u = e1 ... e_{j-1} v`` and ``r = e_n ... e_{j+1} v`` (stored
-event matrices are exactly self-adjoint).  Then
-``E @ d @ adjoint(E) = (adjoint(r) d r) u adjoint(u)`` and
-``E @ adjoint(E) = |r|^2 u adjoint(u)``, so the value is state-independent
-and equals ``adjoint(r) d r / |r|^2``.  Such sequences are fitted from
-these vectors, folded from ``v`` by the Lüders step ``x -> e @ x`` in
-matrix-vector products, in O(k d^2) for k events;
-the others from the dense products in O(k d^3).  Both fits refuse a
-sequence at the same thresholds and in the same order, and pass one
-accept step.
+The pivot rule: the fit reads ``E`` through one pivot ``P`` at position
+j.  P is the ray of the first minimal event, ``e_j = P @ adjoint(P)``;
+without one, j = 1 and P is the first event's orthonormal factor
+(``events._range``, ``e_1 = P @ adjoint(P)``) from d = 32
+(``conditioning._FACTOR_DIM``), or its matrix below that or where it has
+no factor.  Stored event matrices are exactly self-adjoint, so with
+``R = e_n ... e_{j+1} P``, folded from P by the Lüders step
+``x -> e @ x``, the product is ``E = u @ adjoint(R)``: u is
+``e_1 ... e_{j-1} P`` at a ray, a column of squared norm ``s = |u|^2``,
+the isometry P at a factor, and the identity at a matrix, where
+``R = adjoint(E)``.  Then
+
+    E @ d @ adjoint(E) = u (adjoint(R) d R) adjoint(u),   E @ adjoint(E) = u (adjoint(R) R) adjoint(u),
+
+and the trace inner products that the fit reads are those of
+``s * adjoint(R) d R`` and ``s * adjoint(R) R``, with s = 1 at j = 1.  So
+the fit runs on these r x r matrices for a pivot of r columns, in
+O(k d^2 r) for k events, and in O(k d^3) only at the matrix pivot.  A
+sequence with a minimal event fits 1 x 1 matrices, exactly up to
+round-off, so it is always state-independent, with value
+``adjoint(R) d R / |R|^2``.
 
 Consequences worth knowing:
 
@@ -40,14 +49,16 @@ Consequences worth knowing:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
+from . import conditioning
 from .conditioning import PureVector, State, _fold, _vector
 from .errors import UndefinedProbabilityError, ValidationError
-from .events import Event, _arg, _args, _frobenius, _ray
+from .events import Event, _arg, _args, _frobenius, _range, _ray
 from .tolerances import DEFAULT_TOL, Tolerances, clamp_probability, probability_slack
 
 
@@ -78,69 +89,27 @@ class CondProbResult:
     chain_length: int
 
 
-def _refuse_vanishing(weight: float, tol: Tolerances) -> None:
-    """First refusal of both fits: a chain weight ``trace(E @ adjoint(E))`` at or below the floor."""
-    if weight <= tol.prob_floor:
-        raise UndefinedProbabilityError("chain product vanishes; conditioning is undefined")
-
-
-def _refuse_zero_reference(reference_sq: float, tol: Tolerances) -> None:
-    """Second refusal of both fits: a reference whose squared Frobenius norm is within ``tol.budget() ** 2``."""
-    if reference_sq <= tol.budget() ** 2:
-        raise ValidationError("cannot fit a scalar against a numerically zero matrix")
-
-
-def _fit(compressed: np.ndarray, reference: np.ndarray, tol: Tolerances) -> tuple[complex, float]:
-    """Least-squares ``(lam, residual)`` of ``compressed ~= lam * reference`` in Frobenius norm.
+def _fit(compressed: np.ndarray, reference: np.ndarray, tol: Tolerances) -> tuple[complex, float, float]:
+    """Least-squares ``(lam, residual, |reference|_F)`` of ``compressed ~= lam * reference`` in Frobenius norm.
 
     ``lam = vdot(reference, compressed) / vdot(reference, reference)``,
-    the trace inner products taken as O(d^2) elementwise sums.  Both
-    arrays were built by :func:`objective_seq` from validated events and
-    are not checked again.  A numerically zero ``reference`` admits no
-    fit and raises :class:`ValidationError`.
+    the trace inner products taken as elementwise sums, and the norm is
+    the root of that denominator.  Both arrays were built by
+    :func:`objective_seq` from validated events and are not checked
+    again.  A reference whose squared norm is within ``tol.budget() ** 2``
+    is numerically zero, admits no fit and raises :class:`ValidationError`.
     """
-    denom = float(np.real(np.vdot(reference, reference)))
-    _refuse_zero_reference(denom, tol)
+    denom = float(np.vdot(reference, reference).real)
+    if denom <= tol.budget() ** 2:
+        raise ValidationError("cannot fit a scalar against a numerically zero matrix")
     lam = complex(np.vdot(reference, compressed)) / denom
     residual = _frobenius(compressed - lam * reference)
-    return lam, residual
-
-
-def _dense_fit(d: np.ndarray, events: list[Event], tol: Tolerances) -> tuple[complex, float, float]:
-    """``(lam, residual, |G|_F)`` of :func:`_fit` on ``C = E @ d @ adjoint(E)`` against ``G = E @ adjoint(E)``."""
-    adjoint = _fold(events[0].matrix, events[1:])  # en @ ... @ e1
-    # trace(E @ adjoint(E)) is the elementwise sum of |E_ij|^2, vdot(adjoint(E), adjoint(E)).
-    _refuse_vanishing(float(np.vdot(adjoint, adjoint).real), tol)
-    product = adjoint.conj().T
-    reference = product @ adjoint
-    lam, residual = _fit(product @ d @ adjoint, reference, tol)
-    return lam, residual, _frobenius(reference)
-
-
-def _rank_one_fit(d: np.ndarray, events: list[Event], j: int, tol: Tolerances) -> tuple[complex, float, float]:
-    """The fit of :func:`_dense_fit` when ``events[j]`` is minimal, in O(k d^2).
-
-    By the module docstring's rank-one rule, with ``u`` and ``r`` folded
-    from the ray ``v``: ``lam = adjoint(r) d r / |r|^2``,
-    ``|G|_F = trace(G) = |u|^2 |r|^2`` and the residual is
-    ``|u|^2 |adjoint(r) d r - lam |r|^2|``: G has rank one and the fit is
-    exact up to round-off.
-    """
-    v = _ray(events[j])
-    u, r = _fold(v, reversed(events[:j])), _fold(v, events[j + 1:])
-    uu = float(np.vdot(u, u).real)
-    rr = float(np.vdot(r, r).real)
-    weight = uu * rr
-    _refuse_vanishing(weight, tol)
-    _refuse_zero_reference(weight * weight, tol)
-    rdr = complex(np.vdot(r, d @ r))
-    lam = rdr / rr
-    return lam, uu * abs(rdr - lam * rr), weight
+    return lam, residual, math.sqrt(denom)
 
 
 def _verdict(lam: complex, residual: float, reference_norm: float, chain_length: int, rank: int,
              tol: Tolerances) -> CondProbResult:
-    """The accept step of both fits: residual threshold, imaginary-part check, clamp by the outcome's rank."""
+    """The accept step of the fit: residual threshold, imaginary-part check, clamp by the outcome's rank."""
     objective = residual <= tol.objectivity_tol * (1.0 + reference_norm)
     value = None
     if objective:
@@ -185,20 +154,35 @@ def objective_seq(d: Event, chain: Sequence[Event], tol: Tolerances = DEFAULT_TO
 
     A certified fit means every state with nonvanishing weight on the
     sequence assigns ``d`` the same conditional probability ``lam``.
-    When the sequence contains a minimal event, the first one selects the
-    rank-one fit of the module docstring, in O(k d^2); otherwise the
-    dense products are fitted.  Raises :class:`UndefinedProbabilityError`
-    when ``E`` vanishes, since then no state can be conditioned on the
-    sequence at all, and :class:`ValidationError` when the reference
+    The fit reads ``E`` through the pivot of the module docstring: the ray
+    of the first minimal event, else the first event's factor from
+    d = 32, else its matrix; it fits ``s * adjoint(R) d R`` against
+    ``s * adjoint(R) R`` for ``R = e_n ... e_{j+1} P``, in O(k d^2 r) for
+    a pivot of r columns and in O(k d^3) only at the matrix pivot.
+    Raises :class:`UndefinedProbabilityError` when the weight
+    ``trace(E @ adjoint(E)) = s |R|_F^2`` is at or below the probability
+    floor, since then no state can be conditioned on the sequence at all,
+    and then :class:`ValidationError` when the reference
     ``E @ adjoint(E)`` is numerically zero.
     """
     events = _args(chain, Event, "conditioning chain", _arg(d, Event, "outcome").dim)
     _arg(tol, Tolerances, "tol")
     j = next((k for k, e in enumerate(events) if e.is_minimal()), None)
-    if j is None:
-        lam, residual, reference_norm = _dense_fit(d.matrix, events, tol)
+    if j is not None:
+        pivot = _ray(events[j])[:, None]
     else:
-        lam, residual, reference_norm = _rank_one_fit(d.matrix, events, j, tol)
+        j = 0
+        pivot = _range(events[0]) if d.dim >= conditioning._FACTOR_DIM else None
+        if pivot is None:
+            pivot = events[0].matrix
+    u = _fold(pivot, reversed(events[:j]))
+    s = float(np.vdot(u, u).real) if j else 1.0
+    r = _fold(pivot, events[j + 1:])
+    # trace(E @ adjoint(E)) = s |R|_F^2, the elementwise sum of |R_ij|^2 scaled by s.
+    if s * float(np.vdot(r, r).real) <= tol.prob_floor:
+        raise UndefinedProbabilityError("chain product vanishes; conditioning is undefined")
+    rh = r.conj().T
+    lam, residual, reference_norm = _fit(s * (rh @ d.matrix @ r), s * (rh @ r), tol)
     return _verdict(lam, residual, reference_norm, len(events), d.rank, tol)
 
 

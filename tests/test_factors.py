@@ -250,6 +250,45 @@ def test_large_events_agree_with_the_chain_walk(dim):
     assert min(seen.values()) >= 3
 
 
+def test_certified_sequences_without_a_minimal_event_fit_on_the_first_factor(route):
+    # The last event e = A adjoint(A) of rank r and an outcome spanning
+    # cos(t) a_i + sin(t) b_i, the b_i orthonormal outside e's range:
+    # e d e = cos^2(t) e, so every prefix of weight above the floor
+    # certifies lam = cos^2(t).  d 32-128, 0-3 non-minimal events in front.
+    # The first event has a factor, so objective_seq takes the factor
+    # pivot, except where it is written to 12 decimals: then it has none
+    # and the fit takes the matrix pivot.  Any pivot certifies such a
+    # sequence, so a random outcome on it checks the fit against the dense
+    # one too.
+    rng = np.random.default_rng(3501)
+    seen = {"factor": 0, "matrix": 0}
+    for dim in (32, 48, 64, 128):
+        for case in range(6):
+            q = random_unitary(rng, dim)
+            r = int(rng.integers(2, dim // 2 + 1))
+            t = rng.uniform(0.1, 1.4)
+            d = _columns_event(np.cos(t) * q[:, :r] + np.sin(t) * q[:, r:2 * r])
+            chain = [_event(rng, dim, int(rng.integers(2, dim - 1))) for _ in range(case % 4)]
+            chain.append(_columns_event(q[:, :r]))
+            pivot = "matrix" if case in (1, 5) else "factor"
+            if pivot == "matrix":
+                chain[0] = _written(chain[0], 12)
+                assert _range(chain[0]) is None
+            assert all(not x.is_minimal() for x in chain)
+            assert (_range(chain[0]) is not None) == (pivot == "factor")
+            got = objective_seq(d, chain)
+            lam, _, objective, _ = dense_objective_seq(d, chain)
+            assert got.objective and objective
+            assert abs(got.lam - np.cos(t) ** 2) <= 1e-12 and abs(got.lam - lam) <= 1e-12
+            assert abs(got.value - np.cos(t) ** 2) <= 1e-12
+            other = _event(rng, dim, int(rng.integers(2, dim - 1)))
+            got = objective_seq(other, chain)
+            lam, _, objective, _ = dense_objective_seq(other, chain)
+            assert got.objective == objective and abs(got.lam - lam) <= 1e-12
+            seen[pivot] += 1
+    assert seen == {"factor": 16, "matrix": 8}
+
+
 def test_a_corrupted_factor_trips_the_cross_check(monkeypatch):
     # From d = 32 the closed form reads the factors and the step-by-step
     # fold the matrices, so a factor that misses its event, orthonormal or

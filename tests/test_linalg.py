@@ -56,9 +56,10 @@ def test_fit_scalar_recovers_exact_multiples():
     for _ in range(20):
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         lam_true = complex(rng.normal(), rng.normal())
-        lam, residual = _fit(lam_true * b, b, DEFAULT_TOL)
+        lam, residual, norm = _fit(lam_true * b, b, DEFAULT_TOL)
         assert abs(lam - lam_true) < 1e-12
         assert residual < 1e-12
+        assert abs(norm - np.linalg.norm(b)) < 1e-12
 
 
 def test_fit_scalar_orthogonal_input_gives_zero_scalar():
@@ -66,7 +67,7 @@ def test_fit_scalar_orthogonal_input_gives_zero_scalar():
     # product, so the best multiple is zero and the residual is all of a.
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
-    lam, residual = _fit(a, b, DEFAULT_TOL)
+    lam, residual, _ = _fit(a, b, DEFAULT_TOL)
     assert lam == 0
     assert abs(residual - 1.0) < 1e-15
 
@@ -77,7 +78,7 @@ def test_fit_scalar_is_a_minimum():
     for _ in range(10):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lam, residual = _fit(a, b, DEFAULT_TOL)
+        lam, residual, _ = _fit(a, b, DEFAULT_TOL)
         for _ in range(50):
             other = lam + complex(rng.normal(), rng.normal())
             assert residual <= np.linalg.norm(a - other * b, "fro") + 1e-12
@@ -93,7 +94,7 @@ def test_fit_scalar_unitary_invariance():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u = random_unitary(rng, 4)
-    lam1, res1 = _fit(a, b, DEFAULT_TOL)
-    lam2, res2 = _fit(u @ a @ u.conj().T, u @ b @ u.conj().T, DEFAULT_TOL)
+    lam1, res1, _ = _fit(a, b, DEFAULT_TOL)
+    lam2, res2, _ = _fit(u @ a @ u.conj().T, u @ b @ u.conj().T, DEFAULT_TOL)
     assert abs(lam1 - lam2) < 1e-10
     assert abs(res1 - res2) < 1e-10

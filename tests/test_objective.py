@@ -236,7 +236,7 @@ def _ray_at_overlap(rng, v, s):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 4: the dense fit's absolute slack certifies away state dependence "
+                   reason="ROADMAP item 4: the fit's absolute slack certifies away state dependence "
                           "in a direction whose weight is below about 1e-9")
 @pytest.mark.parametrize("s", [3e-5, 1e-5])
 def test_objective_seq_does_not_certify_a_state_dependent_value(s):
